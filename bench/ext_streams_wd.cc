@@ -94,8 +94,7 @@ int main(int argc, char** argv) {
     }
     const core::WdPlan plan =
         core::optimize_wd(benchmarker, requests, total,
-                          core::BatchSizePolicy::kPowerOfTwo,
-                          core::WdSolver::kMckpDp);
+                          core::BatchSizePolicy::kPowerOfTwo);
     std::vector<core::Configuration> wd_configs;
     for (const auto& assignment : plan.assignments) {
       wd_configs.push_back(assignment.config);

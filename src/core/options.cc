@@ -15,14 +15,6 @@ Options Options::from_env() {
   }
   opts.total_workspace_size =
       env_bytes("UCUDNN_TOTAL_WORKSPACE_SIZE", std::size_t{64} << 20);
-  const std::string solver = env_string("UCUDNN_WD_SOLVER", "dp");
-  if (solver == "dp") {
-    opts.wd_solver = WdSolver::kMckpDp;
-  } else if (solver == "ilp") {
-    opts.wd_solver = WdSolver::kBranchBoundIlp;
-  } else {
-    throw Error(Status::kInvalidValue, "unknown UCUDNN_WD_SOLVER: " + solver);
-  }
   opts.share_wr_workspace = env_bool("UCUDNN_SHARED_WORKSPACE", false);
   opts.cache_path = env_string("UCUDNN_CACHE_PATH", "");
   opts.benchmark_devices =
@@ -33,9 +25,6 @@ Options Options::from_env() {
   check(opts.max_retries >= 0, Status::kInvalidValue,
         "UCUDNN_MAX_RETRIES must be >= 0");
   opts.fail_fast = env_bool("UCUDNN_FAIL_FAST", false);
-  opts.ilp_max_nodes = env_int("UCUDNN_ILP_MAX_NODES", 1'000'000);
-  check(opts.ilp_max_nodes >= 0, Status::kInvalidValue,
-        "UCUDNN_ILP_MAX_NODES must be >= 0");
   return opts;
 }
 

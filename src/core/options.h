@@ -8,15 +8,12 @@
 //                                limit the framework passes (needed for
 //                                frameworks that never pass one, §IV-B2)
 //   UCUDNN_TOTAL_WORKSPACE_SIZE  WD total arena bytes           (64M)
-//   UCUDNN_WD_SOLVER             dp | ilp                       (dp)
 //   UCUDNN_CACHE_PATH            benchmark-cache database file  (unset = off)
 //   UCUDNN_BENCHMARK_DEVICES     parallel benchmarking fan-out  (1)
 //   UCUDNN_MAX_RETRIES           transient-kernel-failure retries before the
 //                                algorithm is blacklisted       (3)
 //   UCUDNN_FAIL_FAST             1 = disable graceful degradation; resource
 //                                failures throw immediately     (0)
-//   UCUDNN_ILP_MAX_NODES         branch-and-bound node budget before the WD
-//                                ILP solver falls back to MCKP-DP (1000000)
 //   UCUDNN_FAULTS                fault-injection schedule (testing only; see
 //                                docs/robustness.md)            (unset = off)
 //   UCUDNN_TELEMETRY             1/true/on/yes = metrics + trace spans; any
@@ -80,8 +77,6 @@
 
 namespace ucudnn::core {
 
-enum class WdSolver { kMckpDp, kBranchBoundIlp };
-
 struct Options {
   BatchSizePolicy batch_size_policy = BatchSizePolicy::kPowerOfTwo;
   WorkspacePolicy workspace_policy = WorkspacePolicy::kWR;
@@ -90,7 +85,6 @@ struct Options {
   std::optional<std::size_t> workspace_limit;
   /// Total arena size for WD.
   std::size_t total_workspace_size = std::size_t{64} << 20;
-  WdSolver wd_solver = WdSolver::kMckpDp;
   /// WR normally keeps one persistent workspace per kernel (§III-A: total
   /// grows with the layer count). When execution is strictly sequential —
   /// the TensorFlow-style integration — a single shared buffer sized to the
@@ -107,9 +101,6 @@ struct Options {
   /// Disables the graceful-degradation chain: allocation failures, infeasible
   /// WD plans, and kernel failures throw immediately instead of degrading.
   bool fail_fast = false;
-  /// Node budget for WdSolver::kBranchBoundIlp. When exhausted without an
-  /// incumbent the planner falls back to the exact MCKP-DP solver.
-  std::int64_t ilp_max_nodes = 1'000'000;
 
   /// Reads every field from the environment.
   static Options from_env();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "common/logging.h"
@@ -82,12 +81,15 @@ DeviceBuffer& DeviceBuffer::operator=(DeviceBuffer&& other) noexcept {
   return *this;
 }
 
-std::shared_ptr<const ExecutionPlan> PlanCache::lookup(const std::string& key) {
+std::shared_ptr<const ExecutionPlan> PlanCache::lookup(KernelId id, bool wd,
+                                                      std::size_t limit) {
   std::shared_ptr<const ExecutionPlan> found;
   {
     MutexLock lock(mutex_);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) found = it->second;
+    const Stamp want{wd, limit, epoch_.load(std::memory_order_relaxed)};
+    if (id < entries_.size() && entries_[id].stamp == want) {
+      found = entries_[id].plan;
+    }
   }
   if (found == nullptr) {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -99,32 +101,38 @@ std::shared_ptr<const ExecutionPlan> PlanCache::lookup(const std::string& key) {
   return found;
 }
 
-void PlanCache::insert(const std::string& key,
+void PlanCache::insert(KernelId id, const Stamp& stamp,
                        std::shared_ptr<const ExecutionPlan> plan) {
   MutexLock lock(mutex_);
-  plans_[key] = std::move(plan);
+  if (id >= entries_.size()) entries_.resize(id + 1);
+  entries_[id] = Entry{stamp, std::move(plan)};
+}
+
+void PlanCache::erase(KernelId id) {
+  MutexLock lock(mutex_);
+  if (id < entries_.size()) entries_[id] = Entry{};
 }
 
 void PlanCache::bump_epoch() {
   {
-    // Entries under the old epoch are unreachable anyway (the epoch is part
-    // of every key); dropping them just releases the memory eagerly. The
-    // clear happens before the epoch store so a concurrent lookup under the
-    // new epoch can never fetch a stale plan.
+    // Entries under the old epoch can no longer match a lookup; dropping
+    // them just releases the memory eagerly.
     MutexLock lock(mutex_);
-    plans_.clear();
+    entries_.clear();
+    epoch_.fetch_add(1, std::memory_order_release);
   }
-  epoch_.fetch_add(1, std::memory_order_release);
   // Process-wide mirror: total epoch bumps across every handle.
   plan_cache_epoch_metric().add(1);
 }
 
 std::size_t PlanCache::size() const {
   MutexLock lock(mutex_);
-  return plans_.size();
+  return static_cast<std::size_t>(
+      std::count_if(entries_.begin(), entries_.end(),
+                    [](const Entry& e) { return e.plan != nullptr; }));
 }
 
-Planner::Planner(mcudnn::Handle& handle, Options& options,
+Planner::Planner(mcudnn::Handle& handle, const Options& options,
                  Benchmarker benchmarker, DegradationStats& stats)
     : handle_(handle),
       options_(options),
@@ -141,62 +149,51 @@ void Planner::charge_replan_benchmark_ms(double ms) {
   replan_benchmark_ms_metric().add(ms);
 }
 
-std::string Planner::wr_key(ConvKernelType type,
-                            const kernels::ConvProblem& problem,
-                            std::size_t limit) const {
-  std::ostringstream os;
-  os << to_string(type) << "|" << std::hex << problem.hash() << "|" << limit
-     << "|" << to_string(options_.batch_size_policy);
-  return os.str();
-}
-
-std::string Planner::plan_key(ConvKernelType type,
-                              const kernels::ConvProblem& problem,
-                              std::size_t limit) const {
-  // WR plans are keyed by the full WR identity (type x problem x limit x
-  // batch-size policy) plus the device, the blacklist epoch, and the
-  // workspace-sharing mode; WD plans by the arena identity instead of the
-  // per-kernel limit. Changing any component makes old plans unreachable.
-  std::ostringstream os;
-  const bool wd = options_.workspace_policy == WorkspacePolicy::kWD &&
-                  !wd_degraded_to_wr_;
-  if (wd) {
-    os << "WD|" << to_string(type) << "|" << std::hex << problem.hash()
-       << std::dec << "|" << options_.total_workspace_size << "|"
-       << to_string(options_.batch_size_policy);
-  } else {
-    os << "WR|" << wr_key(type, problem, limit) << "|"
-       << (options_.share_wr_workspace ? "shared" : "perKernel");
+std::optional<KernelId> Planner::find_kernel(
+    ConvKernelType type, const kernels::ConvProblem& problem) const {
+  const auto [first, last] = index_.equal_range(problem.hash());
+  for (auto it = first; it != last; ++it) {
+    const KernelRequest& k = kernels_[it->second];
+    if (k.type == type && k.problem == problem) return it->second;
   }
-  os << "|" << handle_.device().spec().name << "|e" << plan_cache_.epoch();
-  return os.str();
+  return std::nullopt;
 }
 
-void Planner::record_limit(ConvKernelType type,
-                           const kernels::ConvProblem& problem,
-                           std::size_t limit) {
-  request_limits_[wr_key(type, problem, 0)] = limit;
+KernelId Planner::add_kernel(KernelRequest request) {
+  const KernelId id = kernels_.size();
+  index_.emplace(request.problem.hash(), id);
+  kernels_.push_back(std::move(request));
+  slots_.emplace_back();
+  return id;
 }
 
-std::size_t Planner::effective_limit(ConvKernelType type,
-                                     const kernels::ConvProblem& problem) const {
+void Planner::record_limit(KernelId id, std::size_t limit) {
+  slots_[id].recorded_limit = limit;
+}
+
+std::size_t Planner::effective_limit(KernelId id) const {
   if (options_.workspace_limit) return *options_.workspace_limit;
-  const auto it = request_limits_.find(wr_key(type, problem, 0));
-  if (it != request_limits_.end()) return it->second;
-  return kDefaultPerKernelLimit;
+  return slots_[id].recorded_limit.value_or(kDefaultPerKernelLimit);
 }
 
-Planner::WrEntry& Planner::wr_entry(ConvKernelType type,
-                                    const kernels::ConvProblem& problem,
-                                    const std::vector<KernelRequest>& requests) {
-  const std::size_t limit = effective_limit(type, problem);
-  const std::string key = wr_key(type, problem, limit);
-  auto it = wr_entries_.find(key);
-  if (it != wr_entries_.end()) return it->second;
+Planner::WrEntry& Planner::wr_entry(KernelId id) {
+  const std::size_t limit = effective_limit(id);
+  std::optional<WrEntry>& slot = slots_[id].wr;
+  if (slot && slot->limit == limit) return *slot;
+  if (slot) {
+    // Re-recorded under a new limit: the old entry, its workspace and the
+    // plan bound to it go first, so the device never holds both buffers and
+    // a failed re-plan cannot leave a plan without its workspace.
+    plan_cache_.erase(id);
+    slot.reset();
+  }
 
+  const KernelRequest& kernel = kernels_[id];
+  const ConvKernelType type = kernel.type;
+  const kernels::ConvProblem& problem = kernel.problem;
   const MicroBenchmark bench =
       benchmarker_.run(type, problem, options_.batch_size_policy);
-  const telemetry::ScopedSpan span("wr_dp", [&] { return key; });
+  const telemetry::ScopedSpan span("wr_dp", [&] { return kernel.label; });
   Timer timer;
   Configuration config = optimize_wr(bench, problem.batch(), limit);
   charge_optimize_ms(timer.elapsed_ms());
@@ -206,14 +203,8 @@ Planner::WrEntry& Planner::wr_entry(ConvKernelType type,
                   << " time=" << config.time_ms
                   << "ms ws=" << config.workspace;
 
-  // Tag workspace memory with the layer label when we know it.
-  std::string tag = "workspace";
-  for (const auto& request : requests) {
-    if (request.matches(type, problem)) {
-      tag = request.label + ":ws";
-      break;
-    }
-  }
+  // Tag workspace memory with the layer label.
+  const std::string tag = kernel.label + ":ws";
   DeviceBuffer ws;
   for (;;) {
     try {
@@ -246,28 +237,24 @@ Planner::WrEntry& Planner::wr_entry(ConvKernelType type,
       charge_optimize_ms(degrade_timer.elapsed_ms());
     }
   }
-  auto [inserted, ok] = wr_entries_.emplace(
-      key, WrEntry{std::move(config), std::move(ws),
-                   degraded ? "wr_dp(degraded)" : "wr_dp"});
-  (void)ok;
-  return inserted->second;
+  slot = WrEntry{limit, std::move(config), std::move(ws), degraded};
+  return *slot;
 }
 
-void Planner::finalize_wd(const std::vector<KernelRequest>& requests) {
+void Planner::finalize_wd() {
   if (wd_finalized() || wd_degraded_to_wr_) return;
   check(options_.workspace_policy == WorkspacePolicy::kWD,
         Status::kBadParam, "finalize_wd requires UCUDNN_WORKSPACE_POLICY=wd");
   const telemetry::ScopedSpan span("wd_ilp", [&] {
-    return std::to_string(requests.size()) + " kernels";
+    return std::to_string(kernels_.size()) + " kernels";
   });
   Timer timer;
   WdPlan plan;
   std::size_t limit = options_.total_workspace_size;
   for (;;) {
     try {
-      plan = optimize_wd(benchmarker_, requests, limit,
-                         options_.batch_size_policy, options_.wd_solver,
-                         options_.ilp_max_nodes);
+      plan = optimize_wd(benchmarker_, kernels_, limit,
+                         options_.batch_size_policy);
     } catch (const Error& e) {
       charge_optimize_ms(timer.elapsed_ms());
       if (e.status() != Status::kNotSupported || options_.fail_fast) throw;
@@ -298,88 +285,57 @@ void Planner::finalize_wd(const std::vector<KernelRequest>& requests) {
                       << "); re-optimizing with total limit " << limit;
     }
   }
-  if (plan.solver_fell_back) stats_.count_solver_fallback();
   charge_optimize_ms(timer.elapsed_ms());
-  UCUDNN_LOG_INFO << "WD finalized: " << requests.size() << " kernels, "
+  UCUDNN_LOG_INFO << "WD finalized: " << kernels_.size() << " kernels, "
                   << plan.num_variables << " ILP variables, arena "
                   << plan.total_workspace << " bytes, solve "
                   << plan.solve_ms << " ms";
   wd_plan_ = std::move(plan);
 }
 
-const WdAssignment* Planner::wd_assignment(
-    ConvKernelType type, const kernels::ConvProblem& problem,
-    const std::vector<KernelRequest>& requests) const {
-  if (!wd_plan_) return nullptr;
-  // Kernels recorded after finalization (the unrecorded-fallback path) make
-  // `requests` longer than the frozen assignment list — they have no slot.
-  const std::size_t n =
-      std::min(requests.size(), wd_plan_->assignments.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (requests[i].matches(type, problem)) {
-      return &wd_plan_->assignments[i];
-    }
-  }
-  return nullptr;
+const WdAssignment* Planner::wd_assignment(KernelId id) const {
+  // Kernels recorded after finalization (the unrecorded-fallback path) have
+  // no slot in the frozen assignment list.
+  if (!wd_plan_ || id >= wd_plan_->assignments.size()) return nullptr;
+  return &wd_plan_->assignments[id];
 }
 
-const Configuration* Planner::configuration_for(
-    ConvKernelType type, const kernels::ConvProblem& problem,
-    const std::vector<KernelRequest>& requests) const {
-  if (options_.workspace_policy == WorkspacePolicy::kWD &&
-      !wd_degraded_to_wr_) {
-    const WdAssignment* assignment = wd_assignment(type, problem, requests);
+const Configuration* Planner::configuration_for(KernelId id) const {
+  if (wd_active()) {
+    const WdAssignment* assignment = wd_assignment(id);
     return assignment ? &assignment->config : nullptr;
   }
-  const std::size_t limit = effective_limit(type, problem);
-  const auto it = wr_entries_.find(wr_key(type, problem, limit));
-  return it != wr_entries_.end() ? &it->second.config : nullptr;
+  const std::optional<WrEntry>& wr = slots_[id].wr;
+  return wr && wr->limit == effective_limit(id) ? &wr->config : nullptr;
 }
 
-std::string Planner::provenance_for(
-    ConvKernelType type, const kernels::ConvProblem& problem,
-    const std::vector<KernelRequest>& requests) const {
+std::string Planner::provenance_for(KernelId id) const {
   std::string prefix;
   if (options_.workspace_policy == WorkspacePolicy::kWD) {
-    if (!wd_degraded_to_wr_ && wd_assignment(type, problem, requests)) {
-      if (wd_plan_ && wd_plan_->solver_fell_back) return "wd_ilp->mckp_dp";
-      return options_.wd_solver == WdSolver::kBranchBoundIlp ? "wd_ilp"
-                                                             : "wd_mckp_dp";
-    }
+    if (!wd_degraded_to_wr_ && wd_assignment(id)) return "wd_mckp_dp";
     // WD was requested but this kernel runs WR: either the whole plan was
     // infeasible or the kernel was not recorded before finalization.
     prefix = wd_degraded_to_wr_ ? "wd_infeasible->" : "wd_unrecorded->";
   }
-  const auto it =
-      wr_entries_.find(wr_key(type, problem, effective_limit(type, problem)));
-  const std::string wr = it != wr_entries_.end() &&
-                                 !it->second.provenance.empty()
-                             ? it->second.provenance
-                             : std::string("wr_dp");
-  return prefix + wr;
+  const std::optional<WrEntry>& wr = slots_[id].wr;
+  return prefix + (wr && wr->degraded ? "wr_dp(degraded)" : "wr_dp");
 }
 
-void Planner::apply_pending_invalidations(
-    const std::vector<KernelRequest>& requests) {
+void Planner::apply_pending_invalidations() {
   if (pending_invalidations_.empty()) return;
   for (const auto& [type, algo] : pending_invalidations_) {
-    const std::string prefix = std::string(to_string(type)) + "|";
-    for (auto it = wr_entries_.begin(); it != wr_entries_.end();) {
-      const bool uses =
-          it->first.compare(0, prefix.size(), prefix) == 0 &&
-          std::any_of(it->second.config.micro.begin(),
-                      it->second.config.micro.end(),
-                      [&](const MicroConfig& m) { return m.algo == algo; });
-      it = uses ? wr_entries_.erase(it) : std::next(it);
+    const auto uses = [algo = algo](const Configuration& config) {
+      return std::any_of(config.micro.begin(), config.micro.end(),
+                         [&](const MicroConfig& m) { return m.algo == algo; });
+    };
+    for (KernelId id = 0; id < kernels_.size(); ++id) {
+      std::optional<WrEntry>& wr = slots_[id].wr;
+      if (wr && kernels_[id].type == type && uses(wr->config)) wr.reset();
     }
     if (wd_plan_) {
-      const std::size_t n =
-          std::min(requests.size(), wd_plan_->assignments.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto& micro = wd_plan_->assignments[i].config.micro;
-        if (requests[i].type == type &&
-            std::any_of(micro.begin(), micro.end(),
-                        [&](const MicroConfig& m) { return m.algo == algo; })) {
+      const std::vector<WdAssignment>& assignments = wd_plan_->assignments;
+      for (KernelId id = 0; id < assignments.size(); ++id) {
+        if (kernels_[id].type == type && uses(assignments[id].config)) {
           // The whole arena layout depends on every assignment; re-plan from
           // scratch at the next finalize (the blacklist filter makes the new
           // plan avoid the algorithm).
@@ -393,34 +349,31 @@ void Planner::apply_pending_invalidations(
   pending_invalidations_.clear();
 }
 
-void Planner::note_wd_fallback(ConvKernelType type,
-                               const kernels::ConvProblem& problem) {
+void Planner::note_wd_fallback(KernelId id) {
   stats_.count_wd_unrecorded_fallback();
-  const auto [it, first] =
-      wd_fallbacks_.try_emplace(wr_key(type, problem, 0), 0);
-  ++it->second;
-  if (first) {
-    UCUDNN_LOG_WARN << "WD: unrecorded kernel " << problem.to_string()
+  if (slots_[id].wd_fallbacks++ == 0) {
+    UCUDNN_LOG_WARN << "WD: unrecorded kernel "
+                    << kernels_[id].problem.to_string()
                     << ", falling back to WR (further occurrences counted "
                        "silently; see degradation stats)";
   }
 }
 
 PlannedConvolution Planner::resolve(std::shared_ptr<const ExecutionPlan> plan,
-                                    std::size_t limit) {
+                                    KernelId id) {
   PlannedConvolution planned;
   switch (plan->binding.kind) {
     case WorkspaceKind::kNone:
       break;
     case WorkspaceKind::kPerKernel: {
-      const auto it =
-          wr_entries_.find(wr_key(plan->type, plan->problem, limit));
-      // Epoch bumps always precede WR-entry erasure, so a cached plan can
-      // only be fetched while its entry is still alive.
-      check(it != wr_entries_.end(), Status::kInternalError,
+      const std::optional<WrEntry>& wr = slots_[id].wr;
+      // Epoch bumps always precede WR-entry erasure, and an entry is only
+      // replaced under a new limit (which misses the cached plan's stamp),
+      // so a cached plan can only be fetched while its entry is alive.
+      check(wr.has_value(), Status::kInternalError,
             "cached plan without a live WR entry");
-      planned.workspace = it->second.workspace.data();
-      planned.workspace_bytes = it->second.workspace.size();
+      planned.workspace = wr->workspace.data();
+      planned.workspace_bytes = wr->workspace.size();
       break;
     }
     case WorkspaceKind::kSharedWr:
@@ -440,41 +393,38 @@ PlannedConvolution Planner::resolve(std::shared_ptr<const ExecutionPlan> plan,
   return planned;
 }
 
-PlannedConvolution Planner::plan(ConvKernelType type,
-                                 const kernels::ConvProblem& problem,
-                                 const std::vector<KernelRequest>& requests) {
-  if (options_.workspace_policy == WorkspacePolicy::kWD &&
-      !wd_degraded_to_wr_) {
-    if (!wd_finalized()) finalize_wd(requests);
+PlannedConvolution Planner::plan(KernelId id) {
+  const KernelRequest& kernel = kernels_[id];
+  const std::uint64_t epoch = plan_cache_.epoch();
+  if (wd_active()) {
+    if (!wd_finalized()) finalize_wd();
     if (!wd_degraded_to_wr_) {
-      if (const WdAssignment* assignment =
-              wd_assignment(type, problem, requests)) {
-        const std::string key = plan_key(type, problem, 0);
-        if (auto cached = plan_cache_.lookup(key)) {
-          return resolve(std::move(cached), 0);
+      if (const WdAssignment* assignment = wd_assignment(id)) {
+        const std::size_t arena = options_.total_workspace_size;
+        if (auto cached = plan_cache_.lookup(id, true, arena)) {
+          return resolve(std::move(cached), id);
         }
         std::shared_ptr<const ExecutionPlan> built;
         {
           const telemetry::ScopedSpan span("plan_build",
-                                           [&] { return key; });
+                                           [&] { return kernel.label; });
           built = std::make_shared<const ExecutionPlan>(build_plan(
-              type, problem, assignment->config,
+              kernel.type, kernel.problem, assignment->config,
               WorkspaceBinding{WorkspaceKind::kWdArena, assignment->offset,
                                assignment->config.workspace}));
         }
-        plan_cache_.insert(key, built);
-        return resolve(std::move(built), 0);
+        plan_cache_.insert(id, {true, arena, epoch}, built);
+        return resolve(std::move(built), id);
       }
-      if (wd_finalized()) note_wd_fallback(type, problem);
+      if (wd_finalized()) note_wd_fallback(id);
     }
   }
 
-  const std::size_t limit = effective_limit(type, problem);
-  const std::string key = plan_key(type, problem, limit);
-  if (auto cached = plan_cache_.lookup(key)) {
-    return resolve(std::move(cached), limit);
+  const std::size_t limit = effective_limit(id);
+  if (auto cached = plan_cache_.lookup(id, false, limit)) {
+    return resolve(std::move(cached), id);
   }
-  WrEntry& entry = wr_entry(type, problem, requests);
+  WrEntry& entry = wr_entry(id);
   const WorkspaceBinding binding =
       options_.share_wr_workspace
           ? WorkspaceBinding{WorkspaceKind::kSharedWr, 0, shared_ws_.size()}
@@ -482,12 +432,13 @@ PlannedConvolution Planner::plan(ConvKernelType type,
                              entry.workspace.size()};
   std::shared_ptr<const ExecutionPlan> built;
   {
-    const telemetry::ScopedSpan span("plan_build", [&] { return key; });
+    const telemetry::ScopedSpan span("plan_build",
+                                     [&] { return kernel.label; });
     built = std::make_shared<const ExecutionPlan>(
-        build_plan(type, problem, entry.config, binding));
+        build_plan(kernel.type, kernel.problem, entry.config, binding));
   }
-  plan_cache_.insert(key, built);
-  return resolve(std::move(built), limit);
+  plan_cache_.insert(id, {false, limit, epoch}, built);
+  return resolve(std::move(built), id);
 }
 
 std::vector<PlanSegment> Planner::replan_tail(

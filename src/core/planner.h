@@ -4,10 +4,12 @@
 // The Planner owns everything decision-shaped that used to live inline in
 // UcudnnHandle: WR optimization (per-kernel DP, §III-B), WD optimization
 // (Pareto fronts + ILP over the recorded kernel set, §III-C/E), the whole
-// graceful-degradation ladder (workspace-limit halving on OOM, ILP->DP,
-// WD->WR), the workspace buffers the plans bind to, and a keyed PlanCache so
-// steady-state convolution() calls fetch a finished plan instead of
-// re-deriving strides and walking the WR entry table.
+// graceful-degradation ladder (workspace-limit halving on OOM, WD->WR), the
+// workspace buffers the plans bind to, and a PlanCache so steady-state
+// convolution() calls fetch a finished plan instead of re-deriving strides.
+// It is also the only owner of kernel identity: each distinct (type,
+// problem) is interned once into a dense KernelId, and every per-kernel
+// table here and in the facade is a slot indexed by it.
 //
 // Layering contract (tools/check_layering.py): the planner may include the
 // plan IR but never the executor; execution-time policy reaches back into
@@ -16,10 +18,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -57,21 +59,38 @@ class DeviceBuffer {
   std::size_t bytes_ = 0;
 };
 
-/// Cache of finished ExecutionPlans, keyed by
-/// kernel-type x problem x workspace-limit x device x blacklist-epoch (the
-/// key string is assembled by the Planner). Blacklisting an algorithm bumps
-/// the epoch, which both drops every stored plan and changes the key of all
-/// future lookups, so a stale schedule can never be fetched again — while
-/// shared_ptr ownership keeps the plan a mid-flight execution still holds
-/// alive until it finishes.
+/// Cache of finished ExecutionPlans, one slot per KernelId. Each entry
+/// carries what it was built under — WR vs WD, the per-kernel limit (WR) or
+/// the arena size (WD), and the blacklist epoch — and a lookup returns the
+/// plan only when all three match the caller's, so a plan built for another
+/// limit, policy or epoch is never fetched. Blacklisting an algorithm bumps
+/// the epoch, which drops every stored plan and makes any plan stamped with
+/// an older epoch a miss — while shared_ptr ownership keeps the plan a
+/// mid-flight execution still holds alive until it finishes.
 class PlanCache {
  public:
-  /// Returns the cached plan or nullptr; counts a hit or a miss.
+  /// What a plan was built under, compared field by field on lookup.
+  struct Stamp {
+    bool wd = false;
+    std::size_t limit = 0;  // WR per-kernel limit, or the WD arena size
+    std::uint64_t epoch = 0;
+
+    bool operator==(const Stamp&) const = default;
+  };
+
+  /// Returns the kernel's cached plan when its stamp equals `{wd, limit}`
+  /// under the current epoch, else nullptr; counts a hit or a miss.
   /// Thread-safe: worker handles of the serving layer (ROADMAP item 1)
   /// share one PlanCache across threads.
-  std::shared_ptr<const ExecutionPlan> lookup(const std::string& key);
-  void insert(const std::string& key,
+  std::shared_ptr<const ExecutionPlan> lookup(KernelId id, bool wd,
+                                              std::size_t limit);
+  /// Stores `plan` as the kernel's entry, replacing any previous one.
+  /// `stamp.epoch` is the epoch read before the plan was built: after an
+  /// intervening bump_epoch() the entry is stale and never returned.
+  void insert(KernelId id, const Stamp& stamp,
               std::shared_ptr<const ExecutionPlan> plan);
+  /// Drops the kernel's entry (the workspace its plan binds is going away).
+  void erase(KernelId id);
 
   /// Invalidates every cached plan and starts a new blacklist epoch.
   void bump_epoch();
@@ -85,15 +104,21 @@ class PlanCache {
   std::uint64_t misses() const noexcept {
     return misses_.load(std::memory_order_relaxed);
   }
+  /// Number of kernels with a stored plan.
   std::size_t size() const;
 
  private:
+  struct Entry {
+    Stamp stamp;
+    std::shared_ptr<const ExecutionPlan> plan;
+  };
+
   mutable Mutex mutex_{"PlanCache"};
-  std::map<std::string, std::shared_ptr<const ExecutionPlan>> plans_
-      GUARDED_BY(mutex_);
-  // Atomics, not guarded counters: epoch() is read on every plan-key build
+  std::vector<Entry> entries_ GUARDED_BY(mutex_);  // indexed by KernelId
+  // Atomics, not guarded counters: epoch() is read before every plan build
   // and hits()/misses() feed execution reports — thin reads must not take
-  // the map's lock. bump_epoch orders the clear before the epoch publish.
+  // the lock. The epoch only changes under the lock, so a lookup compares
+  // entries against a consistent epoch.
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
@@ -112,21 +137,30 @@ class Planner {
  public:
   /// `handle` and `options` are the facade's; `stats` is the facade-owned
   /// degradation ledger, shared with the Executor.
-  Planner(mcudnn::Handle& handle, Options& options, Benchmarker benchmarker,
-          DegradationStats& stats);
+  Planner(mcudnn::Handle& handle, const Options& options,
+          Benchmarker benchmarker, DegradationStats& stats);
+
+  // --- kernel identity ----------------------------------------------------
+
+  /// The id of the recorded kernel equal to (type, problem) by full value,
+  /// or nullopt. The problem hash only picks the bucket.
+  std::optional<KernelId> find_kernel(ConvKernelType type,
+                                      const kernels::ConvProblem& problem) const;
+  /// Appends a kernel that find_kernel() did not find; returns its id.
+  KernelId add_kernel(KernelRequest request);
+  /// Every recorded kernel, indexed by KernelId (registration order).
+  const std::vector<KernelRequest>& kernels() const noexcept {
+    return kernels_;
+  }
 
   /// Remembers the framework-provided workspace limit for a kernel
   /// (GetConvolution*Algorithm recording, done by the facade).
-  void record_limit(ConvKernelType type, const kernels::ConvProblem& problem,
-                    std::size_t limit);
+  void record_limit(KernelId id, std::size_t limit);
 
   /// Returns a ready-to-run plan for the full mini-batch — from the
   /// PlanCache in steady state, otherwise by running WR/WD optimization
   /// (with the full degradation ladder) and lowering the result.
-  /// `requests` is the facade's recorded kernel list (WD needs it).
-  PlannedConvolution plan(ConvKernelType type,
-                          const kernels::ConvProblem& problem,
-                          const std::vector<KernelRequest>& requests);
+  PlannedConvolution plan(KernelId id);
 
   /// Retry-budget exhaustion policy, called back from the Executor via the
   /// facade: blacklists `algo` on this device, bumps the PlanCache epoch,
@@ -143,17 +177,18 @@ class Planner {
   /// Drops WR entries / WD plans that reference blacklisted algorithms.
   /// Deferred to the next plan() entry (the facade calls this first) because
   /// the invalidating event happens mid-execution, while the stale plan's
-  /// workspace pointer is still in use. `requests` pairs positionally with
-  /// the frozen WD assignment list.
-  void apply_pending_invalidations(const std::vector<KernelRequest>& requests);
+  /// workspace pointer is still in use.
+  void apply_pending_invalidations();
 
   // --- WD control (§III-E) ---------------------------------------------
 
-  /// Freezes `requests` and runs WD optimization now. Degrades per the
-  /// ladder: arena OOM re-solves with a halved limit; an infeasible plan
-  /// falls back to per-kernel WR.
-  void finalize_wd(const std::vector<KernelRequest>& requests);
+  /// Freezes the recorded kernels and runs WD optimization now. Degrades
+  /// per the ladder: arena OOM re-solves with a halved limit; an infeasible
+  /// plan falls back to per-kernel WR.
+  void finalize_wd();
   bool wd_finalized() const noexcept { return wd_plan_.has_value(); }
+  /// Assignments are indexed by KernelId; kernels recorded after
+  /// finalization have none.
   const WdPlan* wd_plan() const noexcept {
     return wd_plan_ ? &*wd_plan_ : nullptr;
   }
@@ -163,23 +198,18 @@ class Planner {
 
   /// The configuration that will run / ran for this kernel (null before
   /// optimization).
-  const Configuration* configuration_for(
-      ConvKernelType type, const kernels::ConvProblem& problem,
-      const std::vector<KernelRequest>& requests) const;
+  const Configuration* configuration_for(KernelId id) const;
 
-  /// Which optimizer produced the kernel's current division — "wr_dp",
-  /// "wd_ilp", "wd_mckp_dp", with degradation prefixes/suffixes such as
-  /// "wd_ilp->mckp_dp" (ILP budget exhausted), "wd_infeasible->wr_dp", or
-  /// "wr_dp(degraded)" (workspace OOM halving). Feeds execution reports.
-  std::string provenance_for(ConvKernelType type,
-                             const kernels::ConvProblem& problem,
-                             const std::vector<KernelRequest>& requests) const;
+  /// Which optimizer produced the kernel's current division — "wr_dp" or
+  /// "wd_mckp_dp", with degradation prefixes/suffixes such as
+  /// "wd_infeasible->wr_dp" or "wr_dp(degraded)" (workspace OOM halving).
+  /// Feeds execution reports.
+  std::string provenance_for(KernelId id) const;
 
   /// The per-kernel workspace limit the WR DP runs under: the
   /// UCUDNN_WORKSPACE_LIMIT override, else the framework-recorded limit,
   /// else the 8 MiB default.
-  std::size_t effective_limit(ConvKernelType type,
-                              const kernels::ConvProblem& problem) const;
+  std::size_t effective_limit(KernelId id) const;
 
   Benchmarker& benchmarker() noexcept { return benchmarker_; }
   const Benchmarker& benchmarker() const noexcept { return benchmarker_; }
@@ -201,43 +231,46 @@ class Planner {
 
  private:
   struct WrEntry {
+    std::size_t limit = 0;  // the effective limit the entry was built under
     Configuration config;
     DeviceBuffer workspace;
-    std::string provenance;  // "wr_dp", or "wr_dp(degraded)" after OOM halving
+    bool degraded = false;  // re-optimized under a halved limit after OOM
+  };
+  /// Per-kernel planner state, indexed by KernelId.
+  struct KernelSlot {
+    std::optional<std::size_t> recorded_limit;  // from GetConvolution*Algorithm
+    std::optional<WrEntry> wr;
+    // Warn-once ledger for WD "unrecorded kernel" fallbacks: the first
+    // occurrence logs, repeats only count (stats_.wd_unrecorded_fallbacks).
+    std::uint64_t wd_fallbacks = 0;
   };
 
-  std::string wr_key(ConvKernelType type, const kernels::ConvProblem& problem,
-                     std::size_t limit) const;
-  std::string plan_key(ConvKernelType type,
-                       const kernels::ConvProblem& problem,
-                       std::size_t limit) const;
-  WrEntry& wr_entry(ConvKernelType type, const kernels::ConvProblem& problem,
-                    const std::vector<KernelRequest>& requests);
-  const WdAssignment* wd_assignment(
-      ConvKernelType type, const kernels::ConvProblem& problem,
-      const std::vector<KernelRequest>& requests) const;
+  bool wd_active() const noexcept {
+    return options_.workspace_policy == WorkspacePolicy::kWD &&
+           !wd_degraded_to_wr_;
+  }
+  WrEntry& wr_entry(KernelId id);
+  const WdAssignment* wd_assignment(KernelId id) const;
   PlannedConvolution resolve(std::shared_ptr<const ExecutionPlan> plan,
-                             std::size_t limit);
-  void note_wd_fallback(ConvKernelType type,
-                        const kernels::ConvProblem& problem);
+                             KernelId id);
+  void note_wd_fallback(KernelId id);
   void charge_optimize_ms(double ms);
   void charge_replan_benchmark_ms(double ms);
 
   mcudnn::Handle& handle_;
-  Options& options_;
+  const Options& options_;
   DegradationStats& stats_;
   Benchmarker benchmarker_;
-  std::map<std::string, std::size_t> request_limits_;  // wr_key(limit=0) -> limit
-  std::map<std::string, WrEntry> wr_entries_;
+  std::vector<KernelRequest> kernels_;  // indexed by KernelId, append-only
+  std::vector<KernelSlot> slots_;       // parallel to kernels_
+  // Interning index: problem hash -> ids in that bucket (compared by value).
+  std::unordered_multimap<std::size_t, KernelId> index_;
   DeviceBuffer shared_ws_;  // used when options_.share_wr_workspace
   std::optional<WdPlan> wd_plan_;
   DeviceBuffer wd_arena_;
   bool wd_degraded_to_wr_ = false;  // infeasible WD plan -> per-kernel WR
   PlanCache plan_cache_;
   std::vector<std::pair<ConvKernelType, int>> pending_invalidations_;
-  // Warn-once ledger for WD "unrecorded kernel" fallbacks: first occurrence
-  // per kernel logs, repeats only count (stats_.wd_unrecorded_fallbacks).
-  std::map<std::string, std::uint64_t> wd_fallbacks_;
   // Atomic: a handle shared across threads must not lose timing updates
   // (the old plain doubles raced).
   std::atomic<double> total_optimize_ms_{0.0};

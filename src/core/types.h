@@ -89,7 +89,7 @@ struct DegradationStats {
   std::uint64_t retries = 0;                 // transient kernel failures retried
   std::uint64_t degraded_allocations = 0;    // workspace limits halved on OOM
   std::uint64_t blacklisted_algorithms = 0;  // algos retired after retries
-  std::uint64_t solver_fallbacks = 0;        // ILP->DP and WD->WR fallbacks
+  std::uint64_t solver_fallbacks = 0;        // infeasible WD -> per-kernel WR
   std::uint64_t cache_quarantines = 0;       // corrupt cache files quarantined
   std::uint64_t wd_unrecorded_fallbacks = 0; // WD misses routed to WR
 
@@ -114,10 +114,11 @@ struct KernelRequest {
   ConvKernelType type = ConvKernelType::kForward;
   kernels::ConvProblem problem;
   std::string label;  // e.g. "conv2(Forward)" — used in reports
-
-  bool matches(ConvKernelType t, const kernels::ConvProblem& p) const {
-    return type == t && problem == p;
-  }
 };
+
+/// A recorded kernel's identity: its index in the Planner's append-only
+/// recorded-kernel list. Interned once per distinct (type, problem) value,
+/// so every per-kernel table is a slot indexed by it.
+using KernelId = std::size_t;
 
 }  // namespace ucudnn::core

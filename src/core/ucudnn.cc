@@ -1,7 +1,6 @@
 #include "core/ucudnn.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "analysis/workspace_audit.h"
@@ -46,9 +45,6 @@ Options validated(Options options) {
   check(options.max_retries >= 0, Status::kBadParam,
         "Options::max_retries must be >= 0 (got " +
             std::to_string(options.max_retries) + ")");
-  check(options.ilp_max_nodes >= 0, Status::kBadParam,
-        "Options::ilp_max_nodes must be >= 0 (got " +
-            std::to_string(options.ilp_max_nodes) + ")");
   return options;
 }
 
@@ -124,26 +120,19 @@ void UcudnnHandle::set_next_kernel_label(std::string label) {
   next_label_ = std::move(label);
 }
 
-std::string UcudnnHandle::label_for(ConvKernelType type,
-                                    const kernels::ConvProblem& problem) const {
-  if (!next_label_.empty()) {
-    return next_label_ + "(" + std::string(to_string(type)) + ")";
-  }
-  std::ostringstream os;
-  os << "kernel" << requests_.size() << "(" << to_string(type) << ")";
-  (void)problem;
-  return os.str();
-}
-
-void UcudnnHandle::record_kernel(ConvKernelType type,
-                                 const kernels::ConvProblem& problem) {
-  const bool seen = std::any_of(
-      requests_.begin(), requests_.end(),
-      [&](const KernelRequest& r) { return r.matches(type, problem); });
-  if (!seen) {
-    requests_.push_back(KernelRequest{type, problem, label_for(type, problem)});
+KernelId UcudnnHandle::record_kernel(ConvKernelType type,
+                                     const kernels::ConvProblem& problem) {
+  std::optional<KernelId> id = planner_.find_kernel(type, problem);
+  if (!id) {
+    std::string label = next_label_;
+    if (label.empty()) {
+      label.append("kernel").append(std::to_string(recorded_kernels().size()));
+    }
+    label.append("(").append(to_string(type)).append(")");
+    id = planner_.add_kernel(KernelRequest{type, problem, std::move(label)});
   }
   next_label_.clear();
+  return *id;
 }
 
 std::size_t UcudnnHandle::workspace_size(ConvKernelType type,
@@ -167,10 +156,8 @@ int UcudnnHandle::get_algorithm(ConvKernelType type,
       : preference == mcudnn::AlgoPreference::kPreferFastest
           ? std::numeric_limits<std::size_t>::max()
           : ws_limit;
-  // Remember the framework-provided limit keyed by kernel identity.
-  planner_.record_limit(type, problem, limit);
-  // Record unique kernels for WD.
-  record_kernel(type, problem);
+  // Record unique kernels for WD, with the framework-provided limit.
+  planner_.record_limit(record_kernel(type, problem), limit);
   return kVirtualAlgo;
 }
 
@@ -180,47 +167,41 @@ MicroBenchmark UcudnnHandle::benchmark(ConvKernelType type,
   return planner_.benchmarker().run(type, problem, policy);
 }
 
-void UcudnnHandle::finalize_wd() { planner_.finalize_wd(requests_); }
+void UcudnnHandle::finalize_wd() { planner_.finalize_wd(); }
 
 const Configuration* UcudnnHandle::configuration_for(
     ConvKernelType type, const kernels::ConvProblem& problem) {
-  return planner_.configuration_for(type, problem, requests_);
+  const std::optional<KernelId> id = planner_.find_kernel(type, problem);
+  return id ? planner_.configuration_for(*id) : nullptr;
 }
 
-UcudnnHandle::KernelExecRecord& UcudnnHandle::exec_record(
-    ConvKernelType type, const kernels::ConvProblem& problem) {
-  // The request always exists here: convolution() records the kernel first.
-  const auto req = std::find_if(
-      requests_.begin(), requests_.end(),
-      [&](const KernelRequest& r) { return r.matches(type, problem); });
-  check(req != requests_.end(), Status::kInternalError,
-        "exec_record called for an unrecorded kernel");
-  for (auto& [label, record] : exec_records_) {
-    if (label == req->label) return record;
+UcudnnHandle::KernelExecRecord& UcudnnHandle::exec_record(KernelId id) {
+  if (id >= exec_records_.size()) exec_records_.resize(id + 1);
+  std::optional<KernelExecRecord>& record = exec_records_[id];
+  if (!record) {
+    record.emplace();
+    exec_order_.push_back(id);
   }
-  auto& entry = exec_records_.emplace_back(req->label, KernelExecRecord{});
-  entry.second.type = type;
-  entry.second.problem = problem;
-  return entry.second;
+  return *record;
 }
 
 void UcudnnHandle::convolution(ConvKernelType type,
                                const kernels::ConvProblem& problem, float alpha,
                                const float* a, const float* b, float beta,
                                float* out) {
-  planner_.apply_pending_invalidations(requests_);
-  record_kernel(type, problem);
-  const PlannedConvolution planned = planner_.plan(type, problem, requests_);
+  planner_.apply_pending_invalidations();
+  const KernelId id = record_kernel(type, problem);
+  const PlannedConvolution planned = planner_.plan(id);
 
   // Execution-report bookkeeping: refresh the record when the plan changed
   // (first call, re-optimization, or epoch bump), which resets segment stats.
-  KernelExecRecord& record = exec_record(type, problem);
+  KernelExecRecord& record = exec_record(id);
   if (record.plan != planned.plan) {
     record.plan = planned.plan;
-    record.provenance = planner_.provenance_for(type, problem, requests_);
+    record.provenance = planner_.provenance_for(id);
     record.ws_limit = planned.plan->binding.kind == WorkspaceKind::kWdArena
                           ? options_.total_workspace_size
-                          : planner_.effective_limit(type, problem);
+                          : planner_.effective_limit(id);
     record.segments.clear();
     record.segments.reserve(planned.plan->segments.size());
     for (const PlanSegment& seg : planned.plan->segments) {
@@ -282,12 +263,14 @@ telemetry::ExecutionReport UcudnnHandle::execution_report() const {
   report.plan_cache_epoch = cache.epoch();
   if (stats_.any()) report.degradation = stats_.to_string();
 
-  report.kernels.reserve(exec_records_.size());
-  for (const auto& [label, record] : exec_records_) {
+  report.kernels.reserve(exec_order_.size());
+  for (const KernelId id : exec_order_) {
+    const KernelRequest& kernel = recorded_kernels()[id];
+    const KernelExecRecord& record = *exec_records_[id];
     telemetry::KernelReport kr;
-    kr.label = label;
-    kr.kernel_type = std::string(to_string(record.type));
-    kr.problem = record.problem.to_string();
+    kr.label = kernel.label;
+    kr.kernel_type = std::string(to_string(kernel.type));
+    kr.problem = kernel.problem.to_string();
     if (record.plan) {
       kr.plan = record.plan->to_string();
       kr.policy =
@@ -306,7 +289,7 @@ telemetry::ExecutionReport UcudnnHandle::execution_report() const {
       sr.algo = s.algo;
       sr.algo_name = s.algo < 0 ? "?"
                                 : std::string(kernels::algo_name(
-                                      record.type, s.algo));
+                                      kernel.type, s.algo));
       sr.accumulate = s.accumulate;
       sr.workspace_bytes = s.workspace;
       sr.estimated_ms = s.estimated_ms;

@@ -20,6 +20,7 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,7 @@ class UcudnnHandle {
   const mcudnn::Handle& base() const noexcept { return handle_; }
 
   device::Device& device() const noexcept { return handle_.device(); }
-  Options& options() noexcept { return options_; }
+  /// Fixed at construction: the planner and executor hold a const reference.
   const Options& options() const noexcept { return options_; }
 
   /// Optional label attached to the NEXT recorded kernel (layer name in
@@ -103,9 +104,10 @@ class UcudnnHandle {
   const Configuration* configuration_for(ConvKernelType type,
                                          const kernels::ConvProblem& problem);
 
-  /// Recorded kernel requests, in registration order.
+  /// Recorded kernel requests, in registration order (indexed by the
+  /// planner's KernelId).
   const std::vector<KernelRequest>& recorded_kernels() const noexcept {
-    return requests_;
+    return planner_.kernels();
   }
 
   /// Direct benchmark access (e.g. to plot a Fig. 8 Pareto front).
@@ -159,8 +161,6 @@ class UcudnnHandle {
     std::uint64_t runs = 0;
   };
   struct KernelExecRecord {
-    ConvKernelType type = ConvKernelType::kForward;
-    kernels::ConvProblem problem;
     std::shared_ptr<const ExecutionPlan> plan;
     std::string provenance;
     std::size_t ws_limit = 0;
@@ -169,17 +169,14 @@ class UcudnnHandle {
     std::vector<SegmentStat> segments;
   };
 
-  std::string label_for(ConvKernelType type,
-                        const kernels::ConvProblem& problem) const;
-  /// The execution record for this kernel, created on first execution and
-  /// keyed by the recorded request's label (execution order preserved).
-  KernelExecRecord& exec_record(ConvKernelType type,
-                                const kernels::ConvProblem& problem);
-  /// Appends the kernel to the recorded list if unseen (frameworks that
-  /// never call GetConvolution*Algorithm — the TensorFlow integration style,
-  /// §IV-B2 — are recorded on first execution) and consumes the pending
-  /// label either way.
-  void record_kernel(ConvKernelType type, const kernels::ConvProblem& problem);
+  /// The execution record for this kernel, created on first execution.
+  KernelExecRecord& exec_record(KernelId id);
+  /// Interns the kernel with the planner, appending it to the recorded list
+  /// if unseen (frameworks that never call GetConvolution*Algorithm — the
+  /// TensorFlow integration style, §IV-B2 — are recorded on first
+  /// execution), and consumes the pending label either way.
+  KernelId record_kernel(ConvKernelType type,
+                         const kernels::ConvProblem& problem);
   void init_cache_from_file();
 
   mcudnn::Handle handle_;
@@ -187,10 +184,11 @@ class UcudnnHandle {
   DegradationStats stats_;  // shared by reference with planner_/executor_
   Planner planner_;
   Executor executor_;
-  std::vector<KernelRequest> requests_;  // unique kernels
   std::string next_label_;
-  // Execution records in first-execution order, keyed by request label.
-  std::vector<std::pair<std::string, KernelExecRecord>> exec_records_;
+  // Execution records indexed by KernelId (empty until first execution);
+  // exec_order_ lists the executed ids in first-execution order.
+  std::vector<std::optional<KernelExecRecord>> exec_records_;
+  std::vector<KernelId> exec_order_;
 };
 
 // --- free-function overloads mirroring the mcudnn problem-level API -------

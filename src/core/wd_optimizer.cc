@@ -1,27 +1,21 @@
 #include "core/wd_optimizer.h"
 
-#include <cmath>
-
-#include "common/logging.h"
 #include "common/mathutil.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "core/wr_optimizer.h"
-#include "ilp/ilp.h"
 
 namespace ucudnn::core {
 
-WdPlan optimize_wd(Benchmarker& benchmarker,
-                   const std::vector<KernelRequest>& requests,
-                   std::size_t total_limit, BatchSizePolicy policy,
-                   WdSolver solver, std::int64_t ilp_max_nodes) {
-  WdPlan plan;
-  if (requests.empty()) return plan;
-
-  // Per-kernel desirable sets (identical kernels share benchmark results via
-  // the cache, e.g. ResNet's replicated layers).
-  std::vector<std::vector<Configuration>> fronts;
-  fronts.reserve(requests.size());
+WdKnapsack build_wd_knapsack(Benchmarker& benchmarker,
+                             const std::vector<KernelRequest>& requests,
+                             std::size_t total_limit, BatchSizePolicy policy) {
+  WdKnapsack knapsack;
+  knapsack.mckp.capacity = static_cast<std::int64_t>(total_limit);
+  knapsack.fronts.reserve(requests.size());
+  knapsack.mckp.groups.reserve(requests.size());
+  // Identical kernels share benchmark results via the cache, e.g. ResNet's
+  // replicated layers.
   for (const auto& request : requests) {
     const MicroBenchmark bench =
         benchmarker.run(request.type, request.problem, policy);
@@ -32,19 +26,11 @@ WdPlan optimize_wd(Benchmarker& benchmarker,
     // Estimate of the unpruned candidate count for the ablation report:
     // algorithms-per-size ^ divisions is astronomical; we report the sum of
     // benchmarked micro-configs as a conservative proxy instead.
-    std::size_t micro_count = 0;
-    for (const auto& perfs : bench.perfs) micro_count += perfs.size();
-    plan.num_variables_unpruned += micro_count;
-    plan.num_variables += front.size();
-    fronts.push_back(std::move(front));
-  }
-
-  // Assemble the multiple-choice knapsack. Weights are segment-aligned so
-  // that the arena layout never overruns the limit.
-  ilp::MckpProblem mckp;
-  mckp.capacity = static_cast<std::int64_t>(total_limit);
-  mckp.groups.reserve(fronts.size());
-  for (const auto& front : fronts) {
+    for (const auto& perfs : bench.perfs) {
+      knapsack.num_variables_unpruned += perfs.size();
+    }
+    // Weights are segment-aligned so that the arena layout never overruns
+    // the limit.
     std::vector<ilp::MckpItem> group;
     group.reserve(front.size());
     for (const auto& config : front) {
@@ -52,54 +38,37 @@ WdPlan optimize_wd(Benchmarker& benchmarker,
           config.time_ms,
           static_cast<std::int64_t>(round_up(config.workspace, kWdAlignment))});
     }
-    mckp.groups.push_back(std::move(group));
+    knapsack.mckp.groups.push_back(std::move(group));
+    knapsack.fronts.push_back(std::move(front));
   }
+  return knapsack;
+}
+
+WdPlan optimize_wd(Benchmarker& benchmarker,
+                   const std::vector<KernelRequest>& requests,
+                   std::size_t total_limit, BatchSizePolicy policy) {
+  WdPlan plan;
+  if (requests.empty()) return plan;
+  const WdKnapsack knapsack =
+      build_wd_knapsack(benchmarker, requests, total_limit, policy);
+  plan.num_variables_unpruned = knapsack.num_variables_unpruned;
+  for (const auto& front : knapsack.fronts) plan.num_variables += front.size();
 
   Timer timer;
-  std::vector<int> selection;
-  bool use_dp = solver == WdSolver::kMckpDp;
-  if (!use_dp) {
-    ilp::IlpOptions ilp_options;
-    ilp_options.max_nodes = ilp_max_nodes;
-    const ilp::IlpResult result =
-        ilp::solve_binary_ilp(ilp::mckp_to_ilp(mckp), ilp_options);
-    if (result.feasible) {
-      // Decode flattened 0-1 variables back to per-group choices.
-      selection.assign(mckp.groups.size(), -1);
-      std::size_t offset = 0;
-      for (std::size_t g = 0; g < mckp.groups.size(); ++g) {
-        for (std::size_t i = 0; i < mckp.groups[g].size(); ++i) {
-          if (result.x[offset + i] == 1) selection[g] = static_cast<int>(i);
-        }
-        offset += mckp.groups[g].size();
-      }
-    } else {
-      // Node budget exhausted without an incumbent (or genuinely
-      // infeasible): the exact DP finds the same optimum in pseudo-
-      // polynomial time, so degrade to it rather than failing the plan.
-      UCUDNN_LOG_WARN << "WD ILP found no solution within " << ilp_max_nodes
-                      << " nodes (" << result.nodes_explored
-                      << " explored); falling back to MCKP-DP";
-      plan.solver_fell_back = true;
-      use_dp = true;
-    }
-  }
-  if (use_dp) {
-    const ilp::MckpResult result = ilp::solve_mckp(mckp);
-    check(result.feasible, Status::kNotSupported,
-          "WD ILP infeasible for total workspace limit " +
-              std::to_string(total_limit));
-    selection = result.selection;
-  }
+  const ilp::MckpResult result = ilp::solve_mckp(knapsack.mckp);
+  check(result.feasible, Status::kNotSupported,
+        "WD ILP infeasible for total workspace limit " +
+            std::to_string(total_limit));
   plan.solve_ms = timer.elapsed_ms();
 
   // Lay out arena segments in request order.
   std::size_t cursor = 0;
   plan.assignments.reserve(requests.size());
-  for (std::size_t g = 0; g < fronts.size(); ++g) {
-    check(selection[g] >= 0, Status::kInternalError, "WD selection incomplete");
+  for (std::size_t g = 0; g < knapsack.fronts.size(); ++g) {
+    const int choice = result.selection[g];
+    check(choice >= 0, Status::kInternalError, "WD selection incomplete");
     WdAssignment assignment;
-    assignment.config = fronts[g][static_cast<std::size_t>(selection[g])];
+    assignment.config = knapsack.fronts[g][static_cast<std::size_t>(choice)];
     assignment.offset = cursor;
     cursor += round_up(assignment.config.workspace, kWdAlignment);
     plan.total_time_ms += assignment.config.time_ms;

@@ -5,15 +5,16 @@
 //   min  Σ_k Σ_{c ∈ D_k} t_{k,c} · x_{k,c}
 //   s.t. Σ_k Σ_c m_{k,c} · x_{k,c} ≤ W_total,   Σ_c x_{k,c} = 1  ∀k,
 //
-// solved either by the exact multiple-choice-knapsack DP (default; the
-// GLPK-replacement path) or by branch-and-bound over simplex relaxations.
+// which is a multiple-choice knapsack, solved by the exact MCKP DP (the
+// GLPK-replacement path). The branch-and-bound ILP solver in src/ilp stays a
+// cross-validation and ablation tool over the same WdKnapsack.
 #pragma once
 
 #include <vector>
 
 #include "core/benchmarker.h"
-#include "core/options.h"
 #include "core/types.h"
+#include "ilp/ilp.h"
 
 namespace ucudnn::core {
 
@@ -30,20 +31,31 @@ struct WdPlan {
   double total_time_ms = 0.0;             // Σ configured kernel times
   std::size_t num_variables = 0;          // ILP size after Pareto pruning
   std::size_t num_variables_unpruned = 0; // |A|-per-division upper bound proxy
-  double solve_ms = 0.0;                  // ILP/DP solve wall time
-  bool solver_fell_back = false;          // ILP budget exhausted -> MCKP-DP
+  double solve_ms = 0.0;                  // MCKP DP solve wall time
 };
 
-/// Runs the full WD pipeline: benchmark -> desirable sets -> ILP -> segment
-/// assignment. Throws Error(kNotSupported) if no feasible division exists
-/// (cannot happen when zero-workspace algorithms are available).
-/// The branch-and-bound ILP solver explores at most `ilp_max_nodes` nodes;
-/// on exhaustion (or an infeasible ILP result) it falls back to the exact
-/// MCKP-DP solver and sets WdPlan::solver_fell_back.
+/// The WD problem before solving: each request's desirable set and the
+/// multiple-choice knapsack over them (group g = request g, item i =
+/// fronts[g][i], weights segment-aligned).
+struct WdKnapsack {
+  std::vector<std::vector<Configuration>> fronts;
+  ilp::MckpProblem mckp;
+  std::size_t num_variables_unpruned = 0;
+};
+
+/// Benchmarks every request and builds its knapsack. Throws
+/// Error(kNotSupported) when some kernel has no configuration within
+/// `total_limit`.
+WdKnapsack build_wd_knapsack(Benchmarker& benchmarker,
+                             const std::vector<KernelRequest>& requests,
+                             std::size_t total_limit, BatchSizePolicy policy);
+
+/// Runs the full WD pipeline: benchmark -> desirable sets -> MCKP DP ->
+/// segment assignment. Throws Error(kNotSupported) if no feasible division
+/// exists (cannot happen when zero-workspace algorithms are available).
 WdPlan optimize_wd(Benchmarker& benchmarker,
                    const std::vector<KernelRequest>& requests,
-                   std::size_t total_limit, BatchSizePolicy policy,
-                   WdSolver solver, std::int64_t ilp_max_nodes = 1'000'000);
+                   std::size_t total_limit, BatchSizePolicy policy);
 
 /// Workspace segment alignment inside the WD arena.
 inline constexpr std::size_t kWdAlignment = 256;

@@ -186,7 +186,7 @@ TicketPtr Server::submit(ServeRequest request) {
   }
 
   RequestQueue::Admission admission =
-      queue_.try_enqueue(ticket, service_estimate_ms());
+      queue_.try_enqueue(ticket, admission_estimate_ms());
   for (const TicketPtr& stale : admission.expired) {
     finish(stale, Status::kDeadlineExceeded);
   }
@@ -206,6 +206,17 @@ TicketPtr Server::submit(ServeRequest request) {
   }
   update_load_gauges();
   return ticket;
+}
+
+double Server::admission_estimate_ms() const {
+  const double estimate = service_estimate_ms();
+  const double age_ms =
+      static_cast<double>(steady_us() -
+                          ewma_updated_us_.load(std::memory_order_relaxed)) /
+      1000.0;
+  // Stale and nothing queued: admit, and let the next batch re-measure.
+  if (age_ms > estimate && queue_.depth() == 0) return 0.0;
+  return estimate;
 }
 
 std::size_t Server::shed_expired() {
@@ -402,6 +413,7 @@ void Server::process_batch(std::vector<TicketPtr>& batch) {
   const double prev = ewma_ms_.load(std::memory_order_relaxed);
   ewma_ms_.store(prev == 0.0 ? service_ms : 0.8 * prev + 0.2 * service_ms,
                  std::memory_order_relaxed);
+  ewma_updated_us_.store(steady_us(), std::memory_order_relaxed);
 
   const Clock::time_point done = Clock::now();
   for (const TicketPtr& ticket : batch) {

@@ -128,6 +128,11 @@ class Server {
   void execute_once(const std::vector<TicketPtr>& batch);
   /// Resolves (first-wins) and counts; no-op if already resolved.
   void finish(const TicketPtr& ticket, Status status);
+  /// The estimate admission control refuses unmeetable deadlines with: the
+  /// EWMA, or 0 (unknown) on an empty queue once no executed batch has
+  /// confirmed it within its own length — one slow batch must not make an
+  /// idle server refuse every later request.
+  double admission_estimate_ms() const;
   std::int64_t effective_window_us() const;
   void update_load_gauges();
 
@@ -146,6 +151,8 @@ class Server {
   Mutex exec_mutex_{"serve.Server.exec"};
 
   std::atomic<double> ewma_ms_{0.0};
+  /// steady_us() of the last EWMA update (the last executed batch).
+  std::atomic<std::int64_t> ewma_updated_us_{0};
   std::atomic<bool> drained_{false};
   /// Serializes drain() (and the destructor) against concurrent drainers.
   Mutex drain_mutex_{"serve.Server.drain"};

@@ -52,7 +52,7 @@ struct KernelReport {
   std::string problem;      ///< ConvProblem::to_string()
   std::string plan;         ///< ExecutionPlan::to_string() — the explain line
   std::string policy;       ///< "WR" | "WD"
-  std::string provenance;   ///< optimizer path, e.g. "wr_dp", "wd_ilp"
+  std::string provenance;   ///< optimizer path, e.g. "wr_dp", "wd_mckp_dp"
   std::string workspace_kind;  ///< none | perKernel | sharedWR | wdArena
   std::uint64_t workspace_limit = 0;     ///< effective limit given to the DP
   std::uint64_t workspace_declared = 0;  ///< plan's declared workspace bytes

@@ -106,14 +106,16 @@ TEST(PlanCacheConcurrencyTest, ParallelLookupInsertEpochBump) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, &null_plans, t] {
       for (int i = 0; i < kIters; ++i) {
-        // Keys embed the epoch exactly as the Planner builds them, so a
-        // bump_epoch invalidates by changing every future key.
-        const std::string key = "plan:" + std::to_string(i % 8) + ":e" +
-                                std::to_string(cache.epoch());
-        std::shared_ptr<const core::ExecutionPlan> plan = cache.lookup(key);
+        // Stamp the plan with the epoch read before building it, exactly
+        // as the Planner does, so a bump_epoch in between makes it a miss.
+        const core::KernelId id = static_cast<core::KernelId>(i % 8);
+        const std::size_t limit = std::size_t{1} << 20;
+        const std::uint64_t epoch = cache.epoch();
+        std::shared_ptr<const core::ExecutionPlan> plan =
+            cache.lookup(id, false, limit);
         if (plan == nullptr) {
           plan = std::make_shared<const core::ExecutionPlan>();
-          cache.insert(key, plan);
+          cache.insert(id, {false, limit, epoch}, plan);
         }
         // A fetched plan must stay usable even if another thread bumps the
         // epoch (shared_ptr keeps mid-flight plans alive).
@@ -131,6 +133,30 @@ TEST(PlanCacheConcurrencyTest, ParallelLookupInsertEpochBump) {
   EXPECT_EQ(cache.epoch(), static_cast<std::uint64_t>(kIters / 100));
   // 8 base keys x at most (bumps + 1) epoch generations ever inserted.
   EXPECT_LE(cache.size(), 8u * (kIters / 100 + 1));
+}
+
+TEST(PlanCacheConcurrencyTest, PlanStampedBeforeAnEpochBumpMisses) {
+  PlanCache cache;
+  const core::KernelId id = 3;
+  const std::size_t limit = std::size_t{8} << 20;
+  // A plan built before a concurrent blacklist event lands after it: the
+  // stale stamp must never be served.
+  const std::uint64_t stale = cache.epoch();
+  cache.bump_epoch();
+  cache.insert(id, {false, limit, stale},
+               std::make_shared<const core::ExecutionPlan>());
+  EXPECT_EQ(cache.lookup(id, false, limit), nullptr);
+
+  // The same plan under the current epoch hits, but only for the exact
+  // policy and limit it was built under.
+  cache.insert(id, {false, limit, cache.epoch()},
+               std::make_shared<const core::ExecutionPlan>());
+  EXPECT_NE(cache.lookup(id, false, limit), nullptr);
+  EXPECT_EQ(cache.lookup(id, true, limit), nullptr);
+  EXPECT_EQ(cache.lookup(id, false, limit / 2), nullptr);
+  EXPECT_EQ(cache.lookup(id + 1, false, limit), nullptr);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "core/ucudnn.h"
 #include "core/wd_optimizer.h"
 #include "core/wr_optimizer.h"
+#include "ilp/ilp.h"
 #include "tensor/tensor.h"
 
 namespace ucudnn::core {
@@ -421,8 +422,7 @@ TEST(WdOptimizerTest, RespectsTotalLimitAndAssignsDisjointSegments) {
   }
   const std::size_t limit = std::size_t{100} << 20;
   const WdPlan plan = optimize_wd(bench, requests, limit,
-                                  BatchSizePolicy::kPowerOfTwo,
-                                  WdSolver::kMckpDp);
+                                  BatchSizePolicy::kPowerOfTwo);
   ASSERT_EQ(plan.assignments.size(), requests.size());
   EXPECT_LE(plan.total_workspace, limit);
   // Segments must be disjoint and in-bounds.
@@ -446,12 +446,19 @@ TEST(WdOptimizerTest, DpAndIlpSolversAgree) {
       {ConvKernelType::kBackwardFilter, small_problem(32), "c"},
   };
   const std::size_t limit = std::size_t{60} << 20;
-  const WdPlan dp = optimize_wd(bench, requests, limit,
-                                BatchSizePolicy::kPowerOfTwo, WdSolver::kMckpDp);
-  const WdPlan ilp =
-      optimize_wd(bench, requests, limit, BatchSizePolicy::kPowerOfTwo,
-                  WdSolver::kBranchBoundIlp);
-  EXPECT_NEAR(dp.total_time_ms, ilp.total_time_ms, 1e-6);
+  // Both solvers see the same knapsack optimize_wd builds.
+  const WdKnapsack knapsack = build_wd_knapsack(bench, requests, limit,
+                                                BatchSizePolicy::kPowerOfTwo);
+  const ilp::MckpResult dp = ilp::solve_mckp(knapsack.mckp);
+  const ilp::IlpResult bb =
+      ilp::solve_binary_ilp(ilp::mckp_to_ilp(knapsack.mckp));
+  ASSERT_TRUE(dp.feasible);
+  ASSERT_TRUE(bb.feasible);
+  EXPECT_NEAR(dp.cost, bb.objective, 1e-6);
+  // And the plan optimize_wd lays out realizes the DP optimum.
+  const WdPlan plan =
+      optimize_wd(bench, requests, limit, BatchSizePolicy::kPowerOfTwo);
+  EXPECT_NEAR(plan.total_time_ms, dp.cost, 1e-6);
 }
 
 TEST(WdOptimizerTest, BeatsUniformWrSplitAtEqualTotalWorkspace) {
@@ -467,7 +474,7 @@ TEST(WdOptimizerTest, BeatsUniformWrSplitAtEqualTotalWorkspace) {
 
   const std::size_t total = std::size_t{96} << 20;
   const WdPlan wd = optimize_wd(bench, requests, total,
-                                BatchSizePolicy::kPowerOfTwo, WdSolver::kMckpDp);
+                                BatchSizePolicy::kPowerOfTwo);
 
   double wr_total = 0.0;
   const std::size_t per_kernel = total / requests.size();
@@ -485,8 +492,7 @@ TEST(WdOptimizerTest, ParetoPruningShrinksTheIlp) {
   std::vector<KernelRequest> requests = {
       {ConvKernelType::kForward, conv2_like(64), "conv2"}};
   const WdPlan plan = optimize_wd(bench, requests, std::size_t{120} << 20,
-                                  BatchSizePolicy::kPowerOfTwo,
-                                  WdSolver::kMckpDp);
+                                  BatchSizePolicy::kPowerOfTwo);
   EXPECT_GT(plan.num_variables, 0u);
   EXPECT_LT(plan.num_variables, 100u);  // paper: max 68 for AlexNet layers
 }
@@ -586,7 +592,6 @@ TEST(OptionsTest, EnvRoundTrip) {
   ::setenv("UCUDNN_WORKSPACE_POLICY", "wd", 1);
   ::setenv("UCUDNN_WORKSPACE_LIMIT", "64M", 1);
   ::setenv("UCUDNN_TOTAL_WORKSPACE_SIZE", "120M", 1);
-  ::setenv("UCUDNN_WD_SOLVER", "ilp", 1);
   ::setenv("UCUDNN_BENCHMARK_DEVICES", "4", 1);
   const Options opts = Options::from_env();
   EXPECT_EQ(opts.batch_size_policy, BatchSizePolicy::kAll);
@@ -594,12 +599,11 @@ TEST(OptionsTest, EnvRoundTrip) {
   ASSERT_TRUE(opts.workspace_limit.has_value());
   EXPECT_EQ(*opts.workspace_limit, std::size_t{64} << 20);
   EXPECT_EQ(opts.total_workspace_size, std::size_t{120} << 20);
-  EXPECT_EQ(opts.wd_solver, WdSolver::kBranchBoundIlp);
   EXPECT_EQ(opts.benchmark_devices, 4);
   for (const char* name :
        {"UCUDNN_BATCH_SIZE_POLICY", "UCUDNN_WORKSPACE_POLICY",
         "UCUDNN_WORKSPACE_LIMIT", "UCUDNN_TOTAL_WORKSPACE_SIZE",
-        "UCUDNN_WD_SOLVER", "UCUDNN_BENCHMARK_DEVICES"}) {
+        "UCUDNN_BENCHMARK_DEVICES"}) {
     ::unsetenv(name);
   }
   const Options defaults = Options::from_env();

@@ -372,31 +372,6 @@ TEST_F(FaultInjectionTest, BlacklistFiltersLookupsButNotTheDatabase) {
 
 // ------------------------------------------------------- solver fallbacks
 
-TEST_F(FaultInjectionTest, IlpNodeBudgetExhaustionFallsBackToDp) {
-  core::Options opts;
-  opts.workspace_policy = core::WorkspacePolicy::kWD;
-  opts.total_workspace_size = std::size_t{32} << 20;
-  opts.wd_solver = core::WdSolver::kBranchBoundIlp;
-  opts.ilp_max_nodes = 0;  // exhaust the budget immediately
-  core::UcudnnHandle handle(
-      std::make_shared<device::Device>(device::p100_sxm2_spec()), opts);
-  const kernels::ConvProblem p1({16, 16, 14, 14}, {16, 16, 3, 3},
-                                {.pad_h = 1, .pad_w = 1});
-  const kernels::ConvProblem p2({16, 8, 12, 12}, {8, 8, 3, 3},
-                                {.pad_h = 1, .pad_w = 1});
-  handle.get_algorithm(ConvKernelType::kForward, p1,
-                       mcudnn::AlgoPreference::kPreferFastest, 0);
-  handle.get_algorithm(ConvKernelType::kForward, p2,
-                       mcudnn::AlgoPreference::kPreferFastest, 0);
-  handle.finalize_wd();
-  EXPECT_TRUE(handle.wd_finalized());
-  ASSERT_NE(handle.wd_plan(), nullptr);
-  EXPECT_TRUE(handle.wd_plan()->solver_fell_back);
-  EXPECT_EQ(handle.degradation_stats().solver_fallbacks, 1u);
-  handle.convolution(ConvKernelType::kForward, p1, 1.0f, nullptr, nullptr,
-                     0.0f, nullptr);
-}
-
 TEST_F(FaultInjectionTest, InfeasibleWdPlanDegradesToPerKernelWr) {
   core::Options opts;
   opts.workspace_policy = core::WorkspacePolicy::kWD;

@@ -471,6 +471,81 @@ TEST_F(PlanTest, BlacklistEventBumpsTheEpochAndInvalidatesCachedPlans) {
   EXPECT_EQ(handle.plan_cache().hits(), 1u);
 }
 
+TEST_F(PlanTest, ReRecordedWrKernelReplansAndReplacesItsWorkspace) {
+  const ConvKernelType type = ConvKernelType::kForward;
+  const kernels::ConvProblem p = test_problem();
+  const std::size_t full_ws = winner_full_workspace(type, p);
+  core::Options opts;
+  opts.batch_size_policy = core::BatchSizePolicy::kPowerOfTwo;
+  auto dev = std::make_shared<device::Device>(device::host_cpu_spec());
+  core::UcudnnHandle handle(dev, opts);
+  prefill_plans(handle, type, p);
+  const Operands ops = make_operands(type, p, 451);
+  std::vector<float> out = ops.out;
+
+  // Room for the undivided winner: one segment holding 8 samples' workspace.
+  handle.get_algorithm(type, p, mcudnn::AlgoPreference::kSpecifyWorkspaceLimit,
+                       8 * full_ws);
+  handle.convolution(type, p, 1.0f, ops.a.data(), ops.b.data(), 0.0f,
+                     out.data());
+  ASSERT_NE(handle.configuration_for(type, p), nullptr);
+  EXPECT_EQ(handle.configuration_for(type, p)->micro.size(), 1u);
+  EXPECT_EQ(dev->bytes_in_use(), 8 * full_ws);
+
+  // The framework re-records the same kernel under a tighter limit: the
+  // next call re-plans to [4, 4] and the old workspace is released, so the
+  // device holds only the new one.
+  handle.get_algorithm(type, p, mcudnn::AlgoPreference::kSpecifyWorkspaceLimit,
+                       forcing_limit(type, p));
+  EXPECT_EQ(handle.recorded_kernels().size(), 1u);
+  out = ops.out;
+  handle.convolution(type, p, 1.0f, ops.a.data(), ops.b.data(), 0.0f,
+                     out.data());
+  expect_winner_division(handle.configuration_for(type, p), type);
+  EXPECT_EQ(dev->bytes_in_use(), 4 * full_ws);
+  EXPECT_EQ(dev->usage_by_tag().at("kernel0(Forward):ws"), 4 * full_ws);
+  EXPECT_EQ(handle.plan_cache().misses(), 2u);
+  EXPECT_EQ(handle.plan_cache().size(), 1u);
+  expect_bitwise(out, single_shot(handle, type, p, winner_algo(type), ops));
+}
+
+TEST_F(PlanTest, FailedReplanUnderANewLimitLeavesNoStalePlan) {
+  const ConvKernelType type = ConvKernelType::kForward;
+  const kernels::ConvProblem p = test_problem();
+  const std::size_t full_ws = winner_full_workspace(type, p);
+  core::Options opts;
+  opts.batch_size_policy = core::BatchSizePolicy::kPowerOfTwo;
+  opts.fail_fast = true;  // the replacement's allocation failure throws
+  auto dev = std::make_shared<device::Device>(device::host_cpu_spec());
+  core::UcudnnHandle handle(dev, opts);
+  prefill_plans(handle, type, p);
+  const Operands ops = make_operands(type, p, 461);
+  std::vector<float> out = ops.out;
+  const auto record = [&](std::size_t limit) {
+    handle.get_algorithm(type, p,
+                         mcudnn::AlgoPreference::kSpecifyWorkspaceLimit, limit);
+  };
+  const auto run = [&] {
+    handle.convolution(type, p, 1.0f, ops.a.data(), ops.b.data(), 0.0f,
+                       out.data());
+  };
+
+  record(8 * full_ws);
+  run();
+  record(forcing_limit(type, p));
+  FaultInjector::instance().configure("alloc:every=1,count=1");
+  EXPECT_THROW(run(), Error);
+  FaultInjector::instance().configure("");
+
+  // Back under the first limit the kernel re-plans with a fresh workspace
+  // instead of fetching the cached plan whose workspace was released.
+  record(8 * full_ws);
+  out = ops.out;
+  run();
+  EXPECT_EQ(dev->bytes_in_use(), 8 * full_ws);
+  expect_bitwise(out, single_shot(handle, type, p, winner_algo(type), ops));
+}
+
 // ----------------------------------------- WD unrecorded-kernel fallback
 
 TEST_F(PlanTest, WdUnrecordedKernelFallbackIsCountedPerOccurrence) {

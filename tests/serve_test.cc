@@ -290,6 +290,41 @@ TEST_F(ServeTest, UnmeetableDeadlineRejectedAtAdmission) {
   EXPECT_EQ(ticket->wait(), Status::kDeadlineExceeded);
 }
 
+TEST_F(ServeTest, StaleSlowEstimateRecoversOnAnIdleServer) {
+  core::UcudnnHandle handle(cpu(), core_opts());
+  ServeOptions opts;
+  opts.workers = 1;
+  opts.retry_backoff_us = 40'000;  // 40 + 80 + 160 ms of retry backoff
+  Server server(handle, opts);
+  const AlignedBuffer<float> weights = make_weights();
+  constexpr double kDeadlineMs = 30.0;
+
+  Client warmup(1, 440, weights);
+  EXPECT_EQ(server.submit(warmup.request())->wait(), Status::kSuccess);
+
+  // One slow batch: three injected exec failures, each retried after its
+  // backoff, push the service estimate past the deadline.
+  FaultInjector::instance().configure("serve.exec:every=1,count=3");
+  Client slow(1, 441, weights);
+  EXPECT_EQ(server.submit(slow.request())->wait(), Status::kSuccess);
+  FaultInjector::instance().configure("");
+  ASSERT_GT(server.service_estimate_ms(), kDeadlineMs);
+
+  // Once no batch has confirmed the estimate within its own length, an idle
+  // server admits again; every fast batch pulls the estimate back down.
+  int served = 0;
+  for (int i = 0; i < 20 && server.service_estimate_ms() > kDeadlineMs; ++i) {
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        server.service_estimate_ms() + 5.0));
+    Client later(1, 450 + static_cast<std::uint64_t>(i), weights);
+    EXPECT_EQ(server.submit(later.request(0, kDeadlineMs))->wait(),
+              Status::kSuccess);
+    ++served;
+  }
+  EXPECT_GT(served, 0);
+  EXPECT_LT(server.service_estimate_ms(), kDeadlineMs);
+}
+
 // --- numerics -------------------------------------------------------------
 
 TEST_F(ServeTest, ServedSingletonMatchesDirectConvolution) {
