@@ -13,13 +13,6 @@ namespace ucudnn::core {
 
 namespace {
 
-telemetry::DoubleCounter& benchmark_total_ms_metric() {
-  static telemetry::DoubleCounter c =
-      telemetry::MetricsRegistry::instance().double_counter(
-          "ucudnn.benchmark.total_ms");
-  return c;
-}
-
 telemetry::Counter& benchmark_runs_metric() {
   static telemetry::Counter c =
       telemetry::MetricsRegistry::instance().counter("ucudnn.benchmark.runs");
@@ -124,8 +117,7 @@ MicroBenchmark Benchmarker::run(ConvKernelType type,
   }
 
   const double elapsed_ms = timer.elapsed_ms();
-  total_benchmark_ms_.fetch_add(elapsed_ms, std::memory_order_relaxed);
-  benchmark_total_ms_metric().add(elapsed_ms);
+  total_benchmark_ms_.add(elapsed_ms);
   benchmark_runs_metric().add(1);
   benchmark_ms_histogram().observe_ms(elapsed_ms);
   return result;

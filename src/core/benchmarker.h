@@ -5,13 +5,13 @@
 // evaluated concurrently (§III-D "parallel micro-configuration evaluation").
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "core/benchmark_cache.h"
 #include "core/types.h"
 #include "mcudnn/mcudnn.h"
+#include "telemetry/metrics.h"
 
 namespace ucudnn::core {
 
@@ -31,14 +31,6 @@ class Benchmarker {
   Benchmarker(std::vector<mcudnn::Handle> handles,
               std::shared_ptr<BenchmarkCache> cache);
 
-  // The atomic accumulator suppresses the implicit moves the Planner needs.
-  // Moving is only safe between runs, which is the only time it happens.
-  Benchmarker(Benchmarker&& other) noexcept
-      : handles_(std::move(other.handles_)),
-        cache_(std::move(other.cache_)),
-        total_benchmark_ms_(
-            other.total_benchmark_ms_.load(std::memory_order_relaxed)) {}
-
   /// Benchmarks every candidate micro size of `problem`'s batch under
   /// `policy`. Results are cached by (device, kernel, problem, micro size).
   MicroBenchmark run(ConvKernelType type, const kernels::ConvProblem& problem,
@@ -46,10 +38,9 @@ class Benchmarker {
 
   /// Accumulated wall-clock time spent benchmarking (the §IV-B1
   /// "time to optimization" accounting). Atomic: concurrent run() calls on
-  /// the same Benchmarker must not lose updates. Mirrored process-wide as
-  /// the ucudnn.benchmark.total_ms metric.
+  /// the same Benchmarker must not lose updates.
   double total_benchmark_ms() const noexcept {
-    return total_benchmark_ms_.load(std::memory_order_relaxed);
+    return total_benchmark_ms_.value();
   }
 
   const std::shared_ptr<BenchmarkCache>& cache() const noexcept {
@@ -59,7 +50,8 @@ class Benchmarker {
  private:
   std::vector<mcudnn::Handle> handles_;
   std::shared_ptr<BenchmarkCache> cache_;
-  std::atomic<double> total_benchmark_ms_{0.0};
+  telemetry::InstanceDoubleCounter total_benchmark_ms_{
+      "ucudnn.benchmark.total_ms"};
 };
 
 }  // namespace ucudnn::core

@@ -114,7 +114,7 @@ void Executor::run(const ExecutionPlan& plan, float alpha, const float* a,
         }
         ++failures;
         if (failures <= options_.max_retries) {
-          stats_.count_retry();
+          stats_.retries.add();
           telemetry::FlightRecorder::note(
               telemetry::FlightEventKind::kDegradation, "executor.retry",
               telemetry::current_trace_id(), segment.algo, failures);

@@ -16,36 +16,10 @@ namespace ucudnn::core {
 
 namespace {
 
-telemetry::Counter& plan_cache_hits_metric() {
-  static telemetry::Counter c = telemetry::MetricsRegistry::instance().counter(
-      "ucudnn.plan_cache.hits");
-  return c;
-}
-
-telemetry::Counter& plan_cache_misses_metric() {
-  static telemetry::Counter c = telemetry::MetricsRegistry::instance().counter(
-      "ucudnn.plan_cache.misses");
-  return c;
-}
-
 telemetry::Gauge& plan_cache_epoch_metric() {
   static telemetry::Gauge g = telemetry::MetricsRegistry::instance().gauge(
       "ucudnn.plan_cache.epoch");
   return g;
-}
-
-telemetry::DoubleCounter& optimize_ms_metric() {
-  static telemetry::DoubleCounter c =
-      telemetry::MetricsRegistry::instance().double_counter(
-          "ucudnn.planner.optimize_ms");
-  return c;
-}
-
-telemetry::DoubleCounter& replan_benchmark_ms_metric() {
-  static telemetry::DoubleCounter c =
-      telemetry::MetricsRegistry::instance().double_counter(
-          "ucudnn.planner.replan_benchmark_ms");
-  return c;
 }
 
 telemetry::Counter& replans_metric() {
@@ -92,12 +66,10 @@ std::shared_ptr<const ExecutionPlan> PlanCache::lookup(KernelId id, bool wd,
     }
   }
   if (found == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    plan_cache_misses_metric().add(1);
+    misses_.add();
     return nullptr;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  plan_cache_hits_metric().add(1);
+  hits_.add();
   return found;
 }
 
@@ -138,16 +110,6 @@ Planner::Planner(mcudnn::Handle& handle, const Options& options,
       options_(options),
       stats_(stats),
       benchmarker_(std::move(benchmarker)) {}
-
-void Planner::charge_optimize_ms(double ms) {
-  total_optimize_ms_.fetch_add(ms, std::memory_order_relaxed);
-  optimize_ms_metric().add(ms);
-}
-
-void Planner::charge_replan_benchmark_ms(double ms) {
-  total_replan_benchmark_ms_.fetch_add(ms, std::memory_order_relaxed);
-  replan_benchmark_ms_metric().add(ms);
-}
 
 std::optional<KernelId> Planner::find_kernel(
     ConvKernelType type, const kernels::ConvProblem& problem) const {
@@ -196,7 +158,7 @@ Planner::WrEntry& Planner::wr_entry(KernelId id) {
   const telemetry::ScopedSpan span("wr_dp", [&] { return kernel.label; });
   Timer timer;
   Configuration config = optimize_wr(bench, problem.batch(), limit);
-  charge_optimize_ms(timer.elapsed_ms());
+  total_optimize_ms_.add(timer.elapsed_ms());
   bool degraded = false;
   UCUDNN_LOG_INFO << "WR " << to_string(type) << " " << problem.to_string()
                   << " limit=" << limit << " -> " << config.to_string(type)
@@ -228,13 +190,13 @@ Planner::WrEntry& Planner::wr_entry(KernelId id) {
       // because the front always contains the zero-workspace configuration.
       const std::size_t degraded_limit = config.workspace / 2;
       degraded = true;
-      stats_.count_degraded_allocation();
+      stats_.degraded_allocations.add();
       UCUDNN_LOG_WARN << "workspace allocation of " << config.workspace
                       << " bytes failed for " << tag << " (" << e.what()
                       << "); re-optimizing with limit " << degraded_limit;
       Timer degrade_timer;
       config = optimize_wr(bench, problem.batch(), degraded_limit);
-      charge_optimize_ms(degrade_timer.elapsed_ms());
+      total_optimize_ms_.add(degrade_timer.elapsed_ms());
     }
   }
   slot = WrEntry{limit, std::move(config), std::move(ws), degraded};
@@ -256,11 +218,11 @@ void Planner::finalize_wd() {
       plan = optimize_wd(benchmarker_, kernels_, limit,
                          options_.batch_size_policy);
     } catch (const Error& e) {
-      charge_optimize_ms(timer.elapsed_ms());
+      total_optimize_ms_.add(timer.elapsed_ms());
       if (e.status() != Status::kNotSupported || options_.fail_fast) throw;
       // No feasible division at all: degrade to per-kernel WR, which plans
       // each kernel independently (and can itself degrade further).
-      stats_.count_solver_fallback();
+      stats_.solver_fallbacks.add();
       wd_degraded_to_wr_ = true;
       UCUDNN_LOG_WARN << "WD plan infeasible (" << e.what()
                       << "); degrading to per-kernel WR";
@@ -278,14 +240,14 @@ void Planner::finalize_wd() {
       // The optimizer's limit was infeasible on the actual device: halve
       // what the plan really used and re-solve, down to the zero-workspace
       // division.
-      stats_.count_degraded_allocation();
+      stats_.degraded_allocations.add();
       limit = plan.total_workspace / 2;
       UCUDNN_LOG_WARN << "WD arena allocation of " << plan.total_workspace
                       << " bytes failed (" << e.what()
                       << "); re-optimizing with total limit " << limit;
     }
   }
-  charge_optimize_ms(timer.elapsed_ms());
+  total_optimize_ms_.add(timer.elapsed_ms());
   UCUDNN_LOG_INFO << "WD finalized: " << kernels_.size() << " kernels, "
                   << plan.num_variables << " ILP variables, arena "
                   << plan.total_workspace << " bytes, solve "
@@ -350,7 +312,7 @@ void Planner::apply_pending_invalidations() {
 }
 
 void Planner::note_wd_fallback(KernelId id) {
-  stats_.count_wd_unrecorded_fallback();
+  stats_.wd_unrecorded_fallbacks.add();
   if (slots_[id].wd_fallbacks++ == 0) {
     UCUDNN_LOG_WARN << "WD: unrecorded kernel "
                     << kernels_[id].problem.to_string()
@@ -450,7 +412,7 @@ std::vector<PlanSegment> Planner::replan_tail(
   replans_metric().add(1);
   const std::string& device_name = handle_.device().spec().name;
   benchmarker_.cache()->blacklist(device_name, type, algo);
-  stats_.count_blacklisted_algorithm();
+  stats_.blacklisted_algorithms.add();
   // Cached WR/WD plans referencing the algorithm are stale now, but their
   // workspace is live in the current call chain — the epoch bump makes them
   // unreachable immediately; the buffers themselves are reclaimed at the
@@ -474,11 +436,11 @@ std::vector<PlanSegment> Planner::replan_tail(
   Timer bench_timer;
   const MicroBenchmark bench =
       benchmarker_.run(type, rest, options_.batch_size_policy);
-  charge_replan_benchmark_ms(bench_timer.elapsed_ms());
+  total_replan_benchmark_ms_.add(bench_timer.elapsed_ms());
   const telemetry::ScopedSpan wr_span("wr_dp");
   Timer timer;
   const Configuration replacement = optimize_wr(bench, rest.batch(), ws_bytes);
-  charge_optimize_ms(timer.elapsed_ms());
+  total_optimize_ms_.add(timer.elapsed_ms());
   return build_tail_segments(type, problem, replacement, done);
 }
 

@@ -31,6 +31,7 @@
 #include "core/plan.h"
 #include "core/types.h"
 #include "core/wd_optimizer.h"
+#include "telemetry/metrics.h"
 
 namespace ucudnn::core {
 
@@ -98,12 +99,8 @@ class PlanCache {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t hits() const noexcept { return hits_.value(); }
+  std::uint64_t misses() const noexcept { return misses_.value(); }
   /// Number of kernels with a stored plan.
   std::size_t size() const;
 
@@ -115,13 +112,12 @@ class PlanCache {
 
   mutable Mutex mutex_{"PlanCache"};
   std::vector<Entry> entries_ GUARDED_BY(mutex_);  // indexed by KernelId
-  // Atomics, not guarded counters: epoch() is read before every plan build
-  // and hits()/misses() feed execution reports — thin reads must not take
-  // the lock. The epoch only changes under the lock, so a lookup compares
-  // entries against a consistent epoch.
+  // Atomic, not guarded: epoch() is read before every plan build, and thin
+  // reads must not take the lock. The epoch only changes under the lock, so
+  // a lookup compares entries against a consistent epoch.
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  telemetry::InstanceCounter hits_{"ucudnn.plan_cache.hits"};
+  telemetry::InstanceCounter misses_{"ucudnn.plan_cache.misses"};
 };
 
 /// A plan plus its workspace binding resolved to the live buffer. The
@@ -217,16 +213,14 @@ class Planner {
   const PlanCache& plan_cache() const noexcept { return plan_cache_; }
 
   /// Wall time spent in DP/ILP optimization (excludes benchmarking).
-  /// Atomic thin read; mirrored process-wide as ucudnn.planner.optimize_ms.
   double total_optimize_ms() const noexcept {
-    return total_optimize_ms_.load(std::memory_order_relaxed);
+    return total_optimize_ms_.value();
   }
   /// Wall time spent re-benchmarking inside tail re-plans. Kept separate
   /// from Benchmarker::total_benchmark_ms (which only counts cache misses)
   /// so the §IV-B1 overhead accounting cannot under-report the replan path.
-  /// Atomic thin read; mirrored as ucudnn.planner.replan_benchmark_ms.
   double total_replan_benchmark_ms() const noexcept {
-    return total_replan_benchmark_ms_.load(std::memory_order_relaxed);
+    return total_replan_benchmark_ms_.value();
   }
 
  private:
@@ -254,8 +248,6 @@ class Planner {
   PlannedConvolution resolve(std::shared_ptr<const ExecutionPlan> plan,
                              KernelId id);
   void note_wd_fallback(KernelId id);
-  void charge_optimize_ms(double ms);
-  void charge_replan_benchmark_ms(double ms);
 
   mcudnn::Handle& handle_;
   const Options& options_;
@@ -271,10 +263,10 @@ class Planner {
   bool wd_degraded_to_wr_ = false;  // infeasible WD plan -> per-kernel WR
   PlanCache plan_cache_;
   std::vector<std::pair<ConvKernelType, int>> pending_invalidations_;
-  // Atomic: a handle shared across threads must not lose timing updates
-  // (the old plain doubles raced).
-  std::atomic<double> total_optimize_ms_{0.0};
-  std::atomic<double> total_replan_benchmark_ms_{0.0};
+  telemetry::InstanceDoubleCounter total_optimize_ms_{
+      "ucudnn.planner.optimize_ms"};
+  telemetry::InstanceDoubleCounter total_replan_benchmark_ms_{
+      "ucudnn.planner.replan_benchmark_ms"};
 };
 
 }  // namespace ucudnn::core

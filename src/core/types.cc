@@ -4,63 +4,23 @@
 
 #include "common/mathutil.h"
 #include "kernels/registry.h"
-#include "telemetry/metrics.h"
 
 namespace ucudnn::core {
 
-namespace {
-
-telemetry::Counter degradation_metric(const char* event) {
-  return telemetry::MetricsRegistry::instance().counter(
-      std::string("ucudnn.degradation.") + event);
-}
-
-}  // namespace
-
-void DegradationStats::count_retry() {
-  ++retries;
-  static telemetry::Counter c = degradation_metric("retries");
-  c.add(1);
-}
-
-void DegradationStats::count_degraded_allocation() {
-  ++degraded_allocations;
-  static telemetry::Counter c = degradation_metric("degraded_allocations");
-  c.add(1);
-}
-
-void DegradationStats::count_blacklisted_algorithm() {
-  ++blacklisted_algorithms;
-  static telemetry::Counter c = degradation_metric("blacklisted_algorithms");
-  c.add(1);
-}
-
-void DegradationStats::count_solver_fallback() {
-  ++solver_fallbacks;
-  static telemetry::Counter c = degradation_metric("solver_fallbacks");
-  c.add(1);
-}
-
-void DegradationStats::count_cache_quarantine() {
-  ++cache_quarantines;
-  static telemetry::Counter c = degradation_metric("cache_quarantines");
-  c.add(1);
-}
-
-void DegradationStats::count_wd_unrecorded_fallback() {
-  ++wd_unrecorded_fallbacks;
-  static telemetry::Counter c = degradation_metric("wd_unrecorded_fallbacks");
-  c.add(1);
+bool DegradationStats::any() const noexcept {
+  return retries.value() != 0 || degraded_allocations.value() != 0 ||
+         blacklisted_algorithms.value() != 0 || solver_fallbacks.value() != 0 ||
+         cache_quarantines.value() != 0 || wd_unrecorded_fallbacks.value() != 0;
 }
 
 std::string DegradationStats::to_string() const {
   std::ostringstream os;
-  os << "retries=" << retries
-     << " degraded_allocations=" << degraded_allocations
-     << " blacklisted_algorithms=" << blacklisted_algorithms
-     << " solver_fallbacks=" << solver_fallbacks
-     << " cache_quarantines=" << cache_quarantines
-     << " wd_unrecorded_fallbacks=" << wd_unrecorded_fallbacks;
+  os << "retries=" << retries.value()
+     << " degraded_allocations=" << degraded_allocations.value()
+     << " blacklisted_algorithms=" << blacklisted_algorithms.value()
+     << " solver_fallbacks=" << solver_fallbacks.value()
+     << " cache_quarantines=" << cache_quarantines.value()
+     << " wd_unrecorded_fallbacks=" << wd_unrecorded_fallbacks.value();
   return os.str();
 }
 

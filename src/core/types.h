@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "kernels/conv_problem.h"
+#include "telemetry/metrics.h"
 
 namespace ucudnn::core {
 
@@ -80,31 +81,24 @@ std::vector<std::int64_t> candidate_micro_sizes(BatchSizePolicy policy,
 /// performed (ROADMAP robustness north-star: a recoverable resource condition
 /// must never abort a training run). Owned by the UcudnnHandle facade, shared
 /// by reference with the Planner and the Executor, and logged at teardown
-/// next to the audit report.
-///
-/// The fields stay public (tests and reports read them per handle), but
-/// increments go through the count_* methods, which also mirror each event
-/// into the process-wide MetricsRegistry under ucudnn.degradation.*.
+/// next to the audit report. Each field is the handle's instance cell of a
+/// ucudnn.degradation.* metric.
 struct DegradationStats {
-  std::uint64_t retries = 0;                 // transient kernel failures retried
-  std::uint64_t degraded_allocations = 0;    // workspace limits halved on OOM
-  std::uint64_t blacklisted_algorithms = 0;  // algos retired after retries
-  std::uint64_t solver_fallbacks = 0;        // infeasible WD -> per-kernel WR
-  std::uint64_t cache_quarantines = 0;       // corrupt cache files quarantined
-  std::uint64_t wd_unrecorded_fallbacks = 0; // WD misses routed to WR
+  using Cell = telemetry::InstanceCounter;
+  // transient kernel failures retried
+  Cell retries{"ucudnn.degradation.retries"};
+  // workspace limits halved on OOM
+  Cell degraded_allocations{"ucudnn.degradation.degraded_allocations"};
+  // algos retired after retries
+  Cell blacklisted_algorithms{"ucudnn.degradation.blacklisted_algorithms"};
+  // infeasible WD -> per-kernel WR
+  Cell solver_fallbacks{"ucudnn.degradation.solver_fallbacks"};
+  // corrupt cache files quarantined
+  Cell cache_quarantines{"ucudnn.degradation.cache_quarantines"};
+  // WD misses routed to WR
+  Cell wd_unrecorded_fallbacks{"ucudnn.degradation.wd_unrecorded_fallbacks"};
 
-  void count_retry();
-  void count_degraded_allocation();
-  void count_blacklisted_algorithm();
-  void count_solver_fallback();
-  void count_cache_quarantine();
-  void count_wd_unrecorded_fallback();
-
-  bool any() const noexcept {
-    return retries != 0 || degraded_allocations != 0 ||
-           blacklisted_algorithms != 0 || solver_fallbacks != 0 ||
-           cache_quarantines != 0 || wd_unrecorded_fallbacks != 0;
-  }
+  bool any() const noexcept;
   std::string to_string() const;
 };
 

@@ -48,6 +48,20 @@ Options validated(Options options) {
   return options;
 }
 
+/// A plan segment's unmeasured execution-report entry.
+telemetry::SegmentReport segment_report(ConvKernelType type,
+                                        const PlanSegment& seg) {
+  telemetry::SegmentReport s;
+  s.batch = seg.batch;
+  s.algo = seg.algo;
+  s.algo_name =
+      seg.algo < 0 ? "?" : std::string(kernels::algo_name(type, seg.algo));
+  s.accumulate = seg.accumulate;
+  s.workspace_bytes = seg.workspace;
+  s.estimated_ms = seg.time_ms;
+  return s;
+}
+
 }  // namespace
 
 UcudnnHandle::UcudnnHandle()
@@ -85,7 +99,7 @@ void UcudnnHandle::init_cache_from_file() {
   // visible in the handle's degradation stats.
   const CacheLoadResult result =
       planner_.benchmarker().cache()->load_file(options_.cache_path);
-  if (result == CacheLoadResult::kQuarantined) stats_.count_cache_quarantine();
+  if (result == CacheLoadResult::kQuarantined) stats_.cache_quarantines.add();
 }
 
 UcudnnHandle::~UcudnnHandle() {
@@ -102,8 +116,8 @@ UcudnnHandle::~UcudnnHandle() {
     UCUDNN_LOG_WARN << "degradation stats: " << stats_.to_string();
   }
   if (telemetry::telemetry_enabled()) {
-    // One source of truth: the process-wide registry every per-handle
-    // counter mirrors into (docs/observability.md).
+    // One source of truth: the process-wide registry sums every handle's
+    // counters (docs/observability.md).
     UCUDNN_LOG_INFO << "telemetry metrics snapshot:\n"
                     << telemetry::MetricsRegistry::instance().to_text();
   }
@@ -205,13 +219,7 @@ void UcudnnHandle::convolution(ConvKernelType type,
     record.segments.clear();
     record.segments.reserve(planned.plan->segments.size());
     for (const PlanSegment& seg : planned.plan->segments) {
-      SegmentStat s;
-      s.batch = seg.batch;
-      s.algo = seg.algo;
-      s.accumulate = seg.accumulate;
-      s.workspace = seg.workspace;
-      s.estimated_ms = seg.time_ms;
-      record.segments.push_back(s);
+      record.segments.push_back(segment_report(type, seg));
     }
   }
   ++record.executions;
@@ -228,16 +236,11 @@ void UcudnnHandle::convolution(ConvKernelType type,
       },
       [&](std::size_t idx, const PlanSegment& seg, double measured_ms) {
         if (idx >= record.segments.size()) record.segments.resize(idx + 1);
-        SegmentStat& s = record.segments[idx];
+        telemetry::SegmentReport& s = record.segments[idx];
         if (s.batch != seg.batch || s.algo != seg.algo) {
           // A tail re-plan replaced the schedule at this index; restart its
           // stats from the replacement segment's estimate.
-          s = SegmentStat{};
-          s.batch = seg.batch;
-          s.algo = seg.algo;
-          s.accumulate = seg.accumulate;
-          s.workspace = seg.workspace;
-          s.estimated_ms = seg.time_ms;
+          s = segment_report(type, seg);
         }
         s.measured_ms_total += measured_ms;
         ++s.runs;
@@ -282,21 +285,7 @@ telemetry::ExecutionReport UcudnnHandle::execution_report() const {
     kr.workspace_limit = record.ws_limit;
     kr.executions = record.executions;
     kr.replans = record.replans;
-    kr.segments.reserve(record.segments.size());
-    for (const SegmentStat& s : record.segments) {
-      telemetry::SegmentReport sr;
-      sr.batch = s.batch;
-      sr.algo = s.algo;
-      sr.algo_name = s.algo < 0 ? "?"
-                                : std::string(kernels::algo_name(
-                                      kernel.type, s.algo));
-      sr.accumulate = s.accumulate;
-      sr.workspace_bytes = s.workspace;
-      sr.estimated_ms = s.estimated_ms;
-      sr.measured_ms_total = s.measured_ms_total;
-      sr.runs = s.runs;
-      kr.segments.push_back(std::move(sr));
-    }
+    kr.segments = record.segments;
     report.kernels.push_back(std::move(kr));
   }
 
@@ -309,6 +298,12 @@ telemetry::ExecutionReport UcudnnHandle::execution_report() const {
     report.audit.push_back(std::move(ar));
   }
   return report;
+}
+
+double UcudnnHandle::estimation_error_pct() const noexcept {
+  telemetry::SegmentErrorMean mean;
+  for (const KernelId id : exec_order_) mean.add(exec_records_[id]->segments);
+  return mean.pct();
 }
 
 // --- cuDNN-shaped Status API ------------------------------------------------

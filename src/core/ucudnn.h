@@ -145,28 +145,22 @@ class UcudnnHandle {
   /// executor measurements; the destructor dumps it to UCUDNN_REPORT_FILE
   /// when set (JSON when the path ends in ".json", pretty text otherwise).
   telemetry::ExecutionReport execution_report() const;
+  /// execution_report().estimation_error_pct() without building the report:
+  /// the mean per-segment estimate error over measured segments, in percent.
+  double estimation_error_pct() const noexcept;
 
  private:
   // Per-kernel execution bookkeeping backing execution_report(): the plan
   // actually run, the planner's provenance for it, and per-segment measured
   // times accumulated by the executor's MeasureFn callback. Stats reset
   // whenever the kernel's plan changes (re-optimization, epoch bump).
-  struct SegmentStat {
-    std::int64_t batch = 0;
-    int algo = -1;
-    bool accumulate = false;
-    std::size_t workspace = 0;
-    double estimated_ms = 0.0;
-    double measured_ms_total = 0.0;
-    std::uint64_t runs = 0;
-  };
   struct KernelExecRecord {
     std::shared_ptr<const ExecutionPlan> plan;
     std::string provenance;
     std::size_t ws_limit = 0;
     std::uint64_t executions = 0;
     std::uint64_t replans = 0;
-    std::vector<SegmentStat> segments;
+    std::vector<telemetry::SegmentReport> segments;
   };
 
   /// The execution record for this kernel, created on first execution.

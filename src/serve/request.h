@@ -95,10 +95,14 @@ class Ticket {
 
   /// Resolves exactly once; later calls are ignored (the first terminal
   /// status wins, so a drain racing a completion cannot flip a result).
+  /// Only the winning call runs `on_resolve`, before any waiter can observe
+  /// the resolution (it runs under the ticket lock: keep it to atomics).
   /// Returns true when this call performed the resolution.
-  bool resolve(Status status) {
+  template <typename OnResolve>
+  bool resolve(Status status, OnResolve&& on_resolve) {
     MutexLock lock(mutex_);
     if (resolved_) return false;
+    on_resolve();
     resolved_ = true;
     status_ = status;
     latency_ms_ = std::chrono::duration<double, std::milli>(Clock::now() -

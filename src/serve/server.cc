@@ -68,16 +68,6 @@ Server::Server(core::UcudnnHandle& handle, ServeOptions opts)
       worker_state_(static_cast<std::size_t>(std::max(opts.workers, 0))) {
   opts_.validate();
   auto& metrics = telemetry::MetricsRegistry::instance();
-  m_admitted_ = metrics.counter("ucudnn.serve.admitted");
-  m_rejected_ = metrics.counter("ucudnn.serve.rejected");
-  m_expired_ = metrics.counter("ucudnn.serve.expired");
-  m_shed_ = metrics.counter("ucudnn.serve.shed");
-  m_retried_ = metrics.counter("ucudnn.serve.retried");
-  m_completed_ = metrics.counter("ucudnn.serve.completed");
-  m_exec_failed_ = metrics.counter("ucudnn.serve.exec_failed");
-  m_shutdown_failed_ = metrics.counter("ucudnn.serve.shutdown_failed");
-  m_batches_ = metrics.counter("ucudnn.serve.batches");
-  m_batched_requests_ = metrics.counter("ucudnn.serve.batched_requests");
   m_depth_ = metrics.gauge("ucudnn.serve.queue_depth");
   m_level_ = metrics.gauge("ucudnn.serve.overload_level");
   m_e2e_ms_ = metrics.histogram("ucudnn.serve.e2e_ms");
@@ -104,7 +94,14 @@ Server::Server(core::UcudnnHandle& handle, ServeOptions opts)
 Server::~Server() { drain(); }
 
 void Server::finish(const TicketPtr& ticket, Status status) {
-  if (!ticket->resolve(status)) return;
+  Cell& outcome = status == Status::kSuccess            ? completed_
+                  : status == Status::kDeadlineExceeded ? expired_
+                  : status == Status::kRejected         ? rejected_
+                  : status == Status::kShuttingDown     ? shutdown_failed_
+                                                        : exec_failed_;
+  // Counted as the ticket resolves, so counters() already includes this
+  // resolution when the client's wait() returns.
+  if (!ticket->resolve(status, [&outcome] { outcome.add(); })) return;
   // Per-request terminal markers: a zero-duration "serve_resolve" span on
   // the request's timeline and a compact status transition in the black box.
   telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::instance();
@@ -122,28 +119,6 @@ void Server::finish(const TicketPtr& ticket, Status status) {
       telemetry::FlightEventKind::kStatus, to_string(status).data(),
       ticket->trace_id(), static_cast<std::int64_t>(status), 0);
   m_e2e_ms_.observe_ms(ticket->latency_ms());
-  switch (status) {
-    case Status::kSuccess:
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      m_completed_.add();
-      break;
-    case Status::kDeadlineExceeded:
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      m_expired_.add();
-      break;
-    case Status::kRejected:
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_.add();
-      break;
-    case Status::kShuttingDown:
-      shutdown_failed_.fetch_add(1, std::memory_order_relaxed);
-      m_shutdown_failed_.add();
-      break;
-    default:
-      exec_failed_.fetch_add(1, std::memory_order_relaxed);
-      m_exec_failed_.add();
-      break;
-  }
 }
 
 void Server::update_load_gauges() {
@@ -191,14 +166,12 @@ TicketPtr Server::submit(ServeRequest request) {
     finish(stale, Status::kDeadlineExceeded);
   }
   for (const TicketPtr& victim : admission.shed) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    m_shed_.add();
+    shed_.add();
     finish(victim, Status::kRejected);
   }
   switch (admission.status) {
     case Status::kSuccess:
-      admitted_.fetch_add(1, std::memory_order_relaxed);
-      m_admitted_.add();
+      admitted_.add();
       break;
     default:
       finish(ticket, admission.status);
@@ -308,10 +281,8 @@ void Server::process_batch(std::vector<TicketPtr>& batch) {
     detail += "]";
     return detail;
   });
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  m_batches_.add();
-  batched_requests_.fetch_add(batch.size(), std::memory_order_relaxed);
-  m_batched_requests_.add(batch.size());
+  batches_.add();
+  batched_requests_.add(batch.size());
   std::int64_t samples = 0;
   for (const TicketPtr& ticket : batch) {
     samples += ticket->request().problem.batch();
@@ -366,8 +337,7 @@ void Server::process_batch(std::vector<TicketPtr>& batch) {
       // the ticket contract promises success/deadline/reject/shutdown.
       if (e.status() == Status::kExecutionFailed &&
           attempt < opts_.max_retries && !all_expired) {
-        retried_.fetch_add(1, std::memory_order_relaxed);
-        m_retried_.add();
+        retried_.add();
         UCUDNN_LOG_WARN << "serve: transient batch failure (attempt "
                         << attempt + 1 << "): " << e.what();
         if (snapshot_dst != nullptr) {
@@ -398,12 +368,13 @@ void Server::process_batch(std::vector<TicketPtr>& batch) {
       recorder.record(std::move(event));
     }
   }
-  if (watchdog_ != nullptr) {
-    // Refresh the est-vs-measured drift vital sign from the handle's
-    // execution report (report access shares the handle's exec lock).
+  if (opts_.watchdog_ms > 0) {
+    // Refresh the est-vs-measured drift vital sign (the handle's exec
+    // records share its exec lock). Decided from the options, not from
+    // watchdog_, so workers never touch the watchdog drain() stops.
     MutexLock lock(exec_mutex_);
-    const double drift_pct = handle_.execution_report().estimation_error_pct();
-    last_drift_.store(drift_pct / 100.0, std::memory_order_relaxed);
+    last_drift_.store(handle_.estimation_error_pct() / 100.0,
+                      std::memory_order_relaxed);
   }
 
   const double service_ms =
@@ -435,7 +406,7 @@ void Server::drain() {
   drained_.store(true, std::memory_order_release);
   // The watchdog samples server state, so it stops before anything else is
   // torn down (its stop() also severs the flight-recorder link).
-  watchdog_.reset();
+  if (watchdog_ != nullptr) watchdog_->stop();
   std::vector<TicketPtr> leftovers = queue_.close();
   for (const TicketPtr& ticket : leftovers) {
     finish(ticket, Status::kShuttingDown);
@@ -465,18 +436,10 @@ telemetry::WatchdogSample Server::watchdog_sample() const {
 }
 
 Server::Counters Server::counters() const {
-  Counters c;
-  c.admitted = admitted_.load(std::memory_order_relaxed);
-  c.rejected = rejected_.load(std::memory_order_relaxed);
-  c.expired = expired_.load(std::memory_order_relaxed);
-  c.shed = shed_.load(std::memory_order_relaxed);
-  c.retried = retried_.load(std::memory_order_relaxed);
-  c.completed = completed_.load(std::memory_order_relaxed);
-  c.exec_failed = exec_failed_.load(std::memory_order_relaxed);
-  c.shutdown_failed = shutdown_failed_.load(std::memory_order_relaxed);
-  c.batches = batches_.load(std::memory_order_relaxed);
-  c.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  return c;
+  return {admitted_.value(),    rejected_.value(),  expired_.value(),
+          shed_.value(),        retried_.value(),   completed_.value(),
+          exec_failed_.value(), shutdown_failed_.value(),
+          batches_.value(),     batched_requests_.value()};
 }
 
 }  // namespace ucudnn::serve

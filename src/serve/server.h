@@ -88,8 +88,8 @@ class Server {
 
   // --- introspection ------------------------------------------------------
 
-  /// Per-server snapshot of the ucudnn.serve.* counters (process-wide
-  /// metrics aggregate across servers; tests want isolation).
+  /// This server's ucudnn.serve.* counters (the process-wide metrics sum
+  /// every server's).
   struct Counters {
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;         ///< kRejected resolutions
@@ -113,7 +113,7 @@ class Server {
   const ServeOptions& options() const noexcept { return opts_; }
 
   /// The anomaly watchdog attached by ServeOptions::watchdog_ms (null when
-  /// 0 or when the server runs workerless). Valid until drain().
+  /// 0 or when the server runs workerless). Stopped by drain().
   telemetry::Watchdog* watchdog() noexcept { return watchdog_.get(); }
   /// One vital-sign snapshot (queue depth/capacity, overload rung, EWMA
   /// estimate, est-vs-measured drift, per-worker busy times) — the sampling
@@ -157,20 +157,21 @@ class Server {
   /// Serializes drain() (and the destructor) against concurrent drainers.
   Mutex drain_mutex_{"serve.Server.drain"};
 
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> expired_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> retried_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> exec_failed_{0};
-  std::atomic<std::uint64_t> shutdown_failed_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_requests_{0};
+  // Exported from construction on, zeros included: a server's counters
+  // are its status surface.
+  using Cell = telemetry::InstanceCounter;
+  static constexpr telemetry::Listed kListed = telemetry::Listed::kAlways;
+  Cell admitted_{"ucudnn.serve.admitted", kListed};
+  Cell rejected_{"ucudnn.serve.rejected", kListed};
+  Cell expired_{"ucudnn.serve.expired", kListed};
+  Cell shed_{"ucudnn.serve.shed", kListed};
+  Cell retried_{"ucudnn.serve.retried", kListed};
+  Cell completed_{"ucudnn.serve.completed", kListed};
+  Cell exec_failed_{"ucudnn.serve.exec_failed", kListed};
+  Cell shutdown_failed_{"ucudnn.serve.shutdown_failed", kListed};
+  Cell batches_{"ucudnn.serve.batches", kListed};
+  Cell batched_requests_{"ucudnn.serve.batched_requests", kListed};
 
-  telemetry::Counter m_admitted_, m_rejected_, m_expired_, m_shed_,
-      m_retried_, m_completed_, m_exec_failed_, m_shutdown_failed_,
-      m_batches_, m_batched_requests_;
   telemetry::Gauge m_depth_, m_level_;
   telemetry::Histogram m_e2e_ms_, m_queue_wait_ms_, m_occupancy_;
 
@@ -181,13 +182,13 @@ class Server {
     std::atomic<std::int64_t> busy_since_us{0};
   };
   std::vector<WorkerState> worker_state_;
-  /// |measured - estimated| / estimated from the handle's ExecutionReport,
-  /// refreshed after each batch while the watchdog is attached.
+  /// The handle's mean |measured - estimated| / estimated, refreshed after
+  /// each batch when the options attach a watchdog.
   std::atomic<double> last_drift_{0.0};
 
-  /// Stopped and destroyed by drain() before the workers are joined, and
-  /// declared before pool_ so destructor order never leaves the sampler
-  /// probing a dead pool.
+  /// Stopped by drain() before the workers are joined and destroyed with
+  /// the server (workers never read it); declared before pool_ so destructor
+  /// order never leaves the sampler probing a dead pool.
   std::unique_ptr<telemetry::Watchdog> watchdog_;
 
   /// Last member: destroyed first, but drain() (not the pool destructor)

@@ -96,7 +96,6 @@ FlightRecorder::FlightRecorder(std::size_t events_per_thread,
     MutexLock lock(mutex_);
     dump_path_ = std::move(dump_path);
   }
-  m_dumps_ = MetricsRegistry::instance().counter("ucudnn.flight.dumps");
   set_armed(armed);
 }
 
@@ -109,8 +108,7 @@ FlightRecorder::~FlightRecorder() {
     path = dump_path_;
   }
   if (!path.empty() && recorded() > 0 && dump(path)) {
-    dumps_.fetch_add(1, std::memory_order_relaxed);
-    m_dumps_.add();
+    dumps_.add();
   }
 }
 
@@ -266,8 +264,7 @@ bool FlightRecorder::auto_dump(const char* reason) noexcept {
                    path.c_str());
     }
     if (!dump(path)) return false;
-    dumps_.fetch_add(1, std::memory_order_relaxed);
-    m_dumps_.add();
+    dumps_.add();
     return true;
   } catch (...) {
     return false;  // a failed dump must never take down the process

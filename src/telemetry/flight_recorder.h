@@ -131,9 +131,7 @@ class FlightRecorder {
   std::uint64_t recorded() const noexcept;
   std::uint64_t dropped() const noexcept;
   std::size_t capacity_per_thread() const noexcept { return capacity_; }
-  std::uint64_t dump_count() const noexcept {
-    return dumps_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dump_count() const noexcept { return dumps_.value(); }
 
   /// Resets ring contents and counters. Only meaningful while no other
   /// thread is recording (tests).
@@ -168,15 +166,13 @@ class FlightRecorder {
   const std::uint64_t id_;    // process-unique; guards thread-local caching
   const bool global_;         // true only for instance()
   std::atomic<bool> armed_{false};
-  std::atomic<std::uint64_t> dumps_{0};
+  InstanceCounter dumps_{"ucudnn.flight.dumps", Listed::kAlways};
   std::atomic<std::int64_t> last_auto_dump_us_{-1};
 
   mutable Mutex mutex_{"FlightRecorder"};
   std::vector<std::unique_ptr<Ring>> rings_ GUARDED_BY(mutex_);
   std::set<std::string> interned_ GUARDED_BY(mutex_);
   std::string dump_path_ GUARDED_BY(mutex_);
-
-  Counter m_dumps_;  // ucudnn.flight.dumps
 };
 
 }  // namespace ucudnn::telemetry

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "telemetry/json_writer.h"
 
@@ -131,20 +132,84 @@ MetricsRegistry::~MetricsRegistry() {
   }
 }
 
+template <typename T>
+MetricsRegistry::Families<T>& MetricsRegistry::families() {
+  if constexpr (std::is_same_v<T, double>) {
+    return double_counters_;
+  } else {
+    return counters_;
+  }
+}
+
+template <typename T>
+detail::CounterFamily<T>* MetricsRegistry::family(const std::string& name,
+                                                  bool listed) {
+  auto& family = families<T>()[name];
+  if (!family) family = std::make_unique<detail::CounterFamily<T>>();
+  family->listed = family->listed || listed;
+  return family.get();
+}
+
+namespace {
+
+// Caller holds the registry mutex (it guards `instances`).
+template <typename T>
+T sum_cells(const detail::CounterFamily<T>& family) {
+  T total = family.process.load(std::memory_order_relaxed);
+  for (const std::atomic<T>* cell : family.instances) {
+    total += cell->load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+}  // namespace
+
+template <typename T>
+T BasicCounter<T>::value() const noexcept {
+  if (!kCompiledIn || family_ == nullptr) return T{};
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  MutexLock lock(registry.mutex_);
+  return sum_cells(*family_);
+}
+
+template <typename T>
+InstanceCell<T>::InstanceCell(const std::string& name, Listed listed)
+    : cell_(new Cell) {
+  if (!kCompiledIn) return;
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  MutexLock lock(registry.mutex_);
+  cell_->family = registry.family<T>(name, listed == Listed::kAlways);
+  cell_->family->instances.push_back(&cell_->value);
+}
+
+template <typename T>
+void InstanceCell<T>::Retire::operator()(Cell* cell) const noexcept {
+  if (cell->family != nullptr) {
+    MetricsRegistry& registry = MetricsRegistry::instance();
+    MutexLock lock(registry.mutex_);
+    std::vector<std::atomic<T>*>& live = cell->family->instances;
+    live.erase(std::find(live.begin(), live.end(), &cell->value));
+    cell->family->process.fetch_add(cell->value.load(std::memory_order_relaxed),
+                                    std::memory_order_relaxed);
+  }
+  delete cell;
+}
+
+template class BasicCounter<std::uint64_t>;
+template class BasicCounter<double>;
+template class InstanceCell<std::uint64_t>;
+template class InstanceCell<double>;
+
 Counter MetricsRegistry::counter(const std::string& name) {
   if (!kCompiledIn) return Counter();
   MutexLock lock(mutex_);
-  auto& cell = counters_[name];
-  if (!cell) cell = std::make_unique<std::atomic<std::uint64_t>>(0);
-  return Counter(cell.get());
+  return Counter(family<std::uint64_t>(name, /*listed=*/true));
 }
 
 DoubleCounter MetricsRegistry::double_counter(const std::string& name) {
   if (!kCompiledIn) return DoubleCounter();
   MutexLock lock(mutex_);
-  auto& cell = double_counters_[name];
-  if (!cell) cell = std::make_unique<std::atomic<double>>(0.0);
-  return DoubleCounter(cell.get());
+  return DoubleCounter(family<double>(name, /*listed=*/true));
 }
 
 Gauge MetricsRegistry::gauge(const std::string& name) {
@@ -166,12 +231,14 @@ Histogram MetricsRegistry::histogram(const std::string& name) {
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   MutexLock lock(mutex_);
-  for (const auto& [name, cell] : counters_) {
-    snap.counters[name] = cell->load(std::memory_order_relaxed);
-  }
-  for (const auto& [name, cell] : double_counters_) {
-    snap.double_counters[name] = cell->load(std::memory_order_relaxed);
-  }
+  const auto export_counters = [](const auto& families, auto& out) {
+    for (const auto& [name, family] : families) {
+      const auto total = sum_cells(*family);
+      if (family->listed || total != 0) out[name] = total;
+    }
+  };
+  export_counters(counters_, snap.counters);
+  export_counters(double_counters_, snap.double_counters);
   for (const auto& [name, cell] : gauges_) {
     snap.gauges[name] = cell->load(std::memory_order_relaxed);
   }
@@ -261,8 +328,14 @@ void sync_lock_order_metrics() {
 
 void MetricsRegistry::reset() {
   MutexLock lock(mutex_);
-  for (auto& [name, cell] : counters_) cell->store(0);
-  for (auto& [name, cell] : double_counters_) cell->store(0.0);
+  const auto zero = [](auto& families) {
+    for (auto& [name, family] : families) {
+      family->process.store(0);
+      for (auto* cell : family->instances) cell->store(0);
+    }
+  };
+  zero(counters_);
+  zero(double_counters_);
   for (auto& [name, cell] : gauges_) cell->store(0);
   for (auto& [name, cells] : histograms_) {
     for (auto& bucket : cells->buckets) bucket.store(0);

@@ -1,8 +1,10 @@
 // Process-wide metrics registry: named atomic counters, gauges, and
 // fixed-bucket latency histograms, cheap enough for hot paths. Handles are
 // value types wrapping a registry-owned cell; creating one takes a lock,
-// updating one is a single relaxed atomic RMW. See docs/observability.md for
-// the naming scheme and the catalog of metrics the library emits.
+// updating one is a single relaxed atomic RMW. An object that counts its own
+// events owns an InstanceCell instead, which the registry sums under the
+// same name. See docs/observability.md for the naming scheme and the catalog
+// of metrics the library emits.
 //
 // Layering contract (tools/check_layering.py): telemetry is a leaf — every
 // library may include it, it includes nothing project-local except the
@@ -10,7 +12,8 @@
 // (UCUDNN_TELEMETRY) is therefore read with std::getenv directly.
 //
 // Defining UCUDNN_DISABLE_TELEMETRY compiles every handle operation to a
-// no-op and empties the registry.
+// no-op and empties the registry; instance cells still count for their
+// owners.
 #pragma once
 
 #include <atomic>
@@ -18,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/thread_annotations.h"
 
@@ -29,39 +33,84 @@ inline constexpr bool kCompiledIn = false;
 inline constexpr bool kCompiledIn = true;
 #endif
 
-/// Monotonic event counter.
-class Counter {
+namespace detail {
+
+/// Every cell of one counter name: the process cell that Counter handles
+/// and retired instance cells add to, plus the live instance cells linked
+/// under the name. `instances` and `listed` are guarded by the registry
+/// mutex; `listed` names are exported even at zero.
+template <typename T>
+struct CounterFamily {
+  std::atomic<T> process{T{}};
+  std::vector<std::atomic<T>*> instances;
+  bool listed = false;
+};
+
+}  // namespace detail
+
+/// Process-wide handle on a named monotonic counter: Counter for events,
+/// DoubleCounter for wall-clock totals (milliseconds). add() bumps the
+/// name's process cell; value() takes the registry lock and returns the
+/// process cell plus every live InstanceCell registered under the name.
+template <typename T>
+class BasicCounter {
  public:
-  Counter() = default;
-  void add(std::uint64_t n = 1) noexcept {
-    if (kCompiledIn && cell_) cell_->fetch_add(n, std::memory_order_relaxed);
+  BasicCounter() = default;
+  void add(T n = T{1}) noexcept {
+    if (kCompiledIn && family_) {
+      family_->process.fetch_add(n, std::memory_order_relaxed);
+    }
   }
-  std::uint64_t value() const noexcept {
-    return kCompiledIn && cell_ ? cell_->load(std::memory_order_relaxed) : 0;
-  }
+  T value() const noexcept;
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(std::atomic<std::uint64_t>* cell) : cell_(cell) {}
-  std::atomic<std::uint64_t>* cell_ = nullptr;
+  explicit BasicCounter(detail::CounterFamily<T>* family) : family_(family) {}
+  detail::CounterFamily<T>* family_ = nullptr;
 };
 
-/// Monotonic accumulator for wall-clock totals (milliseconds).
-class DoubleCounter {
+using Counter = BasicCounter<std::uint64_t>;
+using DoubleCounter = BasicCounter<double>;
+
+/// When an instance cell's name enters snapshot() and the exporters: once
+/// its total is non-zero, or as soon as the cell exists. A name that a
+/// process handle was requested for is always exported.
+enum class Listed { kOnceCounted, kAlways };
+
+/// A counter owned by the object whose events it counts, created under that
+/// event's metric name: value() is the per-object total, and the registry
+/// reports it (summed with the name's process cell and any other live
+/// instances) in value(), snapshot() and the exporters. When the cell is
+/// destroyed its value folds into the process cell, so process totals never
+/// go down. add() is one relaxed RMW on the cell's own atomic. Movable; a
+/// moved-from cell is inert. Under UCUDNN_DISABLE_TELEMETRY the cell still
+/// counts for its owner but is never registered.
+template <typename T>
+class InstanceCell {
  public:
-  DoubleCounter() = default;
-  void add(double v) noexcept {
-    if (kCompiledIn && cell_) cell_->fetch_add(v, std::memory_order_relaxed);
+  explicit InstanceCell(const std::string& name,
+                        Listed listed = Listed::kOnceCounted);
+  void add(T n = T{1}) noexcept {
+    if (cell_) cell_->value.fetch_add(n, std::memory_order_relaxed);
   }
-  double value() const noexcept {
-    return kCompiledIn && cell_ ? cell_->load(std::memory_order_relaxed) : 0.0;
+  T value() const noexcept {
+    return cell_ ? cell_->value.load(std::memory_order_relaxed) : T{};
   }
 
  private:
-  friend class MetricsRegistry;
-  explicit DoubleCounter(std::atomic<double>* cell) : cell_(cell) {}
-  std::atomic<double>* cell_ = nullptr;
+  struct Cell {
+    std::atomic<T> value{T{}};
+    detail::CounterFamily<T>* family = nullptr;  // null when unregistered
+  };
+  /// Folds the value into the family's process cell and unlinks it.
+  struct Retire {
+    void operator()(Cell* cell) const noexcept;
+  };
+  std::unique_ptr<Cell, Retire> cell_;
 };
+
+using InstanceCounter = InstanceCell<std::uint64_t>;
+using InstanceDoubleCounter = InstanceCell<double>;
 
 /// Last-writer-wins level (also supports relative adjustment).
 class Gauge {
@@ -149,11 +198,19 @@ class MetricsRegistry {
   /// {"counters":{...},"double_counters":{...},"gauges":{...},
   ///  "histograms":{name:{count,sum_ms,p50_ms,p95_ms,p99_ms,buckets:[...]}}}.
   std::string to_json() const;
-  /// Zeroes every cell; existing handles stay valid. Intended for tests
-  /// that need a clean process-wide baseline.
+  /// Zeroes every cell, live instance cells included; existing handles
+  /// stay valid. Intended for tests that need a clean process-wide baseline.
   void reset();
 
  private:
+  template <typename>
+  friend class BasicCounter;
+  template <typename>
+  friend class InstanceCell;
+  template <typename T>
+  using Families = std::map<std::string,
+                            std::unique_ptr<detail::CounterFamily<T>>>;
+
   MetricsRegistry();
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -165,11 +222,16 @@ class MetricsRegistry {
   std::string exit_snapshot_path_;
 
   mutable Mutex mutex_{"MetricsRegistry"};
+  template <typename T>
+  Families<T>& families() REQUIRES(mutex_);
+  /// Finds or creates the name's family; `listed` marks it exported at 0.
+  template <typename T>
+  detail::CounterFamily<T>* family(const std::string& name, bool listed)
+      REQUIRES(mutex_);
+
   // Node-based maps: cell addresses are stable for the registry's lifetime.
-  std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>> counters_
-      GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<std::atomic<double>>> double_counters_
-      GUARDED_BY(mutex_);
+  Families<std::uint64_t> counters_ GUARDED_BY(mutex_);
+  Families<double> double_counters_ GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<std::atomic<std::int64_t>>> gauges_
       GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram::Cells>> histograms_

@@ -50,27 +50,28 @@ double WorkspaceAuditReport::utilization_pct() const noexcept {
          static_cast<double>(declared_bytes) * 100.0;
 }
 
-std::uint64_t ExecutionReport::measured_segments() const noexcept {
-  std::uint64_t n = 0;
-  for (const KernelReport& k : kernels) {
-    for (const SegmentReport& s : k.segments) {
-      if (s.runs > 0) ++n;
-    }
+void SegmentErrorMean::add(const std::vector<SegmentReport>& segments) noexcept {
+  for (const SegmentReport& s : segments) {
+    if (s.runs == 0) continue;
+    total_pct_ += s.error_pct();
+    ++measured_;
   }
-  return n;
+}
+
+double SegmentErrorMean::pct() const noexcept {
+  return measured_ == 0 ? 0.0 : total_pct_ / static_cast<double>(measured_);
+}
+
+std::uint64_t ExecutionReport::measured_segments() const noexcept {
+  SegmentErrorMean mean;
+  for (const KernelReport& k : kernels) mean.add(k.segments);
+  return mean.measured();
 }
 
 double ExecutionReport::estimation_error_pct() const noexcept {
-  double total = 0.0;
-  std::uint64_t n = 0;
-  for (const KernelReport& k : kernels) {
-    for (const SegmentReport& s : k.segments) {
-      if (s.runs == 0) continue;
-      total += s.error_pct();
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : total / static_cast<double>(n);
+  SegmentErrorMean mean;
+  for (const KernelReport& k : kernels) mean.add(k.segments);
+  return mean.pct();
 }
 
 std::string ExecutionReport::to_text() const {

@@ -45,6 +45,21 @@ struct SegmentReport {
   double error_pct() const noexcept;
 };
 
+/// Mean SegmentReport::error_pct() over measured segments (runs > 0),
+/// accumulated one kernel's segment list at a time. The one estimation-error
+/// formula: ExecutionReport and UcudnnHandle::estimation_error_pct() share it.
+class SegmentErrorMean {
+ public:
+  void add(const std::vector<SegmentReport>& segments) noexcept;
+  /// In percent; 0 when nothing was measured.
+  double pct() const noexcept;
+  std::uint64_t measured() const noexcept { return measured_; }
+
+ private:
+  double total_pct_ = 0.0;
+  std::uint64_t measured_ = 0;
+};
+
 /// One executed conv kernel: its division, provenance, and workspace story.
 struct KernelReport {
   std::string label;        ///< layer label, e.g. "conv2(Forward)"

@@ -154,9 +154,6 @@ TraceRecorder::TraceRecorder()
       path != nullptr && path[0] != '\0') {
     request_trace_path_ = path;
   }
-  // Pins the registry's construction before ours so the dropped-span
-  // counter's cell outlives this recorder during static teardown.
-  m_dropped_ = MetricsRegistry::instance().counter("ucudnn.trace.dropped");
   set_enabled(!trace_path_.empty() || !request_trace_path_.empty() ||
               telemetry_enabled());
 }
@@ -172,7 +169,7 @@ TraceRecorder::~TraceRecorder() {
   }
   if (!request_trace_path_.empty()) {
     write_text_file(request_trace_path_,
-                    events_to_request_trace_json(events_, dropped_));
+                    events_to_request_trace_json(events_, dropped_.value()));
   }
 }
 
@@ -198,7 +195,7 @@ std::string TraceRecorder::request_trace_json() const {
   {
     MutexLock lock(mutex_);
     snapshot.assign(events_.begin(), events_.end());
-    dropped = dropped_;
+    dropped = dropped_.value();
   }
   return events_to_request_trace_json(snapshot, dropped);
 }
@@ -215,10 +212,9 @@ void TraceRecorder::record(SpanEvent event) {
       events_.pop_front();
       ++evicted;
     }
-    dropped_ += evicted;
+    if (evicted > 0) dropped_.add(evicted);
     events_.push_back(std::move(event));
   }
-  if (evicted > 0) m_dropped_.add(evicted);
 }
 
 std::size_t TraceRecorder::max_spans() const {
@@ -232,8 +228,7 @@ void TraceRecorder::set_max_spans(std::size_t cap) {
 }
 
 std::uint64_t TraceRecorder::dropped_spans() const {
-  MutexLock lock(mutex_);
-  return dropped_;
+  return dropped_.value();
 }
 
 double TraceRecorder::now_us() const noexcept {

@@ -119,8 +119,9 @@ class TraceRecorder {
   mutable Mutex mutex_{"TraceRecorder"};
   std::deque<SpanEvent> events_ GUARDED_BY(mutex_);
   std::size_t max_spans_ GUARDED_BY(mutex_);
-  std::uint64_t dropped_ GUARDED_BY(mutex_) = 0;
-  Counter m_dropped_;  // ucudnn.trace.dropped
+  // Also pins the registry's construction before ours, so the cell's fold
+  // at destruction finds the registry alive during static teardown.
+  InstanceCounter dropped_{"ucudnn.trace.dropped", Listed::kAlways};
 };
 
 /// RAII span. When both the trace recorder and the flight recorder are

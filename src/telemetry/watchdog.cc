@@ -24,7 +24,6 @@ Watchdog::Watchdog(WatchdogOptions opts, SampleFn sample_fn,
                    FlightRecorder* recorder)
     : opts_(std::move(opts)), sample_(std::move(sample_fn)),
       recorder_(recorder) {
-  m_samples_ = MetricsRegistry::instance().counter("ucudnn.watchdog.samples");
   m_incidents_ =
       MetricsRegistry::instance().counter("ucudnn.watchdog.incidents");
   if (opts_.period_ms > 0 && sample_) {
@@ -69,8 +68,7 @@ std::size_t Watchdog::poll_now() {
   }
   try {
     const WatchdogSample sample = sample_();
-    samples_.fetch_add(1, std::memory_order_relaxed);
-    m_samples_.add();
+    samples_.add();
     evaluate(sample);
     // Recorded as an incident, not swallowed: a failing vital-sign probe is
     // itself an anomaly worth reporting.

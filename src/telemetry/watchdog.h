@@ -88,9 +88,7 @@ class Watchdog {
   std::size_t poll_now();
 
   std::vector<WatchdogIncident> incidents() const;
-  std::uint64_t sample_count() const noexcept {
-    return samples_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t sample_count() const noexcept { return samples_.value(); }
   bool running() const noexcept {
     return running_.load(std::memory_order_relaxed);
   }
@@ -104,7 +102,7 @@ class Watchdog {
   const WatchdogOptions opts_;
   const SampleFn sample_;
   std::atomic<FlightRecorder*> recorder_;
-  std::atomic<std::uint64_t> samples_{0};
+  InstanceCounter samples_{"ucudnn.watchdog.samples", Listed::kAlways};
   std::atomic<bool> running_{false};
 
   mutable Mutex mutex_{"telemetry.Watchdog"};
@@ -115,7 +113,6 @@ class Watchdog {
   // has been observed clear at least once.
   std::map<std::string, bool> active_ GUARDED_BY(mutex_);
 
-  Counter m_samples_;    // ucudnn.watchdog.samples
   Counter m_incidents_;  // ucudnn.watchdog.incidents
 
   std::thread thread_;

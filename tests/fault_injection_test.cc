@@ -290,7 +290,7 @@ TEST_F(FaultInjectionTest, CorruptCacheFileIsQuarantinedNotFatal) {
     opts.cache_path = path;
     core::UcudnnHandle handle(
         std::make_shared<device::Device>(device::p100_sxm2_spec()), opts);
-    EXPECT_EQ(handle.degradation_stats().cache_quarantines, 1u);
+    EXPECT_EQ(handle.degradation_stats().cache_quarantines.value(), 1u);
     EXPECT_EQ(handle.cache()->size(), 0u);
     EXPECT_FALSE(std::filesystem::exists(path));
     EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
@@ -396,7 +396,7 @@ TEST_F(FaultInjectionTest, InfeasibleWdPlanDegradesToPerKernelWr) {
   handle.convolution(ConvKernelType::kForward, fwd_p, 1.0f, nullptr, nullptr,
                      0.0f, nullptr);
   EXPECT_FALSE(handle.wd_finalized());
-  EXPECT_EQ(handle.degradation_stats().solver_fallbacks, 1u);
+  EXPECT_EQ(handle.degradation_stats().solver_fallbacks.value(), 1u);
   EXPECT_NE(handle.configuration_for(ConvKernelType::kForward, fwd_p), nullptr);
 }
 
@@ -509,8 +509,18 @@ std::vector<std::vector<float>> run_workload(core::UcudnnHandle& handle,
 
 constexpr int kSoakIterations = 5;
 
+/// Plain copy of a handle's degradation counters, taken before the handle
+/// (which owns the counters) is destroyed.
+struct SoakStats {
+  std::uint64_t retries = 0;
+  std::uint64_t degraded_allocations = 0;
+  std::uint64_t blacklisted_algorithms = 0;
+  std::uint64_t cache_quarantines = 0;
+  bool any = false;
+};
+
 std::vector<std::vector<float>> run_soak(const std::string& faults,
-                                         core::DegradationStats* stats,
+                                         SoakStats* stats,
                                          const std::string& cache_path = "") {
   FaultInjector::instance().configure(faults);
   core::Options opts;
@@ -521,7 +531,12 @@ std::vector<std::vector<float>> run_soak(const std::string& faults,
       std::make_shared<device::Device>(device::host_cpu_spec()), opts);
   prefill_cache(handle);
   auto outputs = run_workload(handle, kSoakIterations);
-  if (stats != nullptr) *stats = handle.degradation_stats();
+  if (stats != nullptr) {
+    const core::DegradationStats& s = handle.degradation_stats();
+    *stats = {s.retries.value(), s.degraded_allocations.value(),
+              s.blacklisted_algorithms.value(), s.cache_quarantines.value(),
+              s.any()};
+  }
   FaultInjector::instance().configure("");
   return outputs;
 }
@@ -541,9 +556,9 @@ void expect_bitwise_equal(const std::vector<std::vector<float>>& got,
 class FaultSoakTest : public FaultInjectionTest {};
 
 TEST_F(FaultSoakTest, FaultFreeRunReportsNoDegradation) {
-  core::DegradationStats stats;
+  SoakStats stats;
   const auto outputs = run_soak("", &stats);
-  EXPECT_FALSE(stats.any());
+  EXPECT_FALSE(stats.any);
   for (const auto& out : outputs) {
     ASSERT_FALSE(out.empty());
     for (const float v : out) EXPECT_TRUE(std::isfinite(v));
@@ -551,12 +566,11 @@ TEST_F(FaultSoakTest, FaultFreeRunReportsNoDegradation) {
 }
 
 TEST_F(FaultSoakTest, TransientKernelFaultsRetryBitwiseIdentical) {
-  core::DegradationStats baseline_stats;
+  SoakStats baseline_stats;
   const auto baseline = run_soak("", &baseline_stats);
 
   // 4 kernel launches per iteration, 5 iterations; every 7th launch fails
   // once and is retried: 20 launches + 3 retries = 23 checks, 3 triggers.
-  core::DegradationStats stats;
   FaultInjector::instance().configure("kernel:every=7");
   core::Options opts;
   opts.workspace_limit = soak_limit();
@@ -565,13 +579,13 @@ TEST_F(FaultSoakTest, TransientKernelFaultsRetryBitwiseIdentical) {
       std::make_shared<device::Device>(device::host_cpu_spec()), opts);
   prefill_cache(handle);
   const auto outputs = run_workload(handle, kSoakIterations);
-  stats = handle.degradation_stats();
+  const core::DegradationStats& stats = handle.degradation_stats();
   EXPECT_EQ(FaultInjector::instance().stats(FaultSite::kKernel).checks, 23u);
   EXPECT_EQ(FaultInjector::instance().stats(FaultSite::kKernel).triggered, 3u);
   FaultInjector::instance().configure("");
 
-  EXPECT_EQ(stats.retries, 3u);
-  EXPECT_EQ(stats.blacklisted_algorithms, 0u);
+  EXPECT_EQ(stats.retries.value(), 3u);
+  EXPECT_EQ(stats.blacklisted_algorithms.value(), 0u);
   expect_bitwise_equal(outputs, baseline);
 }
 
@@ -581,7 +595,7 @@ TEST_F(FaultSoakTest, AllocFaultsDegradeBitwiseIdentical) {
   // The first workspace allocation fails twice: the fwd GEMM winner's
   // workspace is linear in the batch, so limit halving walks 8 -> [4,4] ->
   // [2,2,2,2] while staying on the same division-invariant algorithm.
-  core::DegradationStats stats;
+  SoakStats stats;
   const auto outputs = run_soak("alloc:every=1,count=2", &stats);
   EXPECT_EQ(stats.degraded_allocations, 2u);
   EXPECT_EQ(stats.retries, 0u);
@@ -598,7 +612,7 @@ TEST_F(FaultSoakTest, CorruptCacheFileQuarantinedBitwiseIdentical) {
     std::ofstream out(path);
     out << "x5fjq\x01garbage\n";
   }
-  core::DegradationStats stats;
+  SoakStats stats;
   const auto outputs = run_soak("", &stats, path);
   EXPECT_EQ(stats.cache_quarantines, 1u);
   expect_bitwise_equal(outputs, baseline);
@@ -613,7 +627,7 @@ TEST_F(FaultSoakTest, RetryExhaustionBlacklistsAndReplans) {
   // retries burn out, the algorithm is blacklisted, and the remaining batch
   // re-plans onto the runner-up. Outputs legitimately change algorithm here,
   // so the assertion is tolerance-based, not bitwise.
-  core::DegradationStats stats;
+  SoakStats stats;
   const auto outputs = run_soak("kernel:every=1,count=4", &stats);
   EXPECT_EQ(stats.retries, 3u);
   EXPECT_EQ(stats.blacklisted_algorithms, 1u);

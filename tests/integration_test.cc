@@ -230,7 +230,7 @@ TEST(FailureInjectionTest, DeviceOomDegradesToSmallerWorkspace) {
                                      {.pad_h = 2, .pad_w = 2});
   handle.convolution(ConvKernelType::kForward, problem, 1.0f, nullptr, nullptr,
                      0.0f, nullptr);
-  EXPECT_GT(handle.degradation_stats().degraded_allocations, 0u);
+  EXPECT_GT(handle.degradation_stats().degraded_allocations.value(), 0u);
   const core::Configuration* config =
       handle.configuration_for(ConvKernelType::kForward, problem);
   ASSERT_NE(config, nullptr);
@@ -254,7 +254,7 @@ TEST(FailureInjectionTest, DeviceOomFailFastSurfacesAllocFailed) {
   } catch (const Error& e) {
     EXPECT_EQ(e.status(), Status::kAllocFailed);
   }
-  EXPECT_EQ(handle.degradation_stats().degraded_allocations, 0u);
+  EXPECT_EQ(handle.degradation_stats().degraded_allocations.value(), 0u);
 }
 
 TEST(FailureInjectionTest, WdArenaDegradesToDeviceCapacity) {
@@ -274,7 +274,7 @@ TEST(FailureInjectionTest, WdArenaDegradesToDeviceCapacity) {
                        mcudnn::AlgoPreference::kPreferFastest, 0);
   handle.convolution(ConvKernelType::kForward, problem, 1.0f, nullptr, nullptr,
                      0.0f, nullptr);
-  EXPECT_GT(handle.degradation_stats().degraded_allocations, 0u);
+  EXPECT_GT(handle.degradation_stats().degraded_allocations.value(), 0u);
   ASSERT_NE(handle.wd_plan(), nullptr);
   EXPECT_LE(handle.wd_plan()->total_workspace, std::size_t{8} << 20);
 }

@@ -370,8 +370,8 @@ TEST_F(PlanTest, MidPlanReplanSplicesTailPreservingAccumulation) {
   FaultInjector::instance().configure("");
 
   const core::DegradationStats& stats = handle.degradation_stats();
-  EXPECT_EQ(stats.retries, 3u);
-  EXPECT_EQ(stats.blacklisted_algorithms, 1u);
+  EXPECT_EQ(stats.retries.value(), 3u);
+  EXPECT_EQ(stats.blacklisted_algorithms.value(), 1u);
   EXPECT_EQ(handle.plan_cache().epoch(), 1u);
   // The re-benchmark of the tail is charged to the replan counter, not lost.
   EXPECT_GT(handle.total_replan_benchmark_ms(), 0.0);
@@ -571,10 +571,10 @@ TEST_F(PlanTest, WdUnrecordedKernelFallbackIsCountedPerOccurrence) {
   std::vector<float> out = ops.out;
   handle.convolution(ConvKernelType::kForward, unrecorded, 1.0f, ops.a.data(),
                      ops.b.data(), 0.0f, out.data());
-  EXPECT_EQ(handle.degradation_stats().wd_unrecorded_fallbacks, 1u);
+  EXPECT_EQ(handle.degradation_stats().wd_unrecorded_fallbacks.value(), 1u);
   handle.convolution(ConvKernelType::kForward, unrecorded, 1.0f, ops.a.data(),
                      ops.b.data(), 0.0f, out.data());
-  EXPECT_EQ(handle.degradation_stats().wd_unrecorded_fallbacks, 2u);
+  EXPECT_EQ(handle.degradation_stats().wd_unrecorded_fallbacks.value(), 2u);
   EXPECT_TRUE(handle.degradation_stats().any());
 }
 

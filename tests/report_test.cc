@@ -10,7 +10,9 @@
 // estimates — both derive from the same device model, so the report's
 // estimation error is (near) zero; (4) UCUDNN_REPORT_FILE round-trip through
 // write_report_file in both renderings; (5) the workspace auditor's
-// utilization gauge is mirrored into the report's audit section.
+// utilization gauge is mirrored into the report's audit section; (6) after
+// a mid-execution re-plan, UcudnnHandle::estimation_error_pct() equals the
+// built report's figure exactly.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "analysis/workspace_audit.h"
+#include "common/fault_injection.h"
 #include "core/plan.h"
 #include "core/ucudnn.h"
 #include "json_validator.h"
@@ -222,6 +225,36 @@ TEST(ReportTest, ReportNamesTheExecutedDivisionAndAlgorithms) {
   EXPECT_NE(json.find("\"schema\":\"ucudnn-execution-report-v1\""),
             std::string::npos);
   EXPECT_NE(json.find("\"algo_name\":\"GEMM\""), std::string::npos);
+}
+
+// ------------------------- estimation error without building the report
+
+TEST(ReportTest, HandleEstimationErrorEqualsReportAfterReplan) {
+  const kernels::ConvProblem p = test_problem();
+  core::UcudnnHandle handle(
+      std::make_shared<device::Device>(device::host_cpu_spec()),
+      wr_pow2(forcing_limit(p)));
+  prefill_plans(handle, p);
+  prefill_plans(handle, p.with_batch(4));  // the tail re-plan's benchmark
+
+  // The second [4] GEMM segment fails its launch and all 3 retries: GEMM is
+  // blacklisted and the tail re-planned onto DIRECT mid-execution. Later
+  // runs execute the rebuilt plan.
+  FaultInjector::instance().configure("kernel:after=1,every=1,count=4");
+  run_forward(handle, p);
+  FaultInjector::instance().configure("");
+  EXPECT_EQ(handle.degradation_stats().blacklisted_algorithms.value(), 1u);
+  const telemetry::ExecutionReport replanned = handle.execution_report();
+  ASSERT_EQ(replanned.kernels.size(), 1u);
+  EXPECT_EQ(replanned.kernels[0].replans, 1u);
+  EXPECT_GT(replanned.measured_segments(), 0u);
+  EXPECT_GT(replanned.estimation_error_pct(), 0.0);
+  EXPECT_EQ(handle.estimation_error_pct(), replanned.estimation_error_pct());
+
+  run_forward(handle, p);
+  run_forward(handle, p);
+  EXPECT_EQ(handle.estimation_error_pct(),
+            handle.execution_report().estimation_error_pct());
 }
 
 // -------------------------------- virtual mode: estimate ~= measured

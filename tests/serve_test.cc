@@ -603,7 +603,7 @@ TEST_F(ServeTest, KernelFaultsEngageExecutorBlacklistLadder) {
   FaultInjector::instance().configure("kernel:every=1,count=4");
   Client client(1, 921, weights);
   EXPECT_EQ(server.submit(client.request())->wait(), Status::kSuccess);
-  EXPECT_GE(handle.degradation_stats().blacklisted_algorithms, 1u);
+  EXPECT_GE(handle.degradation_stats().blacklisted_algorithms.value(), 1u);
 }
 
 // --- soak: the no-hang guarantee under overload + faults ------------------

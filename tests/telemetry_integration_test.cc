@@ -1,7 +1,7 @@
 // End-to-end telemetry tests: run a small caffepp net with tracing on,
 // validate that the exported Chrome trace is well-formed JSON carrying the
-// expected span catalog, and that the process-wide metrics registry mirrors
-// every legacy per-handle accessor.
+// expected span catalog, that the process-wide metrics registry agrees with
+// every per-handle accessor, and that it sums live and destroyed instances.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,9 +11,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/ucudnn.h"
 #include "frameworks/caffepp/net.h"
+#include "serve/server.h"
 #include "json_validator.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -141,24 +143,93 @@ TEST(TelemetryIntegrationTest, RegistryMirrorsLegacyAccessors) {
 
   const core::DegradationStats& stats = handle.degradation_stats();
   EXPECT_EQ(counter_or_zero(snap, "ucudnn.degradation.retries"),
-            stats.retries);
+            stats.retries.value());
   EXPECT_EQ(counter_or_zero(snap, "ucudnn.degradation.degraded_allocations"),
-            stats.degraded_allocations);
+            stats.degraded_allocations.value());
   EXPECT_EQ(counter_or_zero(snap, "ucudnn.degradation.blacklisted_algorithms"),
-            stats.blacklisted_algorithms);
+            stats.blacklisted_algorithms.value());
   EXPECT_EQ(counter_or_zero(snap, "ucudnn.degradation.solver_fallbacks"),
-            stats.solver_fallbacks);
+            stats.solver_fallbacks.value());
   EXPECT_EQ(counter_or_zero(snap, "ucudnn.degradation.cache_quarantines"),
-            stats.cache_quarantines);
+            stats.cache_quarantines.value());
   EXPECT_EQ(
       counter_or_zero(snap, "ucudnn.degradation.wd_unrecorded_fallbacks"),
-      stats.wd_unrecorded_fallbacks);
+      stats.wd_unrecorded_fallbacks.value());
 
   // The run exercised benchmarking and execution, so the headline metrics
   // must be non-trivial, not merely equal-and-zero.
   EXPECT_GT(counter_or_zero(snap, "ucudnn.benchmark.runs"), 0u);
   EXPECT_GT(counter_or_zero(snap, "ucudnn.executor.segments"), 0u);
   EXPECT_GT(handle.total_benchmark_ms(), 0.0);
+}
+
+// Two live instances of one counting object, read the way perfbench reads
+// the registry: the process-wide value's delta is the sum of the per-instance
+// accessors, while both are alive and after one is destroyed.
+std::uint64_t registry_count(const char* name) {
+  return telemetry::MetricsRegistry::instance().counter(name).value();
+}
+
+TEST(TelemetryIntegrationTest, ProcessCountersSumLiveAndRetiredServers) {
+  core::UcudnnHandle handle(cpu(), wr(1 << 20));
+  serve::ServeOptions opts;
+  opts.workers = 0;  // admission only: nothing executes underneath
+  opts.queue_capacity = 8;
+  opts.window_watermark = 1.0;
+  opts.shed_watermark = 1.0;
+  const kernels::ConvProblem p({1, 2, 6, 6}, {4, 2, 3, 3},
+                               {.pad_h = 1, .pad_w = 1});
+  std::vector<float> x(static_cast<std::size_t>(p.x.count()));
+  std::vector<float> w(static_cast<std::size_t>(p.w.count()));
+  std::vector<float> y(static_cast<std::size_t>(p.y.count()));
+  serve::ServeRequest request;
+  request.problem = p;
+  request.input = x.data();
+  request.weights = w.data();
+  request.output = y.data();
+
+  const std::uint64_t base = registry_count("ucudnn.serve.admitted");
+  auto a = std::make_unique<serve::Server>(handle, opts);
+  auto b = std::make_unique<serve::Server>(handle, opts);
+  for (int i = 0; i < 2; ++i) a->submit(request);
+  for (int i = 0; i < 3; ++i) b->submit(request);
+  EXPECT_EQ(a->counters().admitted, 2u);
+  EXPECT_EQ(b->counters().admitted, 3u);
+  EXPECT_EQ(registry_count("ucudnn.serve.admitted") - base,
+            a->counters().admitted + b->counters().admitted);
+
+  const std::uint64_t b_admitted = b->counters().admitted;
+  b.reset();
+  EXPECT_EQ(registry_count("ucudnn.serve.admitted") - base,
+            a->counters().admitted + b_admitted);
+}
+
+TEST(TelemetryIntegrationTest, ProcessCountersSumLiveAndRetiredHandles) {
+  const kernels::ConvProblem p({2, 2, 6, 6}, {4, 2, 3, 3},
+                               {.pad_h = 1, .pad_w = 1});
+  std::vector<float> x(static_cast<std::size_t>(p.x.count()), 1.0f);
+  std::vector<float> w(static_cast<std::size_t>(p.w.count()), 1.0f);
+  std::vector<float> y(static_cast<std::size_t>(p.y.count()));
+  const auto run = [&](core::UcudnnHandle& handle) {
+    handle.convolution(ConvKernelType::kForward, p, 1.0f, x.data(), w.data(),
+                       0.0f, y.data());
+  };
+
+  const std::uint64_t base = registry_count("ucudnn.plan_cache.misses");
+  auto a = std::make_unique<core::UcudnnHandle>(cpu(), wr(1 << 20));
+  auto b = std::make_unique<core::UcudnnHandle>(cpu(), wr(1 << 20));
+  run(*a);
+  run(*b);
+  run(*b);
+  EXPECT_GT(a->plan_cache().misses(), 0u);
+  EXPECT_GT(b->plan_cache().misses(), 0u);
+  EXPECT_EQ(registry_count("ucudnn.plan_cache.misses") - base,
+            a->plan_cache().misses() + b->plan_cache().misses());
+
+  const std::uint64_t b_misses = b->plan_cache().misses();
+  b.reset();
+  EXPECT_EQ(registry_count("ucudnn.plan_cache.misses") - base,
+            a->plan_cache().misses() + b_misses);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the telemetry leaf: metric handle semantics, histogram
-// bucketing, snapshot/reset behavior, span nesting, and the disabled-mode
-// zero-allocation guarantee.
+// bucketing, snapshot/reset behavior, instance-cell aggregation and
+// retirement, span nesting, and the disabled-mode zero-allocation guarantee.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "json_validator.h"
@@ -223,6 +224,97 @@ TEST(MetricsTest, CountersAreThreadSafe) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(), base + std::uint64_t{kThreads} * kAdds);
+}
+
+// --- instance cells ---------------------------------------------------------
+
+TEST(InstanceCellTest, LiveCellsAndProcessHandleSumUnderOneName) {
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  const std::string name = "test.instance.sum";
+  Counter process = registry.counter(name);
+  const std::uint64_t base = process.value();
+  InstanceCounter a(name);
+  InstanceCounter b(name);
+  a.add(3);
+  b.add(4);
+  process.add(5);
+
+  EXPECT_EQ(a.value(), 3u);
+  EXPECT_EQ(b.value(), 4u);
+  EXPECT_EQ(process.value(), base + 12);
+  EXPECT_EQ(registry.counter(name).value(), base + 12);
+  EXPECT_EQ(registry.snapshot().counters.at(name), base + 12);
+  EXPECT_NE(registry.to_text().find(name + " " + std::to_string(base + 12)),
+            std::string::npos);
+
+  const std::string dname = "test.instance.double_sum";
+  const double dbase = registry.double_counter(dname).value();
+  InstanceDoubleCounter x(dname);
+  InstanceDoubleCounter y(dname);
+  x.add(0.5);
+  y.add(1.25);
+  EXPECT_DOUBLE_EQ(x.value(), 0.5);
+  EXPECT_DOUBLE_EQ(registry.double_counter(dname).value(), dbase + 1.75);
+  EXPECT_DOUBLE_EQ(registry.snapshot().double_counters.at(dname),
+                   dbase + 1.75);
+}
+
+TEST(InstanceCellTest, NameIsExportedOnceCountedOrWhenListed) {
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  InstanceCounter counted("test.instance.once_counted");
+  InstanceCounter listed("test.instance.listed", Listed::kAlways);
+  MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.count("test.instance.once_counted"), 0u);
+  EXPECT_EQ(snap.counters.at("test.instance.listed"), 0u);
+  counted.add();
+  snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("test.instance.once_counted"), 1u);
+}
+
+TEST(InstanceCellTest, DestroyedCellFoldsIntoTheProcessTotal) {
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  const std::string name = "test.instance.fold";
+  Counter process = registry.counter(name);
+  const std::uint64_t base = process.value();
+  InstanceCounter survivor(name);
+  survivor.add(2);
+  {
+    InstanceCounter retiring(name);
+    retiring.add(7);
+    EXPECT_EQ(process.value(), base + 9);
+  }
+  EXPECT_EQ(process.value(), base + 9);
+  EXPECT_EQ(registry.snapshot().counters.at(name), base + 9);
+  EXPECT_EQ(survivor.value(), 2u);
+  survivor.add(1);
+  EXPECT_EQ(process.value(), base + 10);
+}
+
+TEST(InstanceCellTest, MovedFromCellIsInertAndResetZeroesLiveCells) {
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  const std::string name = "test.instance.move";
+  Counter process = registry.counter(name);
+  const std::uint64_t base = process.value();
+  InstanceCounter source(name);
+  source.add(4);
+  InstanceCounter target(std::move(source));
+  source.add(100);  // NOLINT(bugprone-use-after-move): inert by contract
+  EXPECT_EQ(source.value(), 0u);
+  EXPECT_EQ(target.value(), 4u);
+  EXPECT_EQ(process.value(), base + 4);  // counted once, not twice
+
+  InstanceCounter assigned(name);
+  assigned.add(6);
+  assigned = std::move(target);  // the overwritten cell folds its 6
+  EXPECT_EQ(assigned.value(), 4u);
+  EXPECT_EQ(process.value(), base + 10);
+
+  process.add(1);
+  registry.reset();
+  EXPECT_EQ(assigned.value(), 0u);
+  EXPECT_EQ(process.value(), 0u);
+  assigned.add(3);
+  EXPECT_EQ(process.value(), 3u);
 }
 
 TEST(ScopedSpanTest, RecordsNestingDepthAndContainment) {
