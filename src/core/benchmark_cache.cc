@@ -27,15 +27,24 @@ telemetry::Counter& cache_misses_metric() {
   return c;
 }
 
+// Third field of a database line holding a partial entry.
+constexpr std::string_view kPartialMarker = "partial";
+
 }  // namespace
 
 std::string BenchmarkCache::make_key(const std::string& device,
                                      ConvKernelType type,
                                      const kernels::ConvProblem& problem,
                                      std::int64_t micro_batch) {
+  const TensorShape& x = problem.x;
+  const FilterDesc& w = problem.w;
+  const ConvGeometry& g = problem.geom;
   std::ostringstream os;
-  os << device << "|" << to_string(type) << "|" << std::hex << problem.hash()
-     << std::dec << "|" << micro_batch;
+  os << device << "|" << to_string(type) << "|x" << x.n << "," << x.c << ","
+     << x.h << "," << x.w << "|w" << w.k << "," << w.c << "," << w.r << ","
+     << w.s << "|p" << g.pad_h << "," << g.pad_w << "|s" << g.stride_h << ","
+     << g.stride_w << "|d" << g.dilation_h << "," << g.dilation_w << "|g"
+     << g.groups << "|m" << static_cast<int>(g.mode) << "|" << micro_batch;
   return os.str();
 }
 
@@ -49,6 +58,14 @@ std::string BenchmarkCache::blacklist_key(const std::string& device,
 std::optional<std::vector<mcudnn::AlgoPerf>> BenchmarkCache::lookup(
     const std::string& device, ConvKernelType type,
     const kernels::ConvProblem& problem, std::int64_t micro_batch) const {
+  std::optional<CachedPerfs> entry = find(device, type, problem, micro_batch);
+  if (!entry || !entry->complete) return std::nullopt;
+  return std::move(entry->perfs);
+}
+
+std::optional<CachedPerfs> BenchmarkCache::find(
+    const std::string& device, ConvKernelType type,
+    const kernels::ConvProblem& problem, std::int64_t micro_batch) const {
   MutexLock lock(mutex_);
   const auto it = entries_.find(make_key(device, type, problem, micro_batch));
   if (it == entries_.end()) {
@@ -57,14 +74,16 @@ std::optional<std::vector<mcudnn::AlgoPerf>> BenchmarkCache::lookup(
   }
   cache_hits_metric().add(1);
   if (blacklist_.empty()) return it->second;
-  std::vector<mcudnn::AlgoPerf> filtered;
-  filtered.reserve(it->second.size());
-  std::copy_if(it->second.begin(), it->second.end(),
-               std::back_inserter(filtered), [&](const mcudnn::AlgoPerf& p) {
+  CachedPerfs filtered{{}, it->second.complete};
+  filtered.perfs.reserve(it->second.perfs.size());
+  std::copy_if(it->second.perfs.begin(), it->second.perfs.end(),
+               std::back_inserter(filtered.perfs),
+               [&](const mcudnn::AlgoPerf& p) {
                  return blacklist_.count(blacklist_key(device, type, p.algo)) ==
                         0;
                });
-  if (filtered.empty() && !it->second.empty()) {
+  if (filtered.complete && filtered.perfs.empty() &&
+      !it->second.perfs.empty()) {
     // The blacklist emptied a non-empty entry. Returning the empty vector
     // would read as "this problem supports no algorithms at all" and make
     // the caller give up; a miss instead sends it back to find_algorithms,
@@ -79,7 +98,44 @@ void BenchmarkCache::store(const std::string& device, ConvKernelType type,
                            std::int64_t micro_batch,
                            const std::vector<mcudnn::AlgoPerf>& perfs) {
   MutexLock lock(mutex_);
-  entries_[make_key(device, type, problem, micro_batch)] = perfs;
+  entries_[make_key(device, type, problem, micro_batch)] = {perfs, true};
+}
+
+void BenchmarkCache::merge(const std::string& device, ConvKernelType type,
+                           const kernels::ConvProblem& problem,
+                           std::int64_t micro_batch,
+                           const std::vector<mcudnn::AlgoPerf>& evaluated,
+                           bool complete) {
+  MutexLock lock(mutex_);
+  CachedPerfs& entry =
+      entries_
+          .try_emplace(make_key(device, type, problem, micro_batch),
+                       CachedPerfs{{}, false})
+          .first->second;
+  for (const mcudnn::AlgoPerf& perf : evaluated) {
+    const auto same = std::find_if(
+        entry.perfs.begin(), entry.perfs.end(),
+        [&](const mcudnn::AlgoPerf& p) { return p.algo == perf.algo; });
+    if (same == entry.perfs.end()) {
+      entry.perfs.push_back(perf);
+    } else {
+      *same = perf;
+    }
+  }
+  const auto failed = [](const mcudnn::AlgoPerf& p) {
+    return p.status != Status::kSuccess;
+  };
+  entry.complete = entry.complete || complete;
+  if (entry.complete) {
+    entry.perfs.erase(
+        std::remove_if(entry.perfs.begin(), entry.perfs.end(), failed),
+        entry.perfs.end());
+  }
+  std::stable_sort(entry.perfs.begin(), entry.perfs.end(),
+                   [&](const mcudnn::AlgoPerf& l, const mcudnn::AlgoPerf& r) {
+                     if (failed(l) != failed(r)) return failed(r);
+                     return !failed(l) && l.time_ms < r.time_ms;
+                   });
 }
 
 std::size_t BenchmarkCache::size() const {
@@ -154,7 +210,7 @@ CacheLoadResult BenchmarkCache::load_file(const std::string& path) {
 
   // Parse into a staging map first: either the whole file is good and gets
   // merged, or none of it does.
-  std::map<std::string, std::vector<mcudnn::AlgoPerf>> parsed;
+  std::map<std::string, CachedPerfs> parsed;
   std::string why;
   bool corrupt = FaultInjector::instance().armed() &&
                  FaultInjector::instance().should_fail(FaultSite::kCacheLoad);
@@ -165,10 +221,20 @@ CacheLoadResult BenchmarkCache::load_file(const std::string& path) {
       std::string line;
       while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#') continue;
+        // key \t perfs [\t partial]: lines without the marker, which
+        // includes every file written before partial entries existed, are
+        // complete.
         const auto tab = line.find('\t');
         check(tab != std::string::npos, Status::kInternalError,
               "malformed benchmark cache line: " + line);
-        parsed[line.substr(0, tab)] = decode_perfs(line.substr(tab + 1));
+        const auto marker = line.find('\t', tab + 1);
+        const bool partial = marker != std::string::npos;
+        check(!partial || line.compare(marker + 1, std::string::npos,
+                                       kPartialMarker) == 0,
+              Status::kInternalError,
+              "malformed benchmark cache line: " + line);
+        parsed[line.substr(0, tab)] = {
+            decode_perfs(line.substr(tab + 1, marker - tab - 1)), !partial};
       }
       // status-discipline: allow (recorded in `why`; quarantined + logged below)
     } catch (const Error& e) {
@@ -191,7 +257,7 @@ CacheLoadResult BenchmarkCache::load_file(const std::string& path) {
   }
 
   MutexLock lock(mutex_);
-  for (auto& [key, perfs] : parsed) entries_[key] = std::move(perfs);
+  for (auto& [key, entry] : parsed) entries_[key] = std::move(entry);
   return CacheLoadResult::kLoaded;
 }
 
@@ -207,8 +273,10 @@ void BenchmarkCache::save_file(const std::string& path) const {
     out << "# ucudnn benchmark cache v1\n";
     {
       MutexLock lock(mutex_);
-      for (const auto& [key, perfs] : entries_) {
-        out << key << "\t" << encode_perfs(perfs) << "\n";
+      for (const auto& [key, entry] : entries_) {
+        out << key << "\t" << encode_perfs(entry.perfs);
+        if (!entry.complete) out << "\t" << kPartialMarker;
+        out << "\n";
       }
     }
     out.flush();

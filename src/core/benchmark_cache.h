@@ -22,17 +22,43 @@ enum class CacheLoadResult {
   kQuarantined,  // file was corrupt; renamed to <path>.corrupt, nothing loaded
 };
 
+/// One cached (device, kernel, problem, micro size) entry. A complete entry
+/// evaluated every usable algorithm and lists the successful ones; anything
+/// it does not list is unusable. A partial entry lists only the algorithms
+/// evaluated so far (failures with their status) and says nothing about the
+/// rest, which a later planner measures when it needs them.
+struct CachedPerfs {
+  std::vector<mcudnn::AlgoPerf> perfs;
+  bool complete = true;
+};
+
 class BenchmarkCache {
  public:
-  /// Entries are returned with blacklisted algorithms filtered out, so a
-  /// blacklist decision immediately affects every later plan.
+  /// The complete entry's results, with blacklisted algorithms filtered
+  /// out, so a blacklist decision immediately affects every later plan. A
+  /// partial entry is a miss here.
   std::optional<std::vector<mcudnn::AlgoPerf>> lookup(
       const std::string& device, ConvKernelType type,
       const kernels::ConvProblem& problem, std::int64_t micro_batch) const;
 
+  /// The entry, complete or partial, with blacklisted algorithms filtered
+  /// out. Counts one cache hit or miss.
+  std::optional<CachedPerfs> find(const std::string& device,
+                                  ConvKernelType type,
+                                  const kernels::ConvProblem& problem,
+                                  std::int64_t micro_batch) const;
+
+  /// Stores a complete entry, replacing any previous one.
   void store(const std::string& device, ConvKernelType type,
              const kernels::ConvProblem& problem, std::int64_t micro_batch,
              const std::vector<mcudnn::AlgoPerf>& perfs);
+
+  /// Adds newly evaluated algorithms to the entry (creating a partial one
+  /// if there is none). `complete` says every usable algorithm has now been
+  /// evaluated; the entry then keeps only the successful results.
+  void merge(const std::string& device, ConvKernelType type,
+             const kernels::ConvProblem& problem, std::int64_t micro_batch,
+             const std::vector<mcudnn::AlgoPerf>& evaluated, bool complete);
 
   std::size_t size() const;
   void clear();
@@ -64,6 +90,8 @@ class BenchmarkCache {
   static std::vector<mcudnn::AlgoPerf> decode_perfs(const std::string& text);
 
  private:
+  /// Every field of the problem by value (ConvProblem::to_string() omits
+  /// dilation and mode; a hash alone may collide), plus the micro size.
   static std::string make_key(const std::string& device, ConvKernelType type,
                               const kernels::ConvProblem& problem,
                               std::int64_t micro_batch);
@@ -71,8 +99,7 @@ class BenchmarkCache {
                                    ConvKernelType type, int algo);
 
   mutable Mutex mutex_{"BenchmarkCache"};
-  std::map<std::string, std::vector<mcudnn::AlgoPerf>> entries_
-      GUARDED_BY(mutex_);
+  std::map<std::string, CachedPerfs> entries_ GUARDED_BY(mutex_);
   std::set<std::string> blacklist_ GUARDED_BY(mutex_);
 };
 

@@ -1,11 +1,19 @@
 // Micro-batch benchmarking (step 1 of the WR algorithm, §III-B): for every
-// candidate micro-batch size b', evaluate all convolution algorithms with
+// candidate micro-batch size b', evaluate the convolution algorithms with
 // cudnnFindConvolution*Algorithm-style benchmarking, through the cache.
 // Candidate sizes can be distributed over several homogeneous devices and
 // evaluated concurrently (§III-D "parallel micro-configuration evaluation").
+//
+// Timing is the expensive part on real kernels, so a table can be built
+// lazily: every (size, algorithm) pair that is not cached gets a lower bound
+// instead of a timing, and the WR planner (plan_wr) times only the pairs its
+// optimum depends on. A kernel's time does not fall when its batch grows, so
+// an untimed pair (b, a) is bounded by kBoundSlack times the smallest timing
+// of `a` at a smaller candidate size (0 when there is none).
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/benchmark_cache.h"
@@ -15,11 +23,46 @@
 
 namespace ucudnn::core {
 
-/// Benchmark table of one kernel: perfs[i] holds the SUPPORTED algorithm
-/// results (ascending time) for micro-batch size sizes[i].
+/// Safety factor on the bound of an untimed pair: it must stay below that
+/// pair's timing for lazy planning to find the exhaustive optimum. Timings
+/// of one algorithm do rise with the batch, but single-shot timings of
+/// sub-0.2 ms Winograd/GEMM kernels on the host CPU come out inverted (the
+/// smaller batch slower) now and then: 9-12 times per full benchmark of the
+/// CIFAR-10 training kernels on a 4-vCPU x86 VM, once by 14x. Replayed
+/// offline over 13 such benchmarks, every slack from 0.25 to 1.0 still
+/// found the exhaustive optimum; 0.8 keeps a margin for about 5 more timed
+/// pairs of 230 (120 instead of 115 at an 8 MiB limit). See
+/// docs/optimizer.md "Benchmarking".
+inline constexpr double kBoundSlack = 0.8;
+
+/// One (candidate size index, algorithm id) pair of a MicroBenchmark.
+struct BenchPair {
+  std::size_t size_index = 0;
+  int algo = -1;
+
+  bool operator==(const BenchPair&) const = default;
+};
+
+/// Benchmark table of one kernel: perfs[i] holds the usable algorithms for
+/// micro-batch size sizes[i], ascending by time_ms. That value is a timing,
+/// or for the algorithms listed in bounded[i] a lower bound on one. A
+/// complete table has no bounds (`bounded` may then be empty).
 struct MicroBenchmark {
   std::vector<std::int64_t> sizes;
   std::vector<std::vector<mcudnn::AlgoPerf>> perfs;
+  std::vector<std::vector<int>> bounded;
+
+  /// Whether (sizes[i], algo)'s value is a timing rather than a bound.
+  bool measured(std::size_t i, int algo) const;
+  /// Number of pairs whose value is a bound.
+  std::size_t bounded_count() const;
+  /// Replaces the bound of (sizes[i], algo) with its timing, or drops the
+  /// algorithm from that size when there is none (it failed or is
+  /// blacklisted). Call derive_bounds() after the last one.
+  void settle(std::size_t i, int algo, std::optional<double> time_ms);
+  /// Recomputes every bound from the timings (see kBoundSlack) and re-sorts
+  /// each size by value.
+  void derive_bounds();
 };
 
 class Benchmarker {
@@ -31,10 +74,28 @@ class Benchmarker {
   Benchmarker(std::vector<mcudnn::Handle> handles,
               std::shared_ptr<BenchmarkCache> cache);
 
-  /// Benchmarks every candidate micro size of `problem`'s batch under
-  /// `policy`. Results are cached by (device, kernel, problem, micro size).
+  /// The table of every candidate micro size of `problem`'s batch under
+  /// `policy`, built lazily: cached results are used as they are, and every
+  /// other usable pair gets a lower bound. On a simulated device
+  /// find_algorithms runs no kernel, so misses are evaluated at once and the
+  /// table is complete.
+  MicroBenchmark table(ConvKernelType type, const kernels::ConvProblem& problem,
+                       BatchSizePolicy policy);
+
+  /// Times the given bounded pairs of `bench` (built by table() for the same
+  /// kernel), caches them, and re-derives the remaining bounds. Each size's
+  /// pairs are one find_algorithms call, on the handle that owns the size.
+  void measure(ConvKernelType type, const kernels::ConvProblem& problem,
+               MicroBenchmark& bench, const std::vector<BenchPair>& pairs);
+
+  /// The complete table: table() with every bound measured. Results are
+  /// cached by (device, kernel, problem, micro size).
   MicroBenchmark run(ConvKernelType type, const kernels::ConvProblem& problem,
                      BatchSizePolicy policy);
+
+  /// Counts the pairs `bench` still holds as bounds (pairs its plan never
+  /// needed timed). Call once per table, when planning is done with it.
+  void note_unmeasured(const MicroBenchmark& bench);
 
   /// Accumulated wall-clock time spent benchmarking (the §IV-B1
   /// "time to optimization" accounting). Atomic: concurrent run() calls on
@@ -48,6 +109,11 @@ class Benchmarker {
   }
 
  private:
+  const std::string& device_name(std::size_t w) const {
+    return handles_[w].device().spec().name;
+  }
+  void add_benchmark_ms(double ms);
+
   std::vector<mcudnn::Handle> handles_;
   std::shared_ptr<BenchmarkCache> cache_;
   telemetry::InstanceDoubleCounter total_benchmark_ms_{

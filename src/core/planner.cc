@@ -153,12 +153,10 @@ Planner::WrEntry& Planner::wr_entry(KernelId id) {
   const KernelRequest& kernel = kernels_[id];
   const ConvKernelType type = kernel.type;
   const kernels::ConvProblem& problem = kernel.problem;
-  const MicroBenchmark bench =
-      benchmarker_.run(type, problem, options_.batch_size_policy);
+  MicroBenchmark bench =
+      benchmarker_.table(type, problem, options_.batch_size_policy);
   const telemetry::ScopedSpan span("wr_dp", [&] { return kernel.label; });
-  Timer timer;
-  Configuration config = optimize_wr(bench, problem.batch(), limit);
-  total_optimize_ms_.add(timer.elapsed_ms());
+  Configuration config = solve_wr(type, problem, bench, limit);
   bool degraded = false;
   UCUDNN_LOG_INFO << "WR " << to_string(type) << " " << problem.to_string()
                   << " limit=" << limit << " -> " << config.to_string(type)
@@ -194,13 +192,29 @@ Planner::WrEntry& Planner::wr_entry(KernelId id) {
       UCUDNN_LOG_WARN << "workspace allocation of " << config.workspace
                       << " bytes failed for " << tag << " (" << e.what()
                       << "); re-optimizing with limit " << degraded_limit;
-      Timer degrade_timer;
-      config = optimize_wr(bench, problem.batch(), degraded_limit);
-      total_optimize_ms_.add(degrade_timer.elapsed_ms());
+      config = solve_wr(type, problem, bench, degraded_limit);
     }
   }
+  benchmarker_.note_unmeasured(bench);
   slot = WrEntry{limit, std::move(config), std::move(ws), degraded};
   return *slot;
+}
+
+Configuration Planner::solve_wr(ConvKernelType type,
+                                const kernels::ConvProblem& problem,
+                                MicroBenchmark& bench, std::size_t limit) {
+  const double benchmark_ms_before = benchmarker_.total_benchmark_ms();
+  Timer timer;
+  Configuration config = plan_wr(
+      bench, problem.batch(), limit,
+      [&](MicroBenchmark& table, const std::vector<BenchPair>& pairs) {
+        benchmarker_.measure(type, problem, table, pairs);
+      });
+  // The pairs plan_wr measures count as benchmarking, not optimization.
+  total_optimize_ms_.add(timer.elapsed_ms() -
+                         (benchmarker_.total_benchmark_ms() -
+                          benchmark_ms_before));
+  return config;
 }
 
 void Planner::finalize_wd() {
@@ -433,14 +447,14 @@ std::vector<PlanSegment> Planner::replan_tail(
   // BackwardFilter, partial accumulations) stay untouched. The existing
   // workspace bounds the new plan, so no reallocation is needed.
   const kernels::ConvProblem rest = problem.with_batch(problem.batch() - done);
-  Timer bench_timer;
-  const MicroBenchmark bench =
-      benchmarker_.run(type, rest, options_.batch_size_policy);
-  total_replan_benchmark_ms_.add(bench_timer.elapsed_ms());
+  const double benchmark_ms_before = benchmarker_.total_benchmark_ms();
+  MicroBenchmark bench =
+      benchmarker_.table(type, rest, options_.batch_size_policy);
   const telemetry::ScopedSpan wr_span("wr_dp");
-  Timer timer;
-  const Configuration replacement = optimize_wr(bench, rest.batch(), ws_bytes);
-  total_optimize_ms_.add(timer.elapsed_ms());
+  const Configuration replacement = solve_wr(type, rest, bench, ws_bytes);
+  total_replan_benchmark_ms_.add(benchmarker_.total_benchmark_ms() -
+                                 benchmark_ms_before);
+  benchmarker_.note_unmeasured(bench);
   return build_tail_segments(type, problem, replacement, done);
 }
 

@@ -216,9 +216,9 @@ class Planner {
   double total_optimize_ms() const noexcept {
     return total_optimize_ms_.value();
   }
-  /// Wall time spent re-benchmarking inside tail re-plans. Kept separate
-  /// from Benchmarker::total_benchmark_ms (which only counts cache misses)
-  /// so the §IV-B1 overhead accounting cannot under-report the replan path.
+  /// Wall time spent benchmarking inside tail re-plans (also part of
+  /// Benchmarker::total_benchmark_ms), so the §IV-B1 overhead accounting
+  /// can show the replan path on its own.
   double total_replan_benchmark_ms() const noexcept {
     return total_replan_benchmark_ms_.value();
   }
@@ -244,6 +244,11 @@ class Planner {
            !wd_degraded_to_wr_;
   }
   WrEntry& wr_entry(KernelId id);
+  /// plan_wr on `bench`, adding its solve time (not the timings it takes)
+  /// to total_optimize_ms.
+  Configuration solve_wr(ConvKernelType type,
+                         const kernels::ConvProblem& problem,
+                         MicroBenchmark& bench, std::size_t limit);
   const WdAssignment* wd_assignment(KernelId id) const;
   PlannedConvolution resolve(std::shared_ptr<const ExecutionPlan> plan,
                              KernelId id);

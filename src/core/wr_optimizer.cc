@@ -73,6 +73,30 @@ Configuration optimize_wr(const MicroBenchmark& bench, std::int64_t batch,
   return config;
 }
 
+Configuration plan_wr(MicroBenchmark& bench, std::int64_t batch,
+                      std::size_t ws_limit, const MeasurePairsFn& measure) {
+  for (;;) {
+    Configuration config = optimize_wr(bench, batch, ws_limit);
+    std::vector<BenchPair> pending;
+    for (const MicroConfig& micro : config.micro) {
+      const auto size = std::find(bench.sizes.begin(), bench.sizes.end(),
+                                  micro.batch);
+      const BenchPair pair{
+          static_cast<std::size_t>(size - bench.sizes.begin()), micro.algo};
+      if (!bench.measured(pair.size_index, pair.algo) &&
+          std::find(pending.begin(), pending.end(), pair) == pending.end()) {
+        pending.push_back(pair);
+      }
+    }
+    if (pending.empty()) return config;
+    // Each pass settles at least one bound, so the loop ends.
+    const std::size_t before = bench.bounded_count();
+    measure(bench, pending);
+    check(bench.bounded_count() < before, Status::kInternalError,
+          "measuring left every chosen bound unsettled");
+  }
+}
+
 void pareto_prune(std::vector<Configuration>& configs) {
   if (configs.empty()) return;
   std::sort(configs.begin(), configs.end(),

@@ -14,6 +14,7 @@
 // space (§III-C1) — consumed by the WD ILP.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "core/benchmarker.h"
@@ -27,6 +28,19 @@ namespace ucudnn::core {
 /// cannot happen here since zero-workspace algorithms always exist).
 Configuration optimize_wr(const MicroBenchmark& bench, std::int64_t batch,
                           std::size_t ws_limit);
+
+/// Times the given bounded pairs of a table and re-derives its bounds
+/// (Benchmarker::measure; tests substitute known timings).
+using MeasurePairsFn =
+    std::function<void(MicroBenchmark&, const std::vector<BenchPair>&)>;
+
+/// optimize_wr over a lazily measured table: solves, measures the chosen
+/// pairs that are still bounds, and solves again until every chosen pair is
+/// measured. Bounds never exceed timings, so the result costs no more than
+/// any other division: it is the optimum of the fully measured table, at
+/// the price of timing only the pairs it depended on.
+Configuration plan_wr(MicroBenchmark& bench, std::int64_t batch,
+                      std::size_t ws_limit, const MeasurePairsFn& measure);
 
 /// Removes Pareto-dominated entries in-place: afterwards, configurations are
 /// sorted by workspace ascending with strictly decreasing execution time.

@@ -1,6 +1,7 @@
 #include "mcudnn/mcudnn.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "analysis/workspace_audit.h"
 #include "common/aligned_buffer.h"
@@ -22,10 +23,7 @@ Handle::Handle(std::shared_ptr<device::Device> dev)
 }
 
 Handle::Handle(std::shared_ptr<device::Device> dev, ExecMode mode)
-    : device_(std::move(dev)), mode_(mode) {
-  check_param(!(mode_ == ExecMode::kNumeric && false),
-              "invalid handle configuration");
-}
+    : device_(std::move(dev)), mode_(mode) {}
 
 kernels::ConvProblem make_problem(ConvKernelType type, const TensorDesc& in,
                                   const FilterDesc& w, const ConvGeometry& conv,
@@ -59,41 +57,70 @@ std::size_t workspace_size(const Handle& handle, ConvKernelType type,
 
 namespace {
 
-// Wall-clock measurement of one algorithm on the host CPU. Allocates scratch
-// operands internally, like cudnnFindConvolutionForwardAlgorithm.
-double measure_algo_ms(ConvKernelType type, const kernels::ConvProblem& p,
-                       int algo, std::size_t ws_bytes) {
-  const std::int64_t a_count =
-      type == ConvKernelType::kBackwardData ? p.y.count() : p.x.count();
-  const std::int64_t b_count =
-      type == ConvKernelType::kBackwardFilter ? p.y.count() : p.w.count();
-  const std::int64_t out_count = type == ConvKernelType::kForward
-                                     ? p.y.count()
-                                     : type == ConvKernelType::kBackwardData
-                                           ? p.x.count()
-                                           : p.w.count();
-  AlignedBuffer<float> a(static_cast<std::size_t>(a_count));
-  AlignedBuffer<float> b(static_cast<std::size_t>(b_count));
-  AlignedBuffer<float> out(static_cast<std::size_t>(out_count));
-  fill_constant(a.data(), a_count, 0.5f);
-  fill_constant(b.data(), b_count, 0.25f);
-  fill_constant(out.data(), out_count, 0.0f);
-  AlignedBuffer<char> ws(ws_bytes);
+// Scratch operands for timing algorithms on the host CPU, allocated and
+// filled once per find_algorithms call, like the buffers
+// cudnnFindConvolutionForwardAlgorithm allocates internally.
+struct Scratch {
+  AlignedBuffer<float> a, b, out;
+  AlignedBuffer<char> ws;
 
-  const analysis::ScopedAuditContext audit_context("find_algorithms");
-  // One warmup, then the timed run.
-  kernels::execute(type, algo, p, a.data(), b.data(), out.data(), 1.0f, 0.0f,
-                   ws.data(), ws.bytes());
+  Scratch(ConvKernelType type, const kernels::ConvProblem& p,
+          std::size_t ws_bytes) {
+    const std::int64_t a_count =
+        type == ConvKernelType::kBackwardData ? p.y.count() : p.x.count();
+    const std::int64_t b_count =
+        type == ConvKernelType::kBackwardFilter ? p.y.count() : p.w.count();
+    const std::int64_t out_count = type == ConvKernelType::kForward
+                                       ? p.y.count()
+                                       : type == ConvKernelType::kBackwardData
+                                             ? p.x.count()
+                                             : p.w.count();
+    a = AlignedBuffer<float>(static_cast<std::size_t>(a_count));
+    b = AlignedBuffer<float>(static_cast<std::size_t>(b_count));
+    out = AlignedBuffer<float>(static_cast<std::size_t>(out_count));
+    fill_constant(a.data(), a_count, 0.5f);
+    fill_constant(b.data(), b_count, 0.25f);
+    fill_constant(out.data(), out_count, 0.0f);
+    ws = AlignedBuffer<char>(ws_bytes);
+  }
+};
+
+// Wall-clock measurement of one algorithm on the host CPU: one warmup, then
+// the timed run.
+double measure_algo_ms(ConvKernelType type, const kernels::ConvProblem& p,
+                       int algo, Scratch& s) {
+  kernels::execute(type, algo, p, s.a.data(), s.b.data(), s.out.data(), 1.0f,
+                   0.0f, s.ws.data(), s.ws.bytes());
   Timer timer;
-  kernels::execute(type, algo, p, a.data(), b.data(), out.data(), 1.0f, 0.0f,
-                   ws.data(), ws.bytes());
+  kernels::execute(type, algo, p, s.a.data(), s.b.data(), s.out.data(), 1.0f,
+                   0.0f, s.ws.data(), s.ws.bytes());
   return timer.elapsed_ms();
+}
+
+// Successful results first, fastest first; the rest keep their order.
+void sort_by_time(std::vector<AlgoPerf>& results) {
+  std::stable_sort(results.begin(), results.end(),
+                   [](const AlgoPerf& l, const AlgoPerf& r) {
+                     const bool lo = l.status == Status::kSuccess;
+                     const bool ro = r.status == Status::kSuccess;
+                     if (lo != ro) return lo;
+                     if (!lo) return false;
+                     return l.time_ms < r.time_ms;
+                   });
 }
 
 }  // namespace
 
 std::vector<AlgoPerf> find_algorithms(const Handle& handle, ConvKernelType type,
                                       const kernels::ConvProblem& p) {
+  std::vector<int> algos(static_cast<std::size_t>(kernels::algo_count(type)));
+  for (std::size_t i = 0; i < algos.size(); ++i) algos[i] = static_cast<int>(i);
+  return find_algorithms(handle, type, p, algos);
+}
+
+std::vector<AlgoPerf> find_algorithms(const Handle& handle, ConvKernelType type,
+                                      const kernels::ConvProblem& p,
+                                      const std::vector<int>& algos) {
   const telemetry::ScopedSpan span("find_algorithms",
                                    [&] { return p.to_string(); });
   {
@@ -103,40 +130,42 @@ std::vector<AlgoPerf> find_algorithms(const Handle& handle, ConvKernelType type,
     calls.add(1);
   }
   std::vector<AlgoPerf> results;
-  results.reserve(static_cast<std::size_t>(kernels::algo_count(type)));
-  for (int algo = 0; algo < kernels::algo_count(type); ++algo) {
+  results.reserve(algos.size());
+  std::size_t max_workspace = 0;
+  for (const int algo : algos) {
     AlgoPerf perf;
     perf.algo = algo;
-    if (!kernels::algo_supported(type, algo, p)) {
-      perf.status = Status::kNotSupported;
-      results.push_back(perf);
-      continue;
+    if (kernels::algo_supported(type, algo, p)) {
+      perf.status = Status::kSuccess;  // until the evaluation fails
+      perf.memory = kernels::algo_workspace(type, algo, p);
+      max_workspace = std::max(max_workspace, perf.memory);
     }
-    perf.memory = kernels::algo_workspace(type, algo, p);
+    results.push_back(perf);
+  }
+
+  const bool simulated = handle.device().is_simulated();
+  std::optional<Scratch> scratch;
+  std::optional<analysis::ScopedAuditContext> audit_context;
+  for (AlgoPerf& perf : results) {
+    if (perf.status != Status::kSuccess) continue;  // unsupported
     if (FaultInjector::instance().armed() &&
         FaultInjector::instance().should_fail(FaultSite::kKernel)) {
       // Benchmarking observes the failure instead of throwing, exactly like
       // cudnnFind* reporting a per-algorithm status.
       perf.status = Status::kExecutionFailed;
-      results.push_back(perf);
       continue;
     }
-    perf.status = Status::kSuccess;
-    if (handle.device().is_simulated()) {
-      perf.time_ms = handle.device().model_time_ms(type, algo, p);
-    } else {
-      perf.time_ms = measure_algo_ms(type, p, algo, perf.memory);
+    if (simulated) {
+      perf.time_ms = handle.device().model_time_ms(type, perf.algo, p);
+      continue;
     }
-    results.push_back(perf);
+    if (!scratch) {
+      scratch.emplace(type, p, max_workspace);
+      audit_context.emplace("find_algorithms");
+    }
+    perf.time_ms = measure_algo_ms(type, p, perf.algo, *scratch);
   }
-  std::stable_sort(results.begin(), results.end(),
-                   [](const AlgoPerf& l, const AlgoPerf& r) {
-                     const bool lo = l.status == Status::kSuccess;
-                     const bool ro = r.status == Status::kSuccess;
-                     if (lo != ro) return lo;
-                     if (!lo) return false;
-                     return l.time_ms < r.time_ms;
-                   });
+  sort_by_time(results);
   return results;
 }
 
@@ -177,14 +206,7 @@ std::vector<AlgoPerf> find_algorithms_ex(const Handle& handle,
     }
     results.push_back(perf);
   }
-  std::stable_sort(results.begin(), results.end(),
-                   [](const AlgoPerf& l, const AlgoPerf& r) {
-                     const bool lo = l.status == Status::kSuccess;
-                     const bool ro = r.status == Status::kSuccess;
-                     if (lo != ro) return lo;
-                     if (!lo) return false;
-                     return l.time_ms < r.time_ms;
-                   });
+  sort_by_time(results);
   return results;
 }
 

@@ -92,6 +92,14 @@ std::size_t workspace_size(const Handle& handle, ConvKernelType type,
 std::vector<AlgoPerf> find_algorithms(const Handle& handle, ConvKernelType type,
                                       const kernels::ConvProblem& p);
 
+/// find_algorithms restricted to the algorithm ids in `algos`: only those
+/// are evaluated (and consult the kernel fault site), in one call. On the
+/// host CPU the operands are allocated and filled once per call, with a
+/// workspace sized for the largest need among `algos`.
+std::vector<AlgoPerf> find_algorithms(const Handle& handle, ConvKernelType type,
+                                      const kernels::ConvProblem& p,
+                                      const std::vector<int>& algos);
+
 /// cudnnFindConvolution*AlgorithmEx: like find_algorithms, but measured
 /// runs use CALLER-provided operand and workspace buffers (and therefore
 /// leave real results in `out`, like the cuDNN Ex entry points). Only
