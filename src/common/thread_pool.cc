@@ -171,15 +171,4 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void parallel_for_each(std::int64_t count,
-                       const std::function<void(std::int64_t)>& body,
-                       std::int64_t min_chunk) {
-  ThreadPool::global().parallel_for(
-      count,
-      [&body](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t i = begin; i < end; ++i) body(i);
-      },
-      min_chunk);
-}
-
 }  // namespace ucudnn

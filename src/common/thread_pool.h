@@ -1,7 +1,14 @@
 // Fixed-size thread pool with a blocking, work-sharing parallel_for. Used by
-// the CPU convolution kernels and the SGEMM substrate; sized from
-// UCUDNN_NUM_THREADS (default: hardware concurrency; invalid values are
-// rejected with a warning instead of wrapping to a huge worker count).
+// the CPU convolution kernels, the SGEMM substrate, the FFT and the
+// framework layers; sized from UCUDNN_NUM_THREADS (default: hardware
+// concurrency; invalid values are rejected with a warning instead of
+// wrapping to a huge worker count).
+//
+// parallel_for is the only parallel loop. Its body receives a contiguous
+// range [begin, end) and iterates it itself, so the type-erased call happens
+// once per chunk, never per element, and the inner loop can vectorize.
+// `min_chunk` is the grain: a count at or below it runs inline on the
+// caller, with no fork/join.
 //
 // parallel_for chunks are claimed from a shared atomic cursor, so
 //  - the calling thread executes chunks itself instead of blocking idle, and
@@ -71,11 +78,5 @@ class ThreadPool {
   CondVar cv_;
   bool stop_ GUARDED_BY(mutex_) = false;
 };
-
-/// Convenience wrapper over the global pool: body(index) for each i in
-/// [0, count), parallelized across chunks.
-void parallel_for_each(std::int64_t count,
-                       const std::function<void(std::int64_t)>& body,
-                       std::int64_t min_chunk = 1);
 
 }  // namespace ucudnn

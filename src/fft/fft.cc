@@ -169,21 +169,23 @@ void fft(Complex* data, std::size_t n, bool inverse) {
 
 void fft2d(Complex* data, std::size_t rows, std::size_t cols, bool inverse) {
   // Parallelize the independent 1-D transforms only when the matrix is large
-  // enough to amortize chunk dispatch; nested calls (fft2d under an outer
-  // parallel_for) share chunks with idle workers instead of serializing.
+  // enough to amortize chunk dispatch. A smaller matrix passes its whole
+  // count as the chunk, so parallel_for runs the pass inline on the caller.
+  // Nested calls (fft2d under an outer parallel_for) share chunks with idle
+  // workers instead of serializing.
   const bool parallel = rows >= 4 && rows * cols >= 16384;
-  const std::int64_t row_chunk = static_cast<std::int64_t>(
-      std::max<std::size_t>(1, 4096 / std::max<std::size_t>(1, cols)));
-  if (parallel) {
-    parallel_for_each(
-        static_cast<std::int64_t>(rows),
-        [&](std::int64_t r) { fft(data + r * cols, cols, inverse); },
-        row_chunk);
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) {
-      fft(data + r * cols, cols, inverse);
-    }
-  }
+  const auto row_count = static_cast<std::int64_t>(rows);
+  const auto col_count = static_cast<std::int64_t>(cols);
+  const std::int64_t row_chunk =
+      parallel ? std::max<std::int64_t>(1, 4096 / col_count) : row_count;
+  ThreadPool::global().parallel_for(
+      row_count,
+      [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t r = begin; r < end; ++r) {
+          fft(data + r * cols, cols, inverse);
+        }
+      },
+      row_chunk);
 
   // Column pass via transpose: the 1-D kernels then run on contiguous data
   // instead of strided columns copied one at a time. The transpose buffer is
@@ -199,18 +201,16 @@ void fft2d(Complex* data, std::size_t rows, std::size_t cols, bool inverse) {
       scratch[c * rows + r] = data[r * cols + c];
     }
   }
-  const std::int64_t col_chunk = static_cast<std::int64_t>(
-      std::max<std::size_t>(1, 4096 / std::max<std::size_t>(1, rows)));
-  if (parallel) {
-    parallel_for_each(
-        static_cast<std::int64_t>(cols),
-        [&](std::int64_t c) { fft(scratch.data() + c * rows, rows, inverse); },
-        col_chunk);
-  } else {
-    for (std::size_t c = 0; c < cols; ++c) {
-      fft(scratch.data() + c * rows, rows, inverse);
-    }
-  }
+  const std::int64_t col_chunk =
+      parallel ? std::max<std::int64_t>(1, 4096 / row_count) : col_count;
+  ThreadPool::global().parallel_for(
+      col_count,
+      [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t c = begin; c < end; ++c) {
+          fft(scratch.data() + c * rows, rows, inverse);
+        }
+      },
+      col_chunk);
   for (std::size_t c = 0; c < cols; ++c) {
     for (std::size_t r = 0; r < rows; ++r) {
       data[r * cols + c] = scratch[c * rows + r];

@@ -91,12 +91,16 @@ void ConvLayer::forward(const LayerContext& ctx) {
       ctx.model_memory_op(2.0 * top_->bytes());
     } else {
       const std::int64_t plane = problem_.y.h * problem_.y.w;
-      parallel_for_each(problem_.y.n * problem_.y.c, [&](std::int64_t nk) {
-        const std::int64_t k = nk % problem_.y.c;
-        float* out = top_->data() + nk * plane;
-        const float b = bias_->data()[k];
-        for (std::int64_t i = 0; i < plane; ++i) out[i] += b;
-      });
+      ThreadPool::global().parallel_for(
+          problem_.y.n * problem_.y.c,
+          [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t nk = begin; nk < end; ++nk) {
+              const std::int64_t k = nk % problem_.y.c;
+              float* out = top_->data() + nk * plane;
+              const float b = bias_->data()[k];
+              for (std::int64_t i = 0; i < plane; ++i) out[i] += b;
+            }
+          });
     }
   }
 }
@@ -114,15 +118,24 @@ void ConvLayer::backward(const LayerContext& ctx) {
     if (ctx.virtual_mode) {
       ctx.model_memory_op(top_->bytes());
     } else {
+      // Parallel over channels; each channel keeps its serial n-then-i
+      // double sum, so the result does not depend on the thread count.
+      // diff() allocates lazily, so it is resolved before the workers run.
       const std::int64_t plane = problem_.y.h * problem_.y.w;
-      for (std::int64_t k = 0; k < problem_.y.c; ++k) {
-        double acc = 0.0;
-        for (std::int64_t n = 0; n < problem_.y.n; ++n) {
-          const float* dy = top_->diff() + (n * problem_.y.c + k) * plane;
-          for (std::int64_t i = 0; i < plane; ++i) acc += dy[i];
-        }
-        bias_->diff()[k] = static_cast<float>(acc);
-      }
+      const float* dy = top_->diff();
+      float* dbias = bias_->diff();
+      ThreadPool::global().parallel_for(
+          problem_.y.c,
+          [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t k = begin; k < end; ++k) {
+              double acc = 0.0;
+              for (std::int64_t n = 0; n < problem_.y.n; ++n) {
+                const float* dy_nk = dy + (n * problem_.y.c + k) * plane;
+                for (std::int64_t i = 0; i < plane; ++i) acc += dy_nk[i];
+              }
+              dbias[k] = static_cast<float>(acc);
+            }
+          });
     }
   }
   // Data gradient (accumulate into the shared bottom diff).
@@ -143,8 +156,11 @@ void ReluLayer::forward(const LayerContext& ctx) {
   }
   const float* x = bottom_->data();
   float* y = top_->data();
-  parallel_for_each(
-      bottom_->count(), [&](std::int64_t i) { y[i] = std::max(0.0f, x[i]); },
+  ThreadPool::global().parallel_for(
+      bottom_->count(),
+      [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t i = begin; i < end; ++i) y[i] = std::max(0.0f, x[i]);
+      },
       /*min_chunk=*/1 << 14);
 }
 
@@ -158,16 +174,23 @@ void ReluLayer::backward(const LayerContext& ctx) {
   const float* dy = top_->diff();
   float* dx = bottom_->diff();
   if (dx == dy) {  // in-place: mask the diff directly
-    parallel_for_each(
+    ThreadPool::global().parallel_for(
         bottom_->count(),
-        [&](std::int64_t i) {
-          if (y[i] <= 0.0f) dx[i] = 0.0f;
+        [&](std::int64_t begin, std::int64_t end, std::size_t) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            if (y[i] <= 0.0f) dx[i] = 0.0f;
+          }
         },
         1 << 14);
   } else {
-    parallel_for_each(
+    ThreadPool::global().parallel_for(
         bottom_->count(),
-        [&](std::int64_t i) { dx[i] += y[i] > 0.0f ? dy[i] : 0.0f; }, 1 << 14);
+        [&](std::int64_t begin, std::int64_t end, std::size_t) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            dx[i] += y[i] > 0.0f ? dy[i] : 0.0f;
+          }
+        },
+        1 << 14);
   }
 }
 
@@ -201,43 +224,50 @@ void PoolLayer::forward(const LayerContext& ctx) {
         static_cast<std::size_t>(top_->count()) * sizeof(std::int32_t),
         name_ + ":aux"));
   }
-  parallel_for_each(out.n * out.c, [&](std::int64_t nc) {
-    const float* x = bottom_->data() + nc * in.h * in.w;
-    float* y = top_->data() + nc * out.h * out.w;
-    std::int32_t* am =
-        argmax_ == nullptr ? nullptr : argmax_ + nc * out.h * out.w;
-    for (std::int64_t i = 0; i < out.h; ++i) {
-      for (std::int64_t j = 0; j < out.w; ++j) {
-        const std::int64_t h0 = std::max<std::int64_t>(0, i * stride_ - pad_);
-        const std::int64_t w0 = std::max<std::int64_t>(0, j * stride_ - pad_);
-        const std::int64_t h1 = std::min(in.h, i * stride_ - pad_ + window_);
-        const std::int64_t w1 = std::min(in.w, j * stride_ - pad_ + window_);
-        if (mode_ == PoolMode::kMax) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int32_t best_idx = 0;
-          for (std::int64_t h = h0; h < h1; ++h) {
-            for (std::int64_t w = w0; w < w1; ++w) {
-              const float v = x[h * in.w + w];
-              if (v > best) {
-                best = v;
-                best_idx = static_cast<std::int32_t>(h * in.w + w);
+  ThreadPool::global().parallel_for(
+      out.n * out.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t nc = begin; nc < end; ++nc) {
+          const float* x = bottom_->data() + nc * in.h * in.w;
+          float* y = top_->data() + nc * out.h * out.w;
+          std::int32_t* am =
+              argmax_ == nullptr ? nullptr : argmax_ + nc * out.h * out.w;
+          for (std::int64_t i = 0; i < out.h; ++i) {
+            for (std::int64_t j = 0; j < out.w; ++j) {
+              const std::int64_t h0 =
+                  std::max<std::int64_t>(0, i * stride_ - pad_);
+              const std::int64_t w0 =
+                  std::max<std::int64_t>(0, j * stride_ - pad_);
+              const std::int64_t h1 =
+                  std::min(in.h, i * stride_ - pad_ + window_);
+              const std::int64_t w1 =
+                  std::min(in.w, j * stride_ - pad_ + window_);
+              if (mode_ == PoolMode::kMax) {
+                float best = -std::numeric_limits<float>::infinity();
+                std::int32_t best_idx = 0;
+                for (std::int64_t h = h0; h < h1; ++h) {
+                  for (std::int64_t w = w0; w < w1; ++w) {
+                    const float v = x[h * in.w + w];
+                    if (v > best) {
+                      best = v;
+                      best_idx = static_cast<std::int32_t>(h * in.w + w);
+                    }
+                  }
+                }
+                y[i * out.w + j] = best;
+                am[i * out.w + j] = best_idx;
+              } else {
+                double acc = 0.0;
+                for (std::int64_t h = h0; h < h1; ++h) {
+                  for (std::int64_t w = w0; w < w1; ++w) acc += x[h * in.w + w];
+                }
+                // Caffe-style: divide by the full window area.
+                y[i * out.w + j] = static_cast<float>(
+                    acc / static_cast<double>(window_ * window_));
               }
             }
           }
-          y[i * out.w + j] = best;
-          am[i * out.w + j] = best_idx;
-        } else {
-          double acc = 0.0;
-          for (std::int64_t h = h0; h < h1; ++h) {
-            for (std::int64_t w = w0; w < w1; ++w) acc += x[h * in.w + w];
-          }
-          // Caffe-style: divide by the full window area.
-          y[i * out.w + j] =
-              static_cast<float>(acc / static_cast<double>(window_ * window_));
         }
-      }
-    }
-  });
+      });
 }
 
 void PoolLayer::backward(const LayerContext& ctx) {
@@ -247,28 +277,35 @@ void PoolLayer::backward(const LayerContext& ctx) {
   }
   const auto& in = bottom_->shape();
   const auto& out = top_->shape();
-  parallel_for_each(out.n * out.c, [&](std::int64_t nc) {
-    float* dx = bottom_->diff() + nc * in.h * in.w;
-    const float* dy = top_->diff() + nc * out.h * out.w;
-    if (mode_ == PoolMode::kMax) {
-      const std::int32_t* am = argmax_ + nc * out.h * out.w;
-      for (std::int64_t p = 0; p < out.h * out.w; ++p) dx[am[p]] += dy[p];
-    } else {
-      const float scale = 1.0f / static_cast<float>(window_ * window_);
-      for (std::int64_t i = 0; i < out.h; ++i) {
-        for (std::int64_t j = 0; j < out.w; ++j) {
-          const std::int64_t h0 = std::max<std::int64_t>(0, i * stride_ - pad_);
-          const std::int64_t w0 = std::max<std::int64_t>(0, j * stride_ - pad_);
-          const std::int64_t h1 = std::min(in.h, i * stride_ - pad_ + window_);
-          const std::int64_t w1 = std::min(in.w, j * stride_ - pad_ + window_);
-          const float g = dy[i * out.w + j] * scale;
-          for (std::int64_t h = h0; h < h1; ++h) {
-            for (std::int64_t w = w0; w < w1; ++w) dx[h * in.w + w] += g;
+  ThreadPool::global().parallel_for(
+      out.n * out.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t nc = begin; nc < end; ++nc) {
+          float* dx = bottom_->diff() + nc * in.h * in.w;
+          const float* dy = top_->diff() + nc * out.h * out.w;
+          if (mode_ == PoolMode::kMax) {
+            const std::int32_t* am = argmax_ + nc * out.h * out.w;
+            for (std::int64_t p = 0; p < out.h * out.w; ++p) dx[am[p]] += dy[p];
+          } else {
+            const float scale = 1.0f / static_cast<float>(window_ * window_);
+            for (std::int64_t i = 0; i < out.h; ++i) {
+              for (std::int64_t j = 0; j < out.w; ++j) {
+                const std::int64_t h0 =
+                    std::max<std::int64_t>(0, i * stride_ - pad_);
+                const std::int64_t w0 =
+                    std::max<std::int64_t>(0, j * stride_ - pad_);
+                const std::int64_t h1 =
+                    std::min(in.h, i * stride_ - pad_ + window_);
+                const std::int64_t w1 =
+                    std::min(in.w, j * stride_ - pad_ + window_);
+                const float g = dy[i * out.w + j] * scale;
+                for (std::int64_t h = h0; h < h1; ++h) {
+                  for (std::int64_t w = w0; w < w1; ++w) dx[h * in.w + w] += g;
+                }
+              }
+            }
           }
         }
-      }
-    }
-  });
+      });
 }
 
 // ------------------------------------------------------------------ LrnLayer
@@ -299,27 +336,30 @@ void LrnLayer::forward(const LayerContext& ctx) {
     scale_ = static_cast<float*>(
         dev_->allocate(bottom_->bytes(), name_ + ":aux"));
   }
-  parallel_for_each(s.n * plane, [&](std::int64_t np) {
-    const std::int64_t n = np / plane;
-    const std::int64_t p = np % plane;
-    const float* x = bottom_->data() + n * s.c * plane + p;
-    float* sc = scale_ + n * s.c * plane + p;
-    float* y = top_->data() + n * s.c * plane + p;
-    for (std::int64_t c = 0; c < s.c; ++c) {
-      double acc = 0.0;
-      const std::int64_t c0 = std::max<std::int64_t>(0, c - half);
-      const std::int64_t c1 = std::min(s.c, c + half + 1);
-      for (std::int64_t cc = c0; cc < c1; ++cc) {
-        const float v = x[cc * plane];
-        acc += static_cast<double>(v) * v;
-      }
-      const float scale_v =
-          k_ + alpha_ / static_cast<float>(local_size_) *
-                   static_cast<float>(acc);
-      sc[c * plane] = scale_v;
-      y[c * plane] = x[c * plane] * std::pow(scale_v, -beta_);
-    }
-  });
+  ThreadPool::global().parallel_for(
+      s.n * plane, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t np = begin; np < end; ++np) {
+          const std::int64_t n = np / plane;
+          const std::int64_t p = np % plane;
+          const float* x = bottom_->data() + n * s.c * plane + p;
+          float* sc = scale_ + n * s.c * plane + p;
+          float* y = top_->data() + n * s.c * plane + p;
+          for (std::int64_t c = 0; c < s.c; ++c) {
+            double acc = 0.0;
+            const std::int64_t c0 = std::max<std::int64_t>(0, c - half);
+            const std::int64_t c1 = std::min(s.c, c + half + 1);
+            for (std::int64_t cc = c0; cc < c1; ++cc) {
+              const float v = x[cc * plane];
+              acc += static_cast<double>(v) * v;
+            }
+            const float scale_v =
+                k_ + alpha_ / static_cast<float>(local_size_) *
+                         static_cast<float>(acc);
+            sc[c * plane] = scale_v;
+            y[c * plane] = x[c * plane] * std::pow(scale_v, -beta_);
+          }
+        }
+      });
 }
 
 void LrnLayer::backward(const LayerContext& ctx) {
@@ -331,28 +371,32 @@ void LrnLayer::backward(const LayerContext& ctx) {
   const std::int64_t plane = s.h * s.w;
   const std::int64_t half = local_size_ / 2;
   const float factor = 2.0f * alpha_ * beta_ / static_cast<float>(local_size_);
-  parallel_for_each(s.n * plane, [&](std::int64_t np) {
-    const std::int64_t n = np / plane;
-    const std::int64_t p = np % plane;
-    const float* x = bottom_->data() + n * s.c * plane + p;
-    const float* sc = scale_ + n * s.c * plane + p;
-    const float* y = top_->data() + n * s.c * plane + p;
-    const float* dy = top_->diff() + n * s.c * plane + p;
-    float* dx = bottom_->diff() + n * s.c * plane + p;
-    for (std::int64_t c = 0; c < s.c; ++c) {
-      // dx_c += dy_c * scale_c^-beta
-      //         - factor * x_c * sum_{j: c in window(j)} dy_j y_j / scale_j.
-      double cross = 0.0;
-      const std::int64_t j0 = std::max<std::int64_t>(0, c - half);
-      const std::int64_t j1 = std::min(s.c, c + half + 1);
-      for (std::int64_t j = j0; j < j1; ++j) {
-        cross += static_cast<double>(dy[j * plane]) * y[j * plane] /
-                 sc[j * plane];
-      }
-      dx[c * plane] += dy[c * plane] * std::pow(sc[c * plane], -beta_) -
-                       factor * x[c * plane] * static_cast<float>(cross);
-    }
-  });
+  ThreadPool::global().parallel_for(
+      s.n * plane, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t np = begin; np < end; ++np) {
+          const std::int64_t n = np / plane;
+          const std::int64_t p = np % plane;
+          const float* x = bottom_->data() + n * s.c * plane + p;
+          const float* sc = scale_ + n * s.c * plane + p;
+          const float* y = top_->data() + n * s.c * plane + p;
+          const float* dy = top_->diff() + n * s.c * plane + p;
+          float* dx = bottom_->diff() + n * s.c * plane + p;
+          for (std::int64_t c = 0; c < s.c; ++c) {
+            // dx_c += dy_c * scale_c^-beta
+            //         - factor * x_c
+            //           * sum_{j: c in window(j)} dy_j y_j / scale_j.
+            double cross = 0.0;
+            const std::int64_t j0 = std::max<std::int64_t>(0, c - half);
+            const std::int64_t j1 = std::min(s.c, c + half + 1);
+            for (std::int64_t j = j0; j < j1; ++j) {
+              cross += static_cast<double>(dy[j * plane]) * y[j * plane] /
+                       sc[j * plane];
+            }
+            dx[c * plane] += dy[c * plane] * std::pow(sc[c * plane], -beta_) -
+                             factor * x[c * plane] * static_cast<float>(cross);
+          }
+        }
+      });
 }
 
 // ------------------------------------------------------------------- FcLayer
@@ -400,12 +444,15 @@ void FcLayer::forward(const LayerContext& ctx) {
               weights_->data(), in_features_, 0.0f, top_->data(),
               out_features_);
   if (bias_) {
-    parallel_for_each(n, [&](std::int64_t i) {
-      float* y = top_->data() + i * out_features_;
-      for (std::int64_t o = 0; o < out_features_; ++o) {
-        y[o] += bias_->data()[o];
-      }
-    });
+    ThreadPool::global().parallel_for(
+        n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            float* y = top_->data() + i * out_features_;
+            for (std::int64_t o = 0; o < out_features_; ++o) {
+              y[o] += bias_->data()[o];
+            }
+          }
+        });
   }
 }
 
@@ -481,28 +528,31 @@ void BatchNormLayer::forward(const LayerContext& ctx) {
   const auto& s = bottom_->shape();
   const std::int64_t plane = s.h * s.w;
   const std::int64_t m = s.n * plane;
-  parallel_for_each(s.c, [&](std::int64_t c) {
-    double sum = 0.0, sq = 0.0;
-    for (std::int64_t n = 0; n < s.n; ++n) {
-      const float* x = bottom_->data() + (n * s.c + c) * plane;
-      for (std::int64_t p = 0; p < plane; ++p) {
-        sum += x[p];
-        sq += static_cast<double>(x[p]) * x[p];
-      }
-    }
-    const double mean = sum / static_cast<double>(m);
-    const double var = sq / static_cast<double>(m) - mean * mean;
-    mean_[c] = static_cast<float>(mean);
-    inv_std_[c] = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    const float g = gamma_->data()[c], b = beta_->data()[c];
-    for (std::int64_t n = 0; n < s.n; ++n) {
-      const float* x = bottom_->data() + (n * s.c + c) * plane;
-      float* y = top_->data() + (n * s.c + c) * plane;
-      for (std::int64_t p = 0; p < plane; ++p) {
-        y[p] = g * (x[p] - mean_[c]) * inv_std_[c] + b;
-      }
-    }
-  });
+  ThreadPool::global().parallel_for(
+      s.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t c = begin; c < end; ++c) {
+          double sum = 0.0, sq = 0.0;
+          for (std::int64_t n = 0; n < s.n; ++n) {
+            const float* x = bottom_->data() + (n * s.c + c) * plane;
+            for (std::int64_t p = 0; p < plane; ++p) {
+              sum += x[p];
+              sq += static_cast<double>(x[p]) * x[p];
+            }
+          }
+          const double mean = sum / static_cast<double>(m);
+          const double var = sq / static_cast<double>(m) - mean * mean;
+          mean_[c] = static_cast<float>(mean);
+          inv_std_[c] = static_cast<float>(1.0 / std::sqrt(var + eps_));
+          const float g = gamma_->data()[c], b = beta_->data()[c];
+          for (std::int64_t n = 0; n < s.n; ++n) {
+            const float* x = bottom_->data() + (n * s.c + c) * plane;
+            float* y = top_->data() + (n * s.c + c) * plane;
+            for (std::int64_t p = 0; p < plane; ++p) {
+              y[p] = g * (x[p] - mean_[c]) * inv_std_[c] + b;
+            }
+          }
+        }
+      });
 }
 
 void BatchNormLayer::backward(const LayerContext& ctx) {
@@ -513,36 +563,39 @@ void BatchNormLayer::backward(const LayerContext& ctx) {
   const auto& s = bottom_->shape();
   const std::int64_t plane = s.h * s.w;
   const std::int64_t m = s.n * plane;
-  parallel_for_each(s.c, [&](std::int64_t c) {
-    const float g = gamma_->data()[c];
-    const float mu = mean_[c], is = inv_std_[c];
-    // First pass: dgamma, dbeta, and the two reduction terms.
-    double dgamma = 0.0, dbeta = 0.0;
-    for (std::int64_t n = 0; n < s.n; ++n) {
-      const float* x = bottom_->data() + (n * s.c + c) * plane;
-      const float* dy = top_->diff() + (n * s.c + c) * plane;
-      for (std::int64_t p = 0; p < plane; ++p) {
-        const float xhat = (x[p] - mu) * is;
-        dgamma += static_cast<double>(dy[p]) * xhat;
-        dbeta += dy[p];
-      }
-    }
-    gamma_->diff()[c] = static_cast<float>(dgamma);
-    beta_->diff()[c] = static_cast<float>(dbeta);
-    // Second pass: dx += (g*is/m) * (m*dy - dbeta - xhat*dgamma).
-    const float scale = g * is / static_cast<float>(m);
-    for (std::int64_t n = 0; n < s.n; ++n) {
-      const float* x = bottom_->data() + (n * s.c + c) * plane;
-      const float* dy = top_->diff() + (n * s.c + c) * plane;
-      float* dx = bottom_->diff() + (n * s.c + c) * plane;
-      for (std::int64_t p = 0; p < plane; ++p) {
-        const float xhat = (x[p] - mu) * is;
-        dx[p] += scale * (static_cast<float>(m) * dy[p] -
-                          static_cast<float>(dbeta) -
-                          xhat * static_cast<float>(dgamma));
-      }
-    }
-  });
+  ThreadPool::global().parallel_for(
+      s.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t c = begin; c < end; ++c) {
+          const float g = gamma_->data()[c];
+          const float mu = mean_[c], is = inv_std_[c];
+          // First pass: dgamma, dbeta, and the two reduction terms.
+          double dgamma = 0.0, dbeta = 0.0;
+          for (std::int64_t n = 0; n < s.n; ++n) {
+            const float* x = bottom_->data() + (n * s.c + c) * plane;
+            const float* dy = top_->diff() + (n * s.c + c) * plane;
+            for (std::int64_t p = 0; p < plane; ++p) {
+              const float xhat = (x[p] - mu) * is;
+              dgamma += static_cast<double>(dy[p]) * xhat;
+              dbeta += dy[p];
+            }
+          }
+          gamma_->diff()[c] = static_cast<float>(dgamma);
+          beta_->diff()[c] = static_cast<float>(dbeta);
+          // Second pass: dx += (g*is/m) * (m*dy - dbeta - xhat*dgamma).
+          const float scale = g * is / static_cast<float>(m);
+          for (std::int64_t n = 0; n < s.n; ++n) {
+            const float* x = bottom_->data() + (n * s.c + c) * plane;
+            const float* dy = top_->diff() + (n * s.c + c) * plane;
+            float* dx = bottom_->diff() + (n * s.c + c) * plane;
+            for (std::int64_t p = 0; p < plane; ++p) {
+              const float xhat = (x[p] - mu) * is;
+              dx[p] += scale * (static_cast<float>(m) * dy[p] -
+                                static_cast<float>(dbeta) -
+                                xhat * static_cast<float>(dgamma));
+            }
+          }
+        }
+      });
 }
 
 // ------------------------------------------------------------ EltwiseSum etc
@@ -555,8 +608,12 @@ void EltwiseSumLayer::forward(const LayerContext& ctx) {
   const float* a = a_->data();
   const float* b = b_->data();
   float* y = top_->data();
-  parallel_for_each(
-      top_->count(), [&](std::int64_t i) { y[i] = a[i] + b[i]; }, 1 << 14);
+  ThreadPool::global().parallel_for(
+      top_->count(),
+      [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t i = begin; i < end; ++i) y[i] = a[i] + b[i];
+      },
+      1 << 14);
 }
 
 void EltwiseSumLayer::backward(const LayerContext& ctx) {
@@ -567,11 +624,13 @@ void EltwiseSumLayer::backward(const LayerContext& ctx) {
   const float* dy = top_->diff();
   float* da = a_->diff();
   float* db = b_->diff();
-  parallel_for_each(
+  ThreadPool::global().parallel_for(
       top_->count(),
-      [&](std::int64_t i) {
-        da[i] += dy[i];
-        db[i] += dy[i];
+      [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t i = begin; i < end; ++i) {
+          da[i] += dy[i];
+          db[i] += dy[i];
+        }
       },
       1 << 14);
 }
@@ -586,11 +645,14 @@ void ConcatLayer::forward(const LayerContext& ctx) {
   std::int64_t c_offset = 0;
   for (Blob* bottom : bottoms_) {
     const std::int64_t c = bottom->shape().c;
-    parallel_for_each(out.n, [&](std::int64_t n) {
-      const float* src = bottom->data() + n * c * plane;
-      float* dst = top_->data() + (n * out.c + c_offset) * plane;
-      std::copy(src, src + c * plane, dst);
-    });
+    ThreadPool::global().parallel_for(
+        out.n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+          for (std::int64_t n = begin; n < end; ++n) {
+            const float* src = bottom->data() + n * c * plane;
+            float* dst = top_->data() + (n * out.c + c_offset) * plane;
+            std::copy(src, src + c * plane, dst);
+          }
+        });
     c_offset += c;
   }
 }
@@ -605,11 +667,14 @@ void ConcatLayer::backward(const LayerContext& ctx) {
   std::int64_t c_offset = 0;
   for (Blob* bottom : bottoms_) {
     const std::int64_t c = bottom->shape().c;
-    parallel_for_each(out.n, [&](std::int64_t n) {
-      const float* src = top_->diff() + (n * out.c + c_offset) * plane;
-      float* dst = bottom->diff() + n * c * plane;
-      for (std::int64_t i = 0; i < c * plane; ++i) dst[i] += src[i];
-    });
+    ThreadPool::global().parallel_for(
+        out.n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+          for (std::int64_t n = begin; n < end; ++n) {
+            const float* src = top_->diff() + (n * out.c + c_offset) * plane;
+            float* dst = bottom->diff() + n * c * plane;
+            for (std::int64_t i = 0; i < c * plane; ++i) dst[i] += src[i];
+          }
+        });
     c_offset += c;
   }
 }

@@ -272,8 +272,13 @@ void Session::forward_op(int index) {
       if (virtual_mode_) return model_memory_op(2.0 * op.shape.bytes());
       const float* x = in(0).data;
       float* y = out.data;
-      parallel_for_each(
-          out.count, [&](std::int64_t i) { y[i] = std::max(0.0f, x[i]); },
+      ThreadPool::global().parallel_for(
+          out.count,
+          [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t i = begin; i < end; ++i) {
+              y[i] = std::max(0.0f, x[i]);
+            }
+          },
           1 << 14);
       return;
     }
@@ -287,40 +292,52 @@ void Session::forward_op(int index) {
       float* y = out.data;
       auto* argmax = reinterpret_cast<std::int32_t*>(out.aux);
       const bool is_max = op.type == OpType::kMaxPool;
-      parallel_for_each(op.shape.n * op.shape.c, [&](std::int64_t nc) {
-        const float* xp = x + nc * is.h * is.w;
-        float* yp = y + nc * op.shape.h * op.shape.w;
-        for (std::int64_t i = 0; i < op.shape.h; ++i) {
-          for (std::int64_t j = 0; j < op.shape.w; ++j) {
-            const std::int64_t h0 = std::max<std::int64_t>(0, i * op.stride - op.pad);
-            const std::int64_t w0 = std::max<std::int64_t>(0, j * op.stride - op.pad);
-            const std::int64_t h1 = std::min(is.h, i * op.stride - op.pad + op.window);
-            const std::int64_t w1 = std::min(is.w, j * op.stride - op.pad + op.window);
-            if (is_max) {
-              float best = -std::numeric_limits<float>::infinity();
-              std::int32_t best_idx = 0;
-              for (std::int64_t h = h0; h < h1; ++h) {
-                for (std::int64_t w = w0; w < w1; ++w) {
-                  if (xp[h * is.w + w] > best) {
-                    best = xp[h * is.w + w];
-                    best_idx = static_cast<std::int32_t>(h * is.w + w);
+      ThreadPool::global().parallel_for(
+          op.shape.n * op.shape.c,
+          [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t nc = begin; nc < end; ++nc) {
+              const float* xp = x + nc * is.h * is.w;
+              float* yp = y + nc * op.shape.h * op.shape.w;
+              for (std::int64_t i = 0; i < op.shape.h; ++i) {
+                for (std::int64_t j = 0; j < op.shape.w; ++j) {
+                  const std::int64_t h0 =
+                      std::max<std::int64_t>(0, i * op.stride - op.pad);
+                  const std::int64_t w0 =
+                      std::max<std::int64_t>(0, j * op.stride - op.pad);
+                  const std::int64_t h1 =
+                      std::min(is.h, i * op.stride - op.pad + op.window);
+                  const std::int64_t w1 =
+                      std::min(is.w, j * op.stride - op.pad + op.window);
+                  if (is_max) {
+                    float best = -std::numeric_limits<float>::infinity();
+                    std::int32_t best_idx = 0;
+                    for (std::int64_t h = h0; h < h1; ++h) {
+                      for (std::int64_t w = w0; w < w1; ++w) {
+                        if (xp[h * is.w + w] > best) {
+                          best = xp[h * is.w + w];
+                          best_idx = static_cast<std::int32_t>(h * is.w + w);
+                        }
+                      }
+                    }
+                    yp[i * op.shape.w + j] = best;
+                    argmax[nc * op.shape.h * op.shape.w + i * op.shape.w + j] =
+                        best_idx;
+                  } else {
+                    double acc = 0.0;
+                    for (std::int64_t h = h0; h < h1; ++h) {
+                      for (std::int64_t w = w0; w < w1; ++w) {
+                        acc += xp[h * is.w + w];
+                      }
+                    }
+                    // TF-style: divide by the number of valid elements.
+                    const double area =
+                        static_cast<double>((h1 - h0) * (w1 - w0));
+                    yp[i * op.shape.w + j] = static_cast<float>(acc / area);
                   }
                 }
               }
-              yp[i * op.shape.w + j] = best;
-              argmax[nc * op.shape.h * op.shape.w + i * op.shape.w + j] = best_idx;
-            } else {
-              double acc = 0.0;
-              for (std::int64_t h = h0; h < h1; ++h) {
-                for (std::int64_t w = w0; w < w1; ++w) acc += xp[h * is.w + w];
-              }
-              // TF-style: divide by the number of valid elements.
-              const double area = static_cast<double>((h1 - h0) * (w1 - w0));
-              yp[i * op.shape.w + j] = static_cast<float>(acc / area);
             }
-          }
-        }
-      });
+          });
       return;
     }
     case OpType::kMatMul: {
@@ -343,27 +360,30 @@ void Session::forward_op(int index) {
       const std::int64_t m = s.n * plane;
       float* mean = out.aux;
       float* inv_std = out.aux + s.c;
-      parallel_for_each(s.c, [&](std::int64_t c) {
-        double sum = 0.0, sq = 0.0;
-        for (std::int64_t n = 0; n < s.n; ++n) {
-          const float* x = in(0).data + (n * s.c + c) * plane;
-          for (std::int64_t p = 0; p < plane; ++p) {
-            sum += x[p];
-            sq += static_cast<double>(x[p]) * x[p];
-          }
-        }
-        const double mu = sum / static_cast<double>(m);
-        const double var = sq / static_cast<double>(m) - mu * mu;
-        mean[c] = static_cast<float>(mu);
-        inv_std[c] = static_cast<float>(1.0 / std::sqrt(var + op.eps));
-        for (std::int64_t n = 0; n < s.n; ++n) {
-          const float* x = in(0).data + (n * s.c + c) * plane;
-          float* y = out.data + (n * s.c + c) * plane;
-          for (std::int64_t p = 0; p < plane; ++p) {
-            y[p] = (x[p] - mean[c]) * inv_std[c];
-          }
-        }
-      });
+      ThreadPool::global().parallel_for(
+          s.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t c = begin; c < end; ++c) {
+              double sum = 0.0, sq = 0.0;
+              for (std::int64_t n = 0; n < s.n; ++n) {
+                const float* x = in(0).data + (n * s.c + c) * plane;
+                for (std::int64_t p = 0; p < plane; ++p) {
+                  sum += x[p];
+                  sq += static_cast<double>(x[p]) * x[p];
+                }
+              }
+              const double mu = sum / static_cast<double>(m);
+              const double var = sq / static_cast<double>(m) - mu * mu;
+              mean[c] = static_cast<float>(mu);
+              inv_std[c] = static_cast<float>(1.0 / std::sqrt(var + op.eps));
+              for (std::int64_t n = 0; n < s.n; ++n) {
+                const float* x = in(0).data + (n * s.c + c) * plane;
+                float* y = out.data + (n * s.c + c) * plane;
+                for (std::int64_t p = 0; p < plane; ++p) {
+                  y[p] = (x[p] - mean[c]) * inv_std[c];
+                }
+              }
+            }
+          });
       return;
     }
     case OpType::kAdd: {
@@ -371,8 +391,12 @@ void Session::forward_op(int index) {
       const float* a = in(0).data;
       const float* b = in(1).data;
       float* y = out.data;
-      parallel_for_each(
-          out.count, [&](std::int64_t i) { y[i] = a[i] + b[i]; }, 1 << 14);
+      ThreadPool::global().parallel_for(
+          out.count,
+          [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t i = begin; i < end; ++i) y[i] = a[i] + b[i];
+          },
+          1 << 14);
       return;
     }
     case OpType::kConcat: {
@@ -447,9 +471,13 @@ void Session::backward_op(int index) {
       const float* y = out.data;
       const float* dy = grad(index);
       float* dx = grad(op.inputs[0]);
-      parallel_for_each(
+      ThreadPool::global().parallel_for(
           out.count,
-          [&](std::int64_t i) { dx[i] += y[i] > 0.0f ? dy[i] : 0.0f; },
+          [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t i = begin; i < end; ++i) {
+              dx[i] += y[i] > 0.0f ? dy[i] : 0.0f;
+            }
+          },
           1 << 14);
       return;
     }
@@ -461,14 +489,18 @@ void Session::backward_op(int index) {
       const auto* argmax = reinterpret_cast<const std::int32_t*>(out.aux);
       float* dx_base = grad(op.inputs[0]);
       const float* dy_base = grad(index);
-      parallel_for_each(op.shape.n * op.shape.c, [&](std::int64_t nc) {
-        float* dx = dx_base + nc * is.h * is.w;
-        const float* dy = dy_base + nc * op.shape.h * op.shape.w;
-        const std::int32_t* am = argmax + nc * op.shape.h * op.shape.w;
-        for (std::int64_t p = 0; p < op.shape.h * op.shape.w; ++p) {
-          dx[am[p]] += dy[p];
-        }
-      });
+      ThreadPool::global().parallel_for(
+          op.shape.n * op.shape.c,
+          [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t nc = begin; nc < end; ++nc) {
+              float* dx = dx_base + nc * is.h * is.w;
+              const float* dy = dy_base + nc * op.shape.h * op.shape.w;
+              const std::int32_t* am = argmax + nc * op.shape.h * op.shape.w;
+              for (std::int64_t p = 0; p < op.shape.h * op.shape.w; ++p) {
+                dx[am[p]] += dy[p];
+              }
+            }
+          });
       return;
     }
     case OpType::kAvgPool: {
@@ -478,23 +510,33 @@ void Session::backward_op(int index) {
       const TensorShape& is = in_op(0).shape;
       float* dx_base = grad(op.inputs[0]);
       const float* dy_base = grad(index);
-      parallel_for_each(op.shape.n * op.shape.c, [&](std::int64_t nc) {
-        float* dx = dx_base + nc * is.h * is.w;
-        const float* dy = dy_base + nc * op.shape.h * op.shape.w;
-        for (std::int64_t i = 0; i < op.shape.h; ++i) {
-          for (std::int64_t j = 0; j < op.shape.w; ++j) {
-            const std::int64_t h0 = std::max<std::int64_t>(0, i * op.stride - op.pad);
-            const std::int64_t w0 = std::max<std::int64_t>(0, j * op.stride - op.pad);
-            const std::int64_t h1 = std::min(is.h, i * op.stride - op.pad + op.window);
-            const std::int64_t w1 = std::min(is.w, j * op.stride - op.pad + op.window);
-            const float g = dy[i * op.shape.w + j] /
-                            static_cast<float>((h1 - h0) * (w1 - w0));
-            for (std::int64_t h = h0; h < h1; ++h) {
-              for (std::int64_t w = w0; w < w1; ++w) dx[h * is.w + w] += g;
+      ThreadPool::global().parallel_for(
+          op.shape.n * op.shape.c,
+          [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t nc = begin; nc < end; ++nc) {
+              float* dx = dx_base + nc * is.h * is.w;
+              const float* dy = dy_base + nc * op.shape.h * op.shape.w;
+              for (std::int64_t i = 0; i < op.shape.h; ++i) {
+                for (std::int64_t j = 0; j < op.shape.w; ++j) {
+                  const std::int64_t h0 =
+                      std::max<std::int64_t>(0, i * op.stride - op.pad);
+                  const std::int64_t w0 =
+                      std::max<std::int64_t>(0, j * op.stride - op.pad);
+                  const std::int64_t h1 =
+                      std::min(is.h, i * op.stride - op.pad + op.window);
+                  const std::int64_t w1 =
+                      std::min(is.w, j * op.stride - op.pad + op.window);
+                  const float g = dy[i * op.shape.w + j] /
+                                  static_cast<float>((h1 - h0) * (w1 - w0));
+                  for (std::int64_t h = h0; h < h1; ++h) {
+                    for (std::int64_t w = w0; w < w1; ++w) {
+                      dx[h * is.w + w] += g;
+                    }
+                  }
+                }
+              }
             }
-          }
-        }
-      });
+          });
       return;
     }
     case OpType::kMatMul: {
@@ -521,30 +563,33 @@ void Session::backward_op(int index) {
       const std::int64_t m = s.n * plane;
       const float* mean = out.aux;
       const float* inv_std = out.aux + s.c;
-      parallel_for_each(s.c, [&](std::int64_t c) {
-        double dxhat_sum = 0.0, dxhat_xhat_sum = 0.0;
-        for (std::int64_t n = 0; n < s.n; ++n) {
-          const float* x = in(0).data + (n * s.c + c) * plane;
-          const float* dy = grad(index) + (n * s.c + c) * plane;
-          for (std::int64_t p = 0; p < plane; ++p) {
-            const float xhat = (x[p] - mean[c]) * inv_std[c];
-            dxhat_sum += dy[p];
-            dxhat_xhat_sum += static_cast<double>(dy[p]) * xhat;
-          }
-        }
-        const float scale = inv_std[c] / static_cast<float>(m);
-        for (std::int64_t n = 0; n < s.n; ++n) {
-          const float* x = in(0).data + (n * s.c + c) * plane;
-          const float* dy = grad(index) + (n * s.c + c) * plane;
-          float* dx = grad(op.inputs[0]) + (n * s.c + c) * plane;
-          for (std::int64_t p = 0; p < plane; ++p) {
-            const float xhat = (x[p] - mean[c]) * inv_std[c];
-            dx[p] += scale * (static_cast<float>(m) * dy[p] -
-                              static_cast<float>(dxhat_sum) -
-                              xhat * static_cast<float>(dxhat_xhat_sum));
-          }
-        }
-      });
+      ThreadPool::global().parallel_for(
+          s.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t c = begin; c < end; ++c) {
+              double dxhat_sum = 0.0, dxhat_xhat_sum = 0.0;
+              for (std::int64_t n = 0; n < s.n; ++n) {
+                const float* x = in(0).data + (n * s.c + c) * plane;
+                const float* dy = grad(index) + (n * s.c + c) * plane;
+                for (std::int64_t p = 0; p < plane; ++p) {
+                  const float xhat = (x[p] - mean[c]) * inv_std[c];
+                  dxhat_sum += dy[p];
+                  dxhat_xhat_sum += static_cast<double>(dy[p]) * xhat;
+                }
+              }
+              const float scale = inv_std[c] / static_cast<float>(m);
+              for (std::int64_t n = 0; n < s.n; ++n) {
+                const float* x = in(0).data + (n * s.c + c) * plane;
+                const float* dy = grad(index) + (n * s.c + c) * plane;
+                float* dx = grad(op.inputs[0]) + (n * s.c + c) * plane;
+                for (std::int64_t p = 0; p < plane; ++p) {
+                  const float xhat = (x[p] - mean[c]) * inv_std[c];
+                  dx[p] += scale * (static_cast<float>(m) * dy[p] -
+                                    static_cast<float>(dxhat_sum) -
+                                    xhat * static_cast<float>(dxhat_xhat_sum));
+                }
+              }
+            }
+          });
       return;
     }
     case OpType::kAdd: {
@@ -552,11 +597,13 @@ void Session::backward_op(int index) {
       const float* dy = grad(index);
       float* da = grad(op.inputs[0]);
       float* db = grad(op.inputs[1]);
-      parallel_for_each(
+      ThreadPool::global().parallel_for(
           out.count,
-          [&](std::int64_t i) {
-            da[i] += dy[i];
-            db[i] += dy[i];
+          [&](std::int64_t begin, std::int64_t end, std::size_t) {
+            for (std::int64_t i = begin; i < end; ++i) {
+              da[i] += dy[i];
+              db[i] += dy[i];
+            }
           },
           1 << 14);
       return;

@@ -149,10 +149,13 @@ void corr_fft_tile(const CorrSpec& c, const FftPlan& plan, const TileRect& t,
   const std::int64_t pw = t.tw + c.s - 1;
 
   // Zero the resident output spectra.
-  parallel_for_each(c.n * c.co, [&](std::int64_t idx) {
-    std::fill(dst_freq + idx * cells, dst_freq + (idx + 1) * cells,
-              Complex(0, 0));
-  });
+  ThreadPool::global().parallel_for(
+      c.n * c.co, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t idx = begin; idx < end; ++idx) {
+          std::fill(dst_freq + idx * cells, dst_freq + (idx + 1) * cells,
+                    Complex(0, 0));
+        }
+      });
 
   for (std::int64_t c0 = 0; c0 < c.cs; c0 += cb_max) {
     const std::int64_t cb = std::min(cb_max, c.cs - c0);
@@ -200,16 +203,20 @@ void corr_fft_tile(const CorrSpec& c, const FftPlan& plan, const TileRect& t,
         });
 
     // Frequency-domain accumulation: dst += SRC .* conj(FLT).
-    parallel_for_each(c.n * c.co, [&](std::int64_t idx) {
-      const std::int64_t n = idx / c.co;
-      const std::int64_t co = idx % c.co;
-      Complex* out = dst_freq + idx * cells;
-      for (std::int64_t lc = 0; lc < cb; ++lc) {
-        fft::multiply_conj_accumulate(src_freq + (n * cb + lc) * cells,
-                                      flt_freq + (co * cb + lc) * cells, out,
-                                      static_cast<std::size_t>(cells));
-      }
-    });
+    ThreadPool::global().parallel_for(
+        c.n * c.co, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+          for (std::int64_t idx = begin; idx < end; ++idx) {
+            const std::int64_t n = idx / c.co;
+            const std::int64_t co = idx % c.co;
+            Complex* out = dst_freq + idx * cells;
+            for (std::int64_t lc = 0; lc < cb; ++lc) {
+              fft::multiply_conj_accumulate(
+                  src_freq + (n * cb + lc) * cells,
+                  flt_freq + (co * cb + lc) * cells, out,
+                  static_cast<std::size_t>(cells));
+            }
+          }
+        });
   }
 
   // Inverse transforms and scatter.

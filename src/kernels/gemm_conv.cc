@@ -27,12 +27,16 @@ void gather_dy(const ConvProblem& p, const float* dy, float* stage) {
   const std::int64_t plane = p.y.h * p.y.w;
   const std::int64_t image = p.y.c * plane;
   const std::int64_t total = p.x.n * plane;
-  parallel_for_each(p.x.n, [&](std::int64_t n) {
-    for (std::int64_t k = 0; k < p.y.c; ++k) {
-      std::memcpy(stage + k * total + n * plane, dy + n * image + k * plane,
-                  static_cast<std::size_t>(plane) * sizeof(float));
-    }
-  });
+  ThreadPool::global().parallel_for(
+      p.x.n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t n = begin; n < end; ++n) {
+          for (std::int64_t k = 0; k < p.y.c; ++k) {
+            std::memcpy(stage + k * total + n * plane,
+                        dy + n * image + k * plane,
+                        static_cast<std::size_t>(plane) * sizeof(float));
+          }
+        }
+      });
 }
 
 }  // namespace
@@ -95,19 +99,22 @@ void gemm_forward(const ConvProblem& p, const float* x, const float* w,
 
   // Scatter back to NCHW with beta semantics.
   const std::int64_t image_y = p.y.c * plane;
-  parallel_for_each(p.x.n, [&](std::int64_t n) {
-    for (std::int64_t k = 0; k < p.y.c; ++k) {
-      const float* src = stage + k * total + n * plane;
-      float* dst = y + n * image_y + k * plane;
-      if (beta == 0.0f) {
-        for (std::int64_t i = 0; i < plane; ++i) dst[i] = src[i];
-      } else {
-        for (std::int64_t i = 0; i < plane; ++i) {
-          dst[i] = src[i] + beta * dst[i];
+  ThreadPool::global().parallel_for(
+      p.x.n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t n = begin; n < end; ++n) {
+          for (std::int64_t k = 0; k < p.y.c; ++k) {
+            const float* src = stage + k * total + n * plane;
+            float* dst = y + n * image_y + k * plane;
+            if (beta == 0.0f) {
+              for (std::int64_t i = 0; i < plane; ++i) dst[i] = src[i];
+            } else {
+              for (std::int64_t i = 0; i < plane; ++i) {
+                dst[i] = src[i] + beta * dst[i];
+              }
+            }
+          }
         }
-      }
-    }
-  });
+      });
 }
 
 std::size_t gemm_bwd_data_workspace(const ConvProblem& p) {
@@ -133,11 +140,14 @@ void gemm_backward_data(const ConvProblem& p, const float* dy, const float* w,
               rows, stage, total, 0.0f, dcol, total);
 
   const std::int64_t image_x = p.x.c * p.x.h * p.x.w;
-  parallel_for_each(p.x.n, [&](std::int64_t n) {
-    float* dx_n = dx + n * image_x;
-    apply_beta(dx_n, image_x, beta);
-    col2im_accumulate_strided(p, dcol + n * plane, total, dx_n);
-  });
+  ThreadPool::global().parallel_for(
+      p.x.n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t n = begin; n < end; ++n) {
+          float* dx_n = dx + n * image_x;
+          apply_beta(dx_n, image_x, beta);
+          col2im_accumulate_strided(p, dcol + n * plane, total, dx_n);
+        }
+      });
 }
 
 std::size_t perimage_bwd_filter_workspace(const ConvProblem& p) {

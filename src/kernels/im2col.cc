@@ -99,9 +99,12 @@ void im2col(const ConvProblem& p, const float* x_image, float* col) {
   const std::int64_t rows = col_rows(p);
   // Rows write disjoint output ranges; when called from inside an outer
   // parallel region the chunks are shared with idle workers.
-  parallel_for_each(rows, [&](std::int64_t row) {
-    lower_one_row(p, x_image, row, col + row * cols);
-  });
+  ThreadPool::global().parallel_for(
+      rows, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t row = begin; row < end; ++row) {
+          lower_one_row(p, x_image, row, col + row * cols);
+        }
+      });
 }
 
 void im2col_batched(const ConvProblem& p, const float* x, float* col) {
@@ -109,14 +112,17 @@ void im2col_batched(const ConvProblem& p, const float* x, float* col) {
   const std::int64_t per_image_cols = p.y.h * p.y.w;
   const std::int64_t total_cols = p.x.n * per_image_cols;
   const std::int64_t rows = col_rows(p);
-  parallel_for_each(p.x.n, [&](std::int64_t n) {
-    // Lower image n directly into the batched layout with strided writes.
-    const float* x_image = x + n * image;
-    for (std::int64_t row = 0; row < rows; ++row) {
-      lower_one_row(p, x_image, row,
-                    col + row * total_cols + n * per_image_cols);
-    }
-  });
+  ThreadPool::global().parallel_for(
+      p.x.n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t n = begin; n < end; ++n) {
+          // Lower image n directly into the batched layout with strided writes.
+          const float* x_image = x + n * image;
+          for (std::int64_t row = 0; row < rows; ++row) {
+            lower_one_row(p, x_image, row,
+                          col + row * total_cols + n * per_image_cols);
+          }
+        }
+      });
 }
 
 void col2im_accumulate(const ConvProblem& p, const float* col, float* x_image) {
@@ -128,24 +134,27 @@ void col2im_accumulate_strided(const ConvProblem& p, const float* col,
   const std::int64_t cols = row_stride;
   // Parallel over channels: rows of a channel scatter into that channel's
   // plane only, so channel chunks never race.
-  parallel_for_each(p.w.c, [&](std::int64_t c) {
-    float* x_channel = x_image + c * p.x.h * p.x.w;
-    for (std::int64_t r = 0; r < p.w.r; ++r) {
-      const std::int64_t rr = spatial_r(p, r);
-      for (std::int64_t s = 0; s < p.w.s; ++s) {
-        const std::int64_t ss = spatial_s(p, s);
-        const std::int64_t base_w = ss * p.geom.dilation_w - p.geom.pad_w;
-        const float* in = col + ((c * p.w.r + r) * p.w.s + s) * cols;
-        for (std::int64_t i = 0; i < p.y.h; ++i) {
-          const std::int64_t ih =
-              i * p.geom.stride_h - p.geom.pad_h + rr * p.geom.dilation_h;
-          if (ih < 0 || ih >= p.x.h) continue;
-          scatter_row(x_channel + ih * p.x.w, in + i * p.y.w, p.y.w,
-                      p.geom.stride_w, base_w, p.x.w);
+  ThreadPool::global().parallel_for(
+      p.w.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t c = begin; c < end; ++c) {
+          float* x_channel = x_image + c * p.x.h * p.x.w;
+          for (std::int64_t r = 0; r < p.w.r; ++r) {
+            const std::int64_t rr = spatial_r(p, r);
+            for (std::int64_t s = 0; s < p.w.s; ++s) {
+              const std::int64_t ss = spatial_s(p, s);
+              const std::int64_t base_w = ss * p.geom.dilation_w - p.geom.pad_w;
+              const float* in = col + ((c * p.w.r + r) * p.w.s + s) * cols;
+              for (std::int64_t i = 0; i < p.y.h; ++i) {
+                const std::int64_t ih =
+                    i * p.geom.stride_h - p.geom.pad_h + rr * p.geom.dilation_h;
+                if (ih < 0 || ih >= p.x.h) continue;
+                scatter_row(x_channel + ih * p.x.w, in + i * p.y.w, p.y.w,
+                            p.geom.stride_w, base_w, p.x.w);
+              }
+            }
+          }
         }
-      }
-    }
-  });
+      });
 }
 
 void build_gather_indices(const ConvProblem& p, std::int32_t* indices) {

@@ -42,9 +42,12 @@ const TestKernel* test_kernel_for(ConvKernelType type, int algo) noexcept {
 }
 
 void check_algo_range(ConvKernelType type, int algo) {
-  check_param(algo >= 0 && algo < algo_count(type),
-              "algorithm id out of range: " + std::to_string(algo) + " for " +
-                  std::string(to_string(type)));
+  // Runs on every launch: the message is built only on failure.
+  if (algo < 0 || algo >= algo_count(type)) {
+    throw Error(Status::kBadParam, "algorithm id out of range: " +
+                                       std::to_string(algo) + " for " +
+                                       std::string(to_string(type)));
+  }
 }
 
 double log2d(double v) { return std::log2(std::max(2.0, v)); }
@@ -182,9 +185,11 @@ bool algo_supported(ConvKernelType type, int algo,
 std::size_t algo_workspace(ConvKernelType type, int algo,
                            const ConvProblem& p) {
   check_algo_range(type, algo);
-  check(algo_supported(type, algo, p), Status::kNotSupported,
-        std::string(algo_name(type, algo)) + " unsupported for " +
-            p.to_string());
+  if (!algo_supported(type, algo, p)) {
+    throw Error(Status::kNotSupported, std::string(algo_name(type, algo)) +
+                                           " unsupported for " +
+                                           p.to_string());
+  }
   if (const TestKernel* kernel = test_kernel_for(type, algo)) {
     return kernel->workspace(p);
   }
@@ -388,12 +393,16 @@ void execute(ConvKernelType type, int algo, const ConvProblem& p,
              float beta, void* workspace, std::size_t workspace_bytes) {
   check_algo_range(type, algo);
   const std::size_t required = algo_workspace(type, algo, p);
-  check(workspace_bytes >= required, Status::kBadParam,
-        std::string(algo_name(type, algo)) + " needs " +
-            std::to_string(required) + " workspace bytes, got " +
-            std::to_string(workspace_bytes));
-  check(required == 0 || workspace != nullptr, Status::kBadParam,
-        "null workspace for workspace-requiring algorithm");
+  if (workspace_bytes < required) {
+    throw Error(Status::kBadParam, std::string(algo_name(type, algo)) +
+                                       " needs " + std::to_string(required) +
+                                       " workspace bytes, got " +
+                                       std::to_string(workspace_bytes));
+  }
+  if (required != 0 && workspace == nullptr) {
+    throw Error(Status::kBadParam,
+                "null workspace for workspace-requiring algorithm");
+  }
 
   if (analysis::workspace_audit_enabled()) {
     // Run against a red-zoned buffer of EXACTLY the declared size, not the

@@ -99,15 +99,20 @@ inline float filter_at(const ConvProblem& p, const float* w, std::int64_t k,
 
 // Transforms all filters into u[k][c][16].
 void build_filter_transforms(const ConvProblem& p, const float* w, float* u) {
-  parallel_for_each(p.w.k * p.w.c, [&](std::int64_t kc) {
-    const std::int64_t k = kc / p.w.c;
-    const std::int64_t c = kc % p.w.c;
-    float g[9];
-    for (int r = 0; r < 3; ++r) {
-      for (int s = 0; s < 3; ++s) g[r * 3 + s] = filter_at(p, w, k, c, r, s);
-    }
-    transform_filter(g, u + kc * 16);
-  });
+  ThreadPool::global().parallel_for(
+      p.w.k * p.w.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t kc = begin; kc < end; ++kc) {
+          const std::int64_t k = kc / p.w.c;
+          const std::int64_t c = kc % p.w.c;
+          float g[9];
+          for (int r = 0; r < 3; ++r) {
+            for (int s = 0; s < 3; ++s) {
+              g[r * 3 + s] = filter_at(p, w, k, c, r, s);
+            }
+          }
+          transform_filter(g, u + kc * 16);
+        }
+      });
 }
 
 std::int64_t tiles_h(const ConvProblem& p) noexcept { return (p.y.h + 1) / 2; }
@@ -119,18 +124,21 @@ std::int64_t tiles_w(const ConvProblem& p) noexcept { return (p.y.w + 1) / 2; }
 ConvProblem lower_backward_data(const ConvProblem& p, const float* w,
                                 float* w_prime) {
   const bool flip = p.geom.mode == ConvMode::kCrossCorrelation;
-  parallel_for_each(p.w.c * p.w.k, [&](std::int64_t ck) {
-    const std::int64_t c = ck / p.w.k;
-    const std::int64_t k = ck % p.w.k;
-    for (int r = 0; r < 3; ++r) {
-      for (int s = 0; s < 3; ++s) {
-        const std::int64_t rr = flip ? 2 - r : r;
-        const std::int64_t ss = flip ? 2 - s : s;
-        w_prime[((c * p.w.k + k) * 3 + r) * 3 + s] =
-            w[p.w.offset(k, c, rr, ss)];
-      }
-    }
-  });
+  ThreadPool::global().parallel_for(
+      p.w.c * p.w.k, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t ck = begin; ck < end; ++ck) {
+          const std::int64_t c = ck / p.w.k;
+          const std::int64_t k = ck % p.w.k;
+          for (int r = 0; r < 3; ++r) {
+            for (int s = 0; s < 3; ++s) {
+              const std::int64_t rr = flip ? 2 - r : r;
+              const std::int64_t ss = flip ? 2 - s : s;
+              w_prime[((c * p.w.k + k) * 3 + r) * 3 + s] =
+                  w[p.w.offset(k, c, rr, ss)];
+            }
+          }
+        }
+      });
   ConvGeometry geom;
   geom.pad_h = 2 - p.geom.pad_h;
   geom.pad_w = 2 - p.geom.pad_w;
@@ -241,33 +249,44 @@ void winograd_nonfused_forward(const ConvProblem& p, const float* x,
   float* m_xi = v_xi + 16 * p.w.c * nt;
 
   // Filter transforms, scattered per frequency index xi.
-  parallel_for_each(kc, [&](std::int64_t idx) {
-    const std::int64_t k = idx / p.w.c;
-    const std::int64_t c = idx % p.w.c;
-    float g[9];
-    for (int r = 0; r < 3; ++r) {
-      for (int s = 0; s < 3; ++s) g[r * 3 + s] = filter_at(p, w, k, c, r, s);
-    }
-    float u[16];
-    transform_filter(g, u);
-    for (int e = 0; e < 16; ++e) u_xi[e * kc + k * p.w.c + c] = u[e];
-  });
+  ThreadPool::global().parallel_for(
+      kc, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t idx = begin; idx < end; ++idx) {
+          const std::int64_t k = idx / p.w.c;
+          const std::int64_t c = idx % p.w.c;
+          float g[9];
+          for (int r = 0; r < 3; ++r) {
+            for (int s = 0; s < 3; ++s) {
+              g[r * 3 + s] = filter_at(p, w, k, c, r, s);
+            }
+          }
+          float u[16];
+          transform_filter(g, u);
+          for (int e = 0; e < 16; ++e) u_xi[e * kc + k * p.w.c + c] = u[e];
+        }
+      });
 
   // Input transforms, scattered per xi.
   const std::int64_t image_x = p.x.c * p.x.h * p.x.w;
-  parallel_for_each(nt, [&](std::int64_t idx) {
-    const std::int64_t n = idx / (th * tw);
-    const std::int64_t ti = (idx / tw) % th;
-    const std::int64_t tj = idx % tw;
-    const std::int64_t i0 = 2 * ti - p.geom.pad_h;
-    const std::int64_t j0 = 2 * tj - p.geom.pad_w;
-    for (std::int64_t c = 0; c < p.w.c; ++c) {
-      float d[16], v[16];
-      load_patch(x + n * image_x + c * p.x.h * p.x.w, p.x.h, p.x.w, i0, j0, d);
-      transform_input(d, v);
-      for (int e = 0; e < 16; ++e) v_xi[(e * p.w.c + c) * nt + idx] = v[e];
-    }
-  });
+  ThreadPool::global().parallel_for(
+      nt, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t idx = begin; idx < end; ++idx) {
+          const std::int64_t n = idx / (th * tw);
+          const std::int64_t ti = (idx / tw) % th;
+          const std::int64_t tj = idx % tw;
+          const std::int64_t i0 = 2 * ti - p.geom.pad_h;
+          const std::int64_t j0 = 2 * tj - p.geom.pad_w;
+          for (std::int64_t c = 0; c < p.w.c; ++c) {
+            float d[16], v[16];
+            load_patch(x + n * image_x + c * p.x.h * p.x.w, p.x.h, p.x.w, i0,
+                       j0, d);
+            transform_input(d, v);
+            for (int e = 0; e < 16; ++e) {
+              v_xi[(e * p.w.c + c) * nt + idx] = v[e];
+            }
+          }
+        }
+      });
 
   // 16 large GEMMs: M_xi[K][NT] = U_xi[K][C] x V_xi[C][NT].
   for (int e = 0; e < 16; ++e) {
@@ -278,28 +297,34 @@ void winograd_nonfused_forward(const ConvProblem& p, const float* x,
 
   // Inverse transforms and scatter.
   const std::int64_t image_y = p.y.c * p.y.h * p.y.w;
-  parallel_for_each(nt, [&](std::int64_t idx) {
-    const std::int64_t n = idx / (th * tw);
-    const std::int64_t ti = (idx / tw) % th;
-    const std::int64_t tj = idx % tw;
-    for (std::int64_t k = 0; k < p.w.k; ++k) {
-      float m[16];
-      for (int e = 0; e < 16; ++e) m[e] = m_xi[(e * p.w.k + k) * nt + idx];
-      float out[4];
-      transform_output(m, out);
-      float* y_plane = y + n * image_y + k * p.y.h * p.y.w;
-      for (int a = 0; a < 2; ++a) {
-        const std::int64_t oh = 2 * ti + a;
-        if (oh >= p.y.h) continue;
-        for (int b = 0; b < 2; ++b) {
-          const std::int64_t ow = 2 * tj + b;
-          if (ow >= p.y.w) continue;
-          float& dst = y_plane[oh * p.y.w + ow];
-          dst = alpha * out[a * 2 + b] + (beta == 0.0f ? 0.0f : beta * dst);
+  ThreadPool::global().parallel_for(
+      nt, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t idx = begin; idx < end; ++idx) {
+          const std::int64_t n = idx / (th * tw);
+          const std::int64_t ti = (idx / tw) % th;
+          const std::int64_t tj = idx % tw;
+          for (std::int64_t k = 0; k < p.w.k; ++k) {
+            float m[16];
+            for (int e = 0; e < 16; ++e) {
+              m[e] = m_xi[(e * p.w.k + k) * nt + idx];
+            }
+            float out[4];
+            transform_output(m, out);
+            float* y_plane = y + n * image_y + k * p.y.h * p.y.w;
+            for (int a = 0; a < 2; ++a) {
+              const std::int64_t oh = 2 * ti + a;
+              if (oh >= p.y.h) continue;
+              for (int b = 0; b < 2; ++b) {
+                const std::int64_t ow = 2 * tj + b;
+                if (ow >= p.y.w) continue;
+                float& dst = y_plane[oh * p.y.w + ow];
+                dst =
+                    alpha * out[a * 2 + b] + (beta == 0.0f ? 0.0f : beta * dst);
+              }
+            }
+          }
         }
-      }
-    }
-  });
+      });
 }
 
 std::size_t winograd_bwd_data_workspace(const ConvProblem& p) {

@@ -243,9 +243,12 @@ void convolution(const Handle& handle, ConvKernelType type,
             "ucudnn.mcudnn.convolutions");
     calls.add(1);
   }
-  check(kernels::algo_supported(type, algo, p), Status::kNotSupported,
-        std::string(kernels::algo_name(type, algo)) + " unsupported for " +
-            p.to_string());
+  // The launch-path checks build their message only when they fail.
+  if (!kernels::algo_supported(type, algo, p)) {
+    throw Error(Status::kNotSupported,
+                std::string(kernels::algo_name(type, algo)) +
+                    " unsupported for " + p.to_string());
+  }
   // Before any operand byte is touched: a failed launch never has partial
   // effects, which is what makes the caller's retry bitwise-safe.
   FaultInjector::instance().fail_point(FaultSite::kKernel);
@@ -255,15 +258,18 @@ void convolution(const Handle& handle, ConvKernelType type,
     // workspace-size contract is still enforced so that virtual runs catch
     // configuration bugs.
     const std::size_t required = kernels::algo_workspace(type, algo, p);
-    check(workspace_bytes >= required, Status::kBadParam,
-          "virtual execution with insufficient workspace: need " +
-              std::to_string(required) + ", got " +
-              std::to_string(workspace_bytes));
+    if (workspace_bytes < required) {
+      throw Error(Status::kBadParam,
+                  "virtual execution with insufficient workspace: need " +
+                      std::to_string(required) + ", got " +
+                      std::to_string(workspace_bytes));
+    }
     dev.advance_stream_ms(handle.stream(), dev.model_time_ms(type, algo, p));
     return;
   }
-  check_param(a != nullptr && b != nullptr && out != nullptr,
-              "null operand in numeric convolution");
+  if (a == nullptr || b == nullptr || out == nullptr) {
+    throw Error(Status::kBadParam, "null operand in numeric convolution");
+  }
   kernels::execute(type, algo, p, a, b, out, alpha, beta, workspace,
                    workspace_bytes);
   if (dev.is_simulated()) {

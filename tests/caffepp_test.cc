@@ -4,10 +4,14 @@
 // sanity, virtual-mode timing, and the per-layer memory accounting.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <random>
 
+#include "common/thread_pool.h"
 #include "frameworks/caffepp/model_zoo.h"
 #include "frameworks/caffepp/net.h"
 
@@ -313,6 +317,50 @@ TEST(NetMemoryTest, ReportCoversLayersAndWorkspace) {
   std::size_t total = 0;
   for (const auto& [layer, m] : report) total += m.total();
   EXPECT_EQ(total, dev->bytes_in_use());
+}
+
+TEST(ConvLayerTest, BiasGradientEqualsSerialDoubleSumBitwise) {
+  // dbias is reduced in parallel over channels on the global pool (one
+  // worker per hardware thread). Each channel keeps its n-then-i double sum,
+  // so the result equals the serial reduction bitwise whatever the thread
+  // count.
+  core::UcudnnHandle handle(cpu(), wr_options());
+  const LayerContext ctx{handle, handle.base().device_ptr(), false};
+  const TensorShape in{3, 4, 9, 9};
+  const FilterDesc filter{16, 4, 3, 3};
+  const ConvGeometry geom{.pad_h = 1, .pad_w = 1};
+  const TensorShape out = geom.output_shape(in, filter);
+  Blob bottom(ctx.dev, "data", in);
+  Blob top(ctx.dev, "c1", out);
+  ConvLayer layer(ctx, "c1", &bottom, &top, filter, geom, /*bias=*/true,
+                  std::size_t{1} << 20);
+  std::mt19937 rng(5);
+  layer.init_params(rng);
+  // Magnitudes spread over six decades, so a different summation order
+  // changes the rounded sum.
+  std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+  std::uniform_real_distribution<float> decade(-3.0f, 3.0f);
+  for (std::int64_t i = 0; i < bottom.count(); ++i) bottom.data()[i] = unit(rng);
+  for (std::int64_t i = 0; i < top.count(); ++i) {
+    top.diff()[i] = unit(rng) * std::pow(10.0f, decade(rng));
+  }
+  fill_constant(bottom.diff(), bottom.count(), 0.0f);
+
+  layer.backward(ctx);
+
+  const std::int64_t plane = out.h * out.w;
+  Blob* bias = layer.params().at(1);
+  for (std::int64_t k = 0; k < out.c; ++k) {
+    double acc = 0.0;
+    for (std::int64_t n = 0; n < out.n; ++n) {
+      const float* dy = top.diff() + (n * out.c + k) * plane;
+      for (std::int64_t i = 0; i < plane; ++i) acc += dy[i];
+    }
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(bias->diff()[k]),
+              std::bit_cast<std::uint32_t>(static_cast<float>(acc)))
+        << "channel " << k << " on "
+        << ThreadPool::global().num_threads() << " threads";
+  }
 }
 
 TEST(NetNumericTest, ForwardBackwardRunsOnCpu) {

@@ -198,7 +198,10 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
 
 TEST(ThreadPoolTest, ParallelForEachHelper) {
   std::vector<std::atomic<int>> hits(257);
-  parallel_for_each(257, [&](std::int64_t i) { hits[i].fetch_add(1); });
+  ThreadPool::global().parallel_for(
+      257, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -274,6 +277,68 @@ TEST(ThreadPoolTest, CallerThreadExecutesChunks) {
   EXPECT_TRUE(std::count(chunk_tids.begin(), chunk_tids.end(), caller) > 0);
   // With every worker parked the caller must in fact have run all chunks.
   for (const auto& tid : chunk_tids) EXPECT_EQ(tid, caller);
+}
+
+TEST(ThreadPoolTest, ChunksPartitionTheRangeForEveryShape) {
+  // For every pool size, grain and count around the grain: the chunks are
+  // contiguous, disjoint and cover [0, count); chunk indices are dense and
+  // below num_threads(); a count at or below the grain is one inline call
+  // with chunk 0 on the caller thread.
+  struct Chunk {
+    std::int64_t begin;
+    std::int64_t end;
+    std::size_t index;
+    std::thread::id tid;
+  };
+  const auto caller = std::this_thread::get_id();
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (const std::int64_t grain : {1, 64}) {
+      for (const std::int64_t count : {std::int64_t{0}, std::int64_t{1},
+                                       grain - 1, grain, grain + 1,
+                                       std::int64_t{1000003}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " grain=" + std::to_string(grain) +
+                     " count=" + std::to_string(count));
+        Mutex mutex{"test.chunks"};
+        std::vector<Chunk> chunks;
+        pool.parallel_for(
+            count,
+            [&](std::int64_t begin, std::int64_t end, std::size_t index) {
+              MutexLock lock(mutex);
+              chunks.push_back({begin, end, index, std::this_thread::get_id()});
+            },
+            grain);
+
+        std::sort(chunks.begin(), chunks.end(),
+                  [](const Chunk& a, const Chunk& b) {
+                    return a.begin < b.begin;
+                  });
+        std::int64_t cursor = 0;
+        std::vector<std::size_t> indices;
+        for (const Chunk& chunk : chunks) {
+          EXPECT_EQ(chunk.begin, cursor);
+          EXPECT_LT(chunk.begin, chunk.end);
+          EXPECT_LT(chunk.index, pool.num_threads());
+          cursor = chunk.end;
+          indices.push_back(chunk.index);
+        }
+        EXPECT_EQ(cursor, count);
+        std::sort(indices.begin(), indices.end());
+        for (std::size_t i = 0; i < indices.size(); ++i) {
+          EXPECT_EQ(indices[i], i);
+        }
+
+        if (count == 0) {
+          EXPECT_TRUE(chunks.empty());
+        } else if (count <= grain) {
+          ASSERT_EQ(chunks.size(), 1u);
+          EXPECT_EQ(chunks[0].index, 0u);
+          EXPECT_EQ(chunks[0].tid, caller);
+        }
+      }
+    }
+  }
 }
 
 // Temporarily sets (or unsets, when value == nullptr) an environment

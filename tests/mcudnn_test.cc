@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/aligned_buffer.h"
 #include "common/status.h"
@@ -255,6 +257,81 @@ TEST(ConvolutionTest, NumericRejectsNullOperands) {
                            nullptr, 0.0f, nullptr,
                            kernels::fwd_algo::kImplicitGemm, nullptr, 0),
                Error);
+}
+
+// Runs `launch`, which must throw Error, and returns the error's status and
+// what() text.
+template <typename Launch>
+std::pair<Status, std::string> launch_error(Launch&& launch) {
+  try {
+    launch();
+  } catch (const Error& e) {
+    return {e.status(), e.what()};
+  }
+  ADD_FAILURE() << "launch did not throw";
+  return {Status::kSuccess, ""};
+}
+
+TEST(ConvolutionTest, LaunchCheckFailuresKeepStatusAndMessage) {
+  Handle handle;  // host CPU numeric
+  const ConvProblem p = small_problem(1);
+  Tensor x(p.x), w_tensor(TensorShape{p.w.k, p.w.c, p.w.r, p.w.s}), y(p.y);
+  fill_random(x, 1);
+  fill_random(w_tensor, 2);
+
+  // Winograd covers 3x3 filters only. The support check runs before the
+  // operands are looked at.
+  const ConvProblem p5({1, 8, 12, 12}, {8, 8, 5, 5}, {.pad_h = 2, .pad_w = 2});
+  const auto [unsupported, unsupported_what] = launch_error([&] {
+    convolution(handle, ConvKernelType::kForward, p5, 1.0f, nullptr, nullptr,
+                0.0f, nullptr, kernels::fwd_algo::kWinograd, nullptr, 0);
+  });
+  EXPECT_EQ(unsupported, Status::kNotSupported);
+  EXPECT_NE(unsupported_what.find(
+                std::string(kernels::algo_name(ConvKernelType::kForward,
+                                               kernels::fwd_algo::kWinograd)) +
+                " unsupported for " + p5.to_string()),
+            std::string::npos)
+      << unsupported_what;
+
+  // One byte short of the declared workspace.
+  const int algo = kernels::fwd_algo::kGemm;
+  const std::size_t required =
+      workspace_size(handle, ConvKernelType::kForward, p, algo);
+  ASSERT_GT(required, 0u);
+  AlignedBuffer<char> ws(required);
+  const auto [short_ws, short_ws_what] = launch_error([&] {
+    convolution(handle, ConvKernelType::kForward, p, 1.0f, x.data(),
+                w_tensor.data(), 0.0f, y.data(), algo, ws.data(),
+                required - 1);
+  });
+  EXPECT_EQ(short_ws, Status::kBadParam);
+  EXPECT_NE(short_ws_what.find(
+                std::string(kernels::algo_name(ConvKernelType::kForward,
+                                               algo)) +
+                " needs " + std::to_string(required) +
+                " workspace bytes, got " + std::to_string(required - 1)),
+            std::string::npos)
+      << short_ws_what;
+
+  const auto [null_ws, null_ws_what] = launch_error([&] {
+    convolution(handle, ConvKernelType::kForward, p, 1.0f, x.data(),
+                w_tensor.data(), 0.0f, y.data(), algo, nullptr, required);
+  });
+  EXPECT_EQ(null_ws, Status::kBadParam);
+  EXPECT_NE(
+      null_ws_what.find("null workspace for workspace-requiring algorithm"),
+      std::string::npos)
+      << null_ws_what;
+
+  const auto [null_operand, null_operand_what] = launch_error([&] {
+    convolution(handle, ConvKernelType::kForward, p, 1.0f, nullptr,
+                w_tensor.data(), 0.0f, y.data(), algo, ws.data(), required);
+  });
+  EXPECT_EQ(null_operand, Status::kBadParam);
+  EXPECT_NE(null_operand_what.find("null operand in numeric convolution"),
+            std::string::npos)
+      << null_operand_what;
 }
 
 TEST(CStyleApiTest, WorkspaceSizeAndAlgorithm) {

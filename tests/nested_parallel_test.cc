@@ -1,7 +1,7 @@
 // Regression tests for the nested-parallelism defect: a parallel_for issued
 // from inside a pool worker used to collapse to a single inline chunk, so
-// batched GEMM under an outer parallel_for_each ran fully serialized per
-// image. These tests pin the work-sharing behavior — nested chunks are
+// batched GEMM under an outer per-image parallel_for ran fully serialized
+// per image. These tests pin the work-sharing behavior — nested chunks are
 // claimed by idle workers — on a multi-worker global pool.
 //
 // This binary has a custom main: the global pool is forced to 4 workers via
@@ -94,13 +94,15 @@ TEST(NestedParallelTest, BatchedGemmUnderParallelForEachUsesMultipleWorkers) {
   std::vector<float> c(static_cast<std::size_t>(kImages * kM * kN), 0.0f);
 
   ThreadRendezvous tids;
-  parallel_for_each(
+  ThreadPool::global().parallel_for(
       kImages,
-      [&](std::int64_t image) {
-        tids.check_in();
-        gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kNo, kM, kN, kK, 1.0f,
-                    a.data() + image * kM * kK, b.data() + image * kK * kN,
-                    0.0f, c.data() + image * kM * kN);
+      [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        for (std::int64_t image = begin; image < end; ++image) {
+          tids.check_in();
+          gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kNo, kM, kN, kK, 1.0f,
+                      a.data() + image * kM * kK, b.data() + image * kK * kN,
+                      0.0f, c.data() + image * kM * kN);
+        }
       },
       /*min_chunk=*/1);
 
