@@ -44,8 +44,9 @@ void Executor::run(const ExecutionPlan& plan, float alpha, const float* a,
     const std::int64_t covered = std::accumulate(
         plan.segments.begin(), plan.segments.end(), std::int64_t{0},
         [](std::int64_t sum, const PlanSegment& s) { return sum + s.batch; });
-    check(covered == problem.batch(), Status::kInternalError,
-          "plan does not cover the mini-batch");
+    if (covered != problem.batch()) {
+      throw Error(Status::kInternalError, "plan does not cover the mini-batch");
+    }
   }
 
   const analysis::ScopedAuditContext audit_context(

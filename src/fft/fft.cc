@@ -145,7 +145,9 @@ void fft_bluestein(Complex* data, std::size_t n, bool inverse) {
 }  // namespace
 
 void fft_pow2(Complex* data, std::size_t n, bool inverse) {
-  check_param(is_pow2(n), "fft_pow2 requires a power-of-two length");
+  if (!is_pow2(n)) {
+    throw Error(Status::kBadParam, "fft_pow2 requires a power-of-two length");
+  }
   if (n == 1) return;
   const auto table = twiddle_table(n);
   bit_reverse(data, n);
@@ -159,7 +161,7 @@ void fft_pow2(Complex* data, std::size_t n, bool inverse) {
 }
 
 void fft(Complex* data, std::size_t n, bool inverse) {
-  check_param(n >= 1, "fft length must be >= 1");
+  if (n < 1) throw Error(Status::kBadParam, "fft length must be >= 1");
   if (is_pow2(n)) {
     fft_pow2(data, n, inverse);
   } else {

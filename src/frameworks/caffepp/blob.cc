@@ -14,6 +14,7 @@ Blob::Blob(std::shared_ptr<device::Device> dev, std::string name,
 float* Blob::diff() {
   if (diff_ == nullptr && with_diff_) {
     diff_ = static_cast<float*>(dev_->allocate(bytes(), name_ + ":diff"));
+    fill_constant(diff_, count(), 0.0f);
   }
   return diff_;
 }

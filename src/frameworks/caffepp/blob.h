@@ -27,9 +27,9 @@ class Blob {
 
   float* data() noexcept { return data_; }
   const float* data() const noexcept { return data_; }
-  /// Diff storage is allocated on first use: Virtual-mode runs never touch
-  /// diffs, so their tracked footprint matches the paper's "one forward
-  /// propagation" memory accounting (Fig. 12).
+  /// Diff storage is allocated, zeroed, on first use: Virtual-mode runs
+  /// never touch diffs, so their tracked footprint matches the paper's "one
+  /// forward propagation" memory accounting (Fig. 12).
   float* diff();
   bool has_diff() const noexcept { return with_diff_; }
 

@@ -8,6 +8,8 @@
 
 namespace ucudnn::caffepp {
 
+namespace ops = frameworks::ops;
+
 namespace {
 
 // He-style initialization scale for a fan-in.
@@ -22,22 +24,6 @@ void fill_normal(float* data, std::int64_t count, std::mt19937& rng,
 }
 
 }  // namespace
-
-void LayerContext::model_memory_op(double bytes) const {
-  if (!virtual_mode) return;
-  const auto& spec = dev->spec();
-  dev->advance_clock_ms(spec.kernel_overhead_us * 1e-3 +
-                        bytes / (spec.mem_bandwidth_gbs * 1e9) * 1e3);
-}
-
-void LayerContext::model_gemm(double flops, double bytes) const {
-  if (!virtual_mode) return;
-  const auto& spec = dev->spec();
-  const double compute_ms = flops / (0.6 * spec.peak_sp_gflops * 1e9) * 1e3;
-  const double memory_ms = bytes / (spec.mem_bandwidth_gbs * 1e9) * 1e3;
-  dev->advance_clock_ms(spec.kernel_overhead_us * 1e-3 +
-                        std::max(compute_ms, memory_ms));
-}
 
 // ----------------------------------------------------------------- ConvLayer
 
@@ -88,7 +74,7 @@ void ConvLayer::forward(const LayerContext& ctx) {
                          bottom_->data(), weights_->data(), 0.0f, top_->data());
   if (bias_) {
     if (ctx.virtual_mode) {
-      ctx.model_memory_op(2.0 * top_->bytes());
+      ops::model_memory_op(*ctx.dev, 2.0 * top_->bytes());
     } else {
       const std::int64_t plane = problem_.y.h * problem_.y.w;
       ThreadPool::global().parallel_for(
@@ -106,17 +92,16 @@ void ConvLayer::forward(const LayerContext& ctx) {
 }
 
 void ConvLayer::backward(const LayerContext& ctx) {
-  // In Virtual mode convolution ignores data pointers; passing null avoids
-  // forcing lazy diff allocation for a run that never touches memory.
+  // In Virtual mode convolution ignores data pointers; ctx.diff() passes
+  // null there, so a run that never touches memory allocates no diffs.
   const bool v = ctx.virtual_mode;
   // Parameter gradients (overwrite).
   ctx.handle.convolution(ConvKernelType::kBackwardFilter, problem_, 1.0f,
-                         v ? nullptr : bottom_->data(),
-                         v ? nullptr : top_->diff(), 0.0f,
-                         v ? nullptr : weights_->diff());
+                         v ? nullptr : bottom_->data(), ctx.diff(top_), 0.0f,
+                         ctx.diff(weights_.get()));
   if (bias_) {
     if (ctx.virtual_mode) {
-      ctx.model_memory_op(top_->bytes());
+      ops::model_memory_op(*ctx.dev, top_->bytes());
     } else {
       // Parallel over channels; each channel keeps its serial n-then-i
       // double sum, so the result does not depend on the thread count.
@@ -141,171 +126,51 @@ void ConvLayer::backward(const LayerContext& ctx) {
   // Data gradient (accumulate into the shared bottom diff).
   if (bottom_->has_diff()) {
     ctx.handle.convolution(ConvKernelType::kBackwardData, problem_, 1.0f,
-                           v ? nullptr : top_->diff(),
-                           v ? nullptr : weights_->data(), 1.0f,
-                           v ? nullptr : bottom_->diff());
+                           ctx.diff(top_), v ? nullptr : weights_->data(), 1.0f,
+                           ctx.diff(bottom_));
   }
 }
 
 // ----------------------------------------------------------------- ReluLayer
 
 void ReluLayer::forward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(2.0 * top_->bytes());
-    return;
-  }
-  const float* x = bottom_->data();
-  float* y = top_->data();
-  ThreadPool::global().parallel_for(
-      bottom_->count(),
-      [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t i = begin; i < end; ++i) y[i] = std::max(0.0f, x[i]);
-      },
-      /*min_chunk=*/1 << 14);
+  ops::relu_forward(ctx.target(), top_->count(), bottom_->data(),
+                    top_->data());
 }
 
 void ReluLayer::backward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(3.0 * top_->bytes());
-    return;
-  }
-  // Uses the OUTPUT sign so in-place operation (top == bottom) stays valid.
-  const float* y = top_->data();
-  const float* dy = top_->diff();
-  float* dx = bottom_->diff();
-  if (dx == dy) {  // in-place: mask the diff directly
-    ThreadPool::global().parallel_for(
-        bottom_->count(),
-        [&](std::int64_t begin, std::int64_t end, std::size_t) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            if (y[i] <= 0.0f) dx[i] = 0.0f;
-          }
-        },
-        1 << 14);
-  } else {
-    ThreadPool::global().parallel_for(
-        bottom_->count(),
-        [&](std::int64_t begin, std::int64_t end, std::size_t) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            dx[i] += y[i] > 0.0f ? dy[i] : 0.0f;
-          }
-        },
-        1 << 14);
-  }
+  ops::relu_backward(ctx.target(), top_->count(), top_->data(),
+                     ctx.diff(top_), ctx.diff(bottom_));
 }
 
 // ----------------------------------------------------------------- PoolLayer
 
 PoolLayer::PoolLayer(const LayerContext& ctx, std::string name, Blob* bottom,
-                     Blob* top, PoolMode mode, std::int64_t window,
-                     std::int64_t stride, std::int64_t pad)
+                     Blob* top, const ops::Pool& pool)
     : Layer(std::move(name)),
       bottom_(bottom),
       top_(top),
-      mode_(mode),
-      window_(window),
-      stride_(stride),
-      pad_(pad),
+      pool_(pool),
       dev_(ctx.dev) {}
 
 PoolLayer::~PoolLayer() { dev_->deallocate(argmax_); }
 
 void PoolLayer::forward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(bottom_->bytes() + top_->bytes());
-    return;
-  }
-  const auto& in = bottom_->shape();
-  const auto& out = top_->shape();
-  if (mode_ == PoolMode::kMax && argmax_ == nullptr) {
+  if (!ctx.virtual_mode && pool_.mode == ops::PoolMode::kMax &&
+      argmax_ == nullptr) {
     // Scratch is only needed on the numeric path; Virtual runs never touch
     // data, keeping the simulated device's footprint faithful to Caffe's.
     argmax_ = static_cast<std::int32_t*>(dev_->allocate(
         static_cast<std::size_t>(top_->count()) * sizeof(std::int32_t),
         name_ + ":aux"));
   }
-  ThreadPool::global().parallel_for(
-      out.n * out.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t nc = begin; nc < end; ++nc) {
-          const float* x = bottom_->data() + nc * in.h * in.w;
-          float* y = top_->data() + nc * out.h * out.w;
-          std::int32_t* am =
-              argmax_ == nullptr ? nullptr : argmax_ + nc * out.h * out.w;
-          for (std::int64_t i = 0; i < out.h; ++i) {
-            for (std::int64_t j = 0; j < out.w; ++j) {
-              const std::int64_t h0 =
-                  std::max<std::int64_t>(0, i * stride_ - pad_);
-              const std::int64_t w0 =
-                  std::max<std::int64_t>(0, j * stride_ - pad_);
-              const std::int64_t h1 =
-                  std::min(in.h, i * stride_ - pad_ + window_);
-              const std::int64_t w1 =
-                  std::min(in.w, j * stride_ - pad_ + window_);
-              if (mode_ == PoolMode::kMax) {
-                float best = -std::numeric_limits<float>::infinity();
-                std::int32_t best_idx = 0;
-                for (std::int64_t h = h0; h < h1; ++h) {
-                  for (std::int64_t w = w0; w < w1; ++w) {
-                    const float v = x[h * in.w + w];
-                    if (v > best) {
-                      best = v;
-                      best_idx = static_cast<std::int32_t>(h * in.w + w);
-                    }
-                  }
-                }
-                y[i * out.w + j] = best;
-                am[i * out.w + j] = best_idx;
-              } else {
-                double acc = 0.0;
-                for (std::int64_t h = h0; h < h1; ++h) {
-                  for (std::int64_t w = w0; w < w1; ++w) acc += x[h * in.w + w];
-                }
-                // Caffe-style: divide by the full window area.
-                y[i * out.w + j] = static_cast<float>(
-                    acc / static_cast<double>(window_ * window_));
-              }
-            }
-          }
-        }
-      });
+  ops::pool_forward(ctx.target(), pool_, bottom_->shape(), top_->shape(),
+                    bottom_->data(), top_->data(), argmax_);
 }
 
 void PoolLayer::backward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(bottom_->bytes() + top_->bytes());
-    return;
-  }
-  const auto& in = bottom_->shape();
-  const auto& out = top_->shape();
-  ThreadPool::global().parallel_for(
-      out.n * out.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t nc = begin; nc < end; ++nc) {
-          float* dx = bottom_->diff() + nc * in.h * in.w;
-          const float* dy = top_->diff() + nc * out.h * out.w;
-          if (mode_ == PoolMode::kMax) {
-            const std::int32_t* am = argmax_ + nc * out.h * out.w;
-            for (std::int64_t p = 0; p < out.h * out.w; ++p) dx[am[p]] += dy[p];
-          } else {
-            const float scale = 1.0f / static_cast<float>(window_ * window_);
-            for (std::int64_t i = 0; i < out.h; ++i) {
-              for (std::int64_t j = 0; j < out.w; ++j) {
-                const std::int64_t h0 =
-                    std::max<std::int64_t>(0, i * stride_ - pad_);
-                const std::int64_t w0 =
-                    std::max<std::int64_t>(0, j * stride_ - pad_);
-                const std::int64_t h1 =
-                    std::min(in.h, i * stride_ - pad_ + window_);
-                const std::int64_t w1 =
-                    std::min(in.w, j * stride_ - pad_ + window_);
-                const float g = dy[i * out.w + j] * scale;
-                for (std::int64_t h = h0; h < h1; ++h) {
-                  for (std::int64_t w = w0; w < w1; ++w) dx[h * in.w + w] += g;
-                }
-              }
-            }
-          }
-        }
-      });
+  ops::pool_backward(ctx.target(), pool_, bottom_->shape(), top_->shape(),
+                     ctx.diff(top_), argmax_, ctx.diff(bottom_));
 }
 
 // ------------------------------------------------------------------ LrnLayer
@@ -326,7 +191,8 @@ LrnLayer::~LrnLayer() { dev_->deallocate(scale_); }
 
 void LrnLayer::forward(const LayerContext& ctx) {
   if (ctx.virtual_mode) {
-    ctx.model_memory_op(3.0 * bottom_->bytes() * local_size_ / 2.0);
+    ops::model_memory_op(*ctx.dev,
+                         3.0 * bottom_->bytes() * local_size_ / 2.0);
     return;
   }
   const auto& s = bottom_->shape();
@@ -364,13 +230,17 @@ void LrnLayer::forward(const LayerContext& ctx) {
 
 void LrnLayer::backward(const LayerContext& ctx) {
   if (ctx.virtual_mode) {
-    ctx.model_memory_op(4.0 * bottom_->bytes() * local_size_ / 2.0);
+    ops::model_memory_op(*ctx.dev,
+                         4.0 * bottom_->bytes() * local_size_ / 2.0);
     return;
   }
   const auto& s = bottom_->shape();
   const std::int64_t plane = s.h * s.w;
   const std::int64_t half = local_size_ / 2;
   const float factor = 2.0f * alpha_ * beta_ / static_cast<float>(local_size_);
+  // diff() allocates lazily, so it is resolved before the workers run.
+  const float* dy_base = top_->diff();
+  float* dx_base = bottom_->diff();
   ThreadPool::global().parallel_for(
       s.n * plane, [&](std::int64_t begin, std::int64_t end, std::size_t) {
         for (std::int64_t np = begin; np < end; ++np) {
@@ -379,8 +249,8 @@ void LrnLayer::backward(const LayerContext& ctx) {
           const float* x = bottom_->data() + n * s.c * plane + p;
           const float* sc = scale_ + n * s.c * plane + p;
           const float* y = top_->data() + n * s.c * plane + p;
-          const float* dy = top_->diff() + n * s.c * plane + p;
-          float* dx = bottom_->diff() + n * s.c * plane + p;
+          const float* dy = dy_base + n * s.c * plane + p;
+          float* dx = dx_base + n * s.c * plane + p;
           for (std::int64_t c = 0; c < s.c; ++c) {
             // dx_c += dy_c * scale_c^-beta
             //         - factor * x_c
@@ -434,8 +304,8 @@ std::vector<Blob*> FcLayer::params() {
 void FcLayer::forward(const LayerContext& ctx) {
   const std::int64_t n = bottom_->shape().n;
   if (ctx.virtual_mode) {
-    ctx.model_gemm(2.0 * n * in_features_ * out_features_,
-                   bottom_->bytes() + weights_->bytes() + top_->bytes());
+    ops::model_gemm(*ctx.dev, 2.0 * n * in_features_ * out_features_,
+                    bottom_->bytes() + weights_->bytes() + top_->bytes());
     return;
   }
   // y[N][out] = x[N][in] * Wᵀ[in][out] + b.
@@ -459,8 +329,9 @@ void FcLayer::forward(const LayerContext& ctx) {
 void FcLayer::backward(const LayerContext& ctx) {
   const std::int64_t n = bottom_->shape().n;
   if (ctx.virtual_mode) {
-    ctx.model_gemm(4.0 * n * in_features_ * out_features_,
-                   2.0 * (bottom_->bytes() + weights_->bytes() + top_->bytes()));
+    ops::model_gemm(
+        *ctx.dev, 4.0 * n * in_features_ * out_features_,
+        2.0 * (bottom_->bytes() + weights_->bytes() + top_->bytes()));
     return;
   }
   // dW[out][in] = dyᵀ[out][N] * x[N][in].
@@ -499,16 +370,11 @@ BatchNormLayer::BatchNormLayer(const LayerContext& ctx, std::string name,
                                   TensorShape{1, c, 1, 1});
   beta_ = std::make_unique<Blob>(ctx.dev, name_ + ":param_bias",
                                  TensorShape{1, c, 1, 1});
-  mean_ = static_cast<float*>(
-      dev_->allocate(static_cast<std::size_t>(c) * sizeof(float), name_ + ":aux"));
-  inv_std_ = static_cast<float*>(
-      dev_->allocate(static_cast<std::size_t>(c) * sizeof(float), name_ + ":aux"));
+  stats_ = static_cast<float*>(dev_->allocate(
+      static_cast<std::size_t>(2 * c) * sizeof(float), name_ + ":aux"));
 }
 
-BatchNormLayer::~BatchNormLayer() {
-  dev_->deallocate(mean_);
-  dev_->deallocate(inv_std_);
-}
+BatchNormLayer::~BatchNormLayer() { dev_->deallocate(stats_); }
 
 void BatchNormLayer::init_params(std::mt19937& rng) {
   (void)rng;
@@ -521,162 +387,44 @@ std::vector<Blob*> BatchNormLayer::params() {
 }
 
 void BatchNormLayer::forward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(4.0 * bottom_->bytes());
-    return;
-  }
-  const auto& s = bottom_->shape();
-  const std::int64_t plane = s.h * s.w;
-  const std::int64_t m = s.n * plane;
-  ThreadPool::global().parallel_for(
-      s.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t c = begin; c < end; ++c) {
-          double sum = 0.0, sq = 0.0;
-          for (std::int64_t n = 0; n < s.n; ++n) {
-            const float* x = bottom_->data() + (n * s.c + c) * plane;
-            for (std::int64_t p = 0; p < plane; ++p) {
-              sum += x[p];
-              sq += static_cast<double>(x[p]) * x[p];
-            }
-          }
-          const double mean = sum / static_cast<double>(m);
-          const double var = sq / static_cast<double>(m) - mean * mean;
-          mean_[c] = static_cast<float>(mean);
-          inv_std_[c] = static_cast<float>(1.0 / std::sqrt(var + eps_));
-          const float g = gamma_->data()[c], b = beta_->data()[c];
-          for (std::int64_t n = 0; n < s.n; ++n) {
-            const float* x = bottom_->data() + (n * s.c + c) * plane;
-            float* y = top_->data() + (n * s.c + c) * plane;
-            for (std::int64_t p = 0; p < plane; ++p) {
-              y[p] = g * (x[p] - mean_[c]) * inv_std_[c] + b;
-            }
-          }
-        }
-      });
+  ops::batch_norm_forward(ctx.target(), bottom_->shape(), eps_,
+                          bottom_->data(), gamma_->data(), beta_->data(),
+                          stats_, top_->data());
 }
 
 void BatchNormLayer::backward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(6.0 * bottom_->bytes());
-    return;
-  }
-  const auto& s = bottom_->shape();
-  const std::int64_t plane = s.h * s.w;
-  const std::int64_t m = s.n * plane;
-  ThreadPool::global().parallel_for(
-      s.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t c = begin; c < end; ++c) {
-          const float g = gamma_->data()[c];
-          const float mu = mean_[c], is = inv_std_[c];
-          // First pass: dgamma, dbeta, and the two reduction terms.
-          double dgamma = 0.0, dbeta = 0.0;
-          for (std::int64_t n = 0; n < s.n; ++n) {
-            const float* x = bottom_->data() + (n * s.c + c) * plane;
-            const float* dy = top_->diff() + (n * s.c + c) * plane;
-            for (std::int64_t p = 0; p < plane; ++p) {
-              const float xhat = (x[p] - mu) * is;
-              dgamma += static_cast<double>(dy[p]) * xhat;
-              dbeta += dy[p];
-            }
-          }
-          gamma_->diff()[c] = static_cast<float>(dgamma);
-          beta_->diff()[c] = static_cast<float>(dbeta);
-          // Second pass: dx += (g*is/m) * (m*dy - dbeta - xhat*dgamma).
-          const float scale = g * is / static_cast<float>(m);
-          for (std::int64_t n = 0; n < s.n; ++n) {
-            const float* x = bottom_->data() + (n * s.c + c) * plane;
-            const float* dy = top_->diff() + (n * s.c + c) * plane;
-            float* dx = bottom_->diff() + (n * s.c + c) * plane;
-            for (std::int64_t p = 0; p < plane; ++p) {
-              const float xhat = (x[p] - mu) * is;
-              dx[p] += scale * (static_cast<float>(m) * dy[p] -
-                                static_cast<float>(dbeta) -
-                                xhat * static_cast<float>(dgamma));
-            }
-          }
-        }
-      });
+  ops::batch_norm_backward(ctx.target(), bottom_->shape(), bottom_->data(),
+                           gamma_->data(), stats_, ctx.diff(top_),
+                           ctx.diff(bottom_), ctx.diff(gamma_.get()),
+                           ctx.diff(beta_.get()));
 }
 
 // ------------------------------------------------------------ EltwiseSum etc
 
 void EltwiseSumLayer::forward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(3.0 * top_->bytes());
-    return;
-  }
-  const float* a = a_->data();
-  const float* b = b_->data();
-  float* y = top_->data();
-  ThreadPool::global().parallel_for(
-      top_->count(),
-      [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t i = begin; i < end; ++i) y[i] = a[i] + b[i];
-      },
-      1 << 14);
+  ops::add_forward(ctx.target(), top_->count(), a_->data(), b_->data(),
+                   top_->data());
 }
 
 void EltwiseSumLayer::backward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(3.0 * top_->bytes());
-    return;
-  }
-  const float* dy = top_->diff();
-  float* da = a_->diff();
-  float* db = b_->diff();
-  ThreadPool::global().parallel_for(
-      top_->count(),
-      [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          da[i] += dy[i];
-          db[i] += dy[i];
-        }
-      },
-      1 << 14);
+  ops::add_backward(ctx.target(), top_->count(), ctx.diff(top_),
+                    ctx.diff(a_), ctx.diff(b_));
 }
 
 void ConcatLayer::forward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(2.0 * top_->bytes());
-    return;
-  }
-  const auto& out = top_->shape();
-  const std::int64_t plane = out.h * out.w;
-  std::int64_t c_offset = 0;
+  std::vector<ops::ConcatPart> parts;
   for (Blob* bottom : bottoms_) {
-    const std::int64_t c = bottom->shape().c;
-    ThreadPool::global().parallel_for(
-        out.n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-          for (std::int64_t n = begin; n < end; ++n) {
-            const float* src = bottom->data() + n * c * plane;
-            float* dst = top_->data() + (n * out.c + c_offset) * plane;
-            std::copy(src, src + c * plane, dst);
-          }
-        });
-    c_offset += c;
+    parts.push_back({bottom->data(), bottom->shape().c});
   }
+  ops::concat_forward(ctx.target(), top_->shape(), parts, top_->data());
 }
 
 void ConcatLayer::backward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(2.0 * top_->bytes());
-    return;
-  }
-  const auto& out = top_->shape();
-  const std::int64_t plane = out.h * out.w;
-  std::int64_t c_offset = 0;
+  std::vector<ops::ConcatPart> parts;
   for (Blob* bottom : bottoms_) {
-    const std::int64_t c = bottom->shape().c;
-    ThreadPool::global().parallel_for(
-        out.n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-          for (std::int64_t n = begin; n < end; ++n) {
-            const float* src = top_->diff() + (n * out.c + c_offset) * plane;
-            float* dst = bottom->diff() + n * c * plane;
-            for (std::int64_t i = 0; i < c * plane; ++i) dst[i] += src[i];
-          }
-        });
-    c_offset += c;
+    parts.push_back({ctx.diff(bottom), bottom->shape().c});
   }
+  ops::concat_backward(ctx.target(), top_->shape(), ctx.diff(top_), parts);
 }
 
 // -------------------------------------------------------------- DropoutLayer
@@ -693,7 +441,7 @@ DropoutLayer::~DropoutLayer() { dev_->deallocate(mask_); }
 
 void DropoutLayer::forward(const LayerContext& ctx) {
   if (ctx.virtual_mode) {
-    ctx.model_memory_op(2.0 * top_->bytes());
+    ops::model_memory_op(*ctx.dev, 2.0 * top_->bytes());
     return;
   }
   if (mask_ == nullptr) {
@@ -713,7 +461,7 @@ void DropoutLayer::forward(const LayerContext& ctx) {
 
 void DropoutLayer::backward(const LayerContext& ctx) {
   if (ctx.virtual_mode) {
-    ctx.model_memory_op(2.0 * top_->bytes());
+    ops::model_memory_op(*ctx.dev, 2.0 * top_->bytes());
     return;
   }
   const float scale = 1.0f / (1.0f - ratio_);
@@ -737,51 +485,19 @@ SoftmaxLossLayer::SoftmaxLossLayer(const LayerContext& ctx, std::string name,
 SoftmaxLossLayer::~SoftmaxLossLayer() { dev_->deallocate(prob_); }
 
 void SoftmaxLossLayer::forward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(3.0 * bottom_->bytes());
-    return;
-  }
-  const std::int64_t n = bottom_->shape().n;
-  const std::int64_t classes = bottom_->count() / n;
-  if (prob_ == nullptr) {
+  if (!ctx.virtual_mode && prob_ == nullptr) {
     prob_ =
         static_cast<float*>(dev_->allocate(bottom_->bytes(), name_ + ":aux"));
   }
-  double loss = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* x = bottom_->data() + i * classes;
-    float* p = prob_ + i * classes;
-    const float max_v = *std::max_element(x, x + classes);
-    double sum = 0.0;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      p[c] = std::exp(x[c] - max_v);
-      sum += p[c];
-    }
-    for (std::int64_t c = 0; c < classes; ++c) {
-      p[c] = static_cast<float>(p[c] / sum);
-    }
-    const std::int64_t label = i % classes;  // synthetic labels
-    loss -= std::log(std::max(1e-12, static_cast<double>(p[label])));
-  }
-  loss_->data()[0] = static_cast<float>(loss / static_cast<double>(n));
+  const std::int64_t n = bottom_->shape().n;
+  ops::softmax_xent_forward(ctx.target(), n, bottom_->count() / n,
+                            bottom_->data(), prob_, loss_->data());
 }
 
 void SoftmaxLossLayer::backward(const LayerContext& ctx) {
-  if (ctx.virtual_mode) {
-    ctx.model_memory_op(2.0 * bottom_->bytes());
-    return;
-  }
   const std::int64_t n = bottom_->shape().n;
-  const std::int64_t classes = bottom_->count() / n;
-  const float scale = 1.0f / static_cast<float>(n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* p = prob_ + i * classes;
-    float* dx = bottom_->diff() + i * classes;
-    const std::int64_t label = i % classes;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      dx[c] += scale * (p[c] - (c == label ? 1.0f : 0.0f));
-    }
-  }
+  ops::softmax_xent_backward(ctx.target(), n, bottom_->count() / n, prob_,
+                             /*seed=*/1.0f, ctx.diff(bottom_));
 }
 
 }  // namespace ucudnn::caffepp

@@ -1,6 +1,9 @@
 // caffepp layers: the mini-Caffe substrate's layer zoo. Every layer
 // implements real numeric forward/backward on the host CPU and a modeled
-// cost path for Virtual execution (network-scale paper figures).
+// cost path for Virtual execution (network-scale paper figures). ReLU,
+// pooling, batch norm, eltwise sum, concat and softmax loss are thin
+// wrappers over the host ops tfmini also calls (frameworks/ops.h);
+// convolution, LRN, FC and dropout keep their own bodies.
 //
 // Backward convention: bottom-blob diffs are ACCUMULATED (+=) — the Net
 // zeroes all diffs before each backward pass — so fan-out (ResNet skip
@@ -15,6 +18,7 @@
 
 #include "core/ucudnn.h"
 #include "frameworks/caffepp/blob.h"
+#include "frameworks/ops.h"
 
 namespace ucudnn::caffepp {
 
@@ -24,10 +28,13 @@ struct LayerContext {
   std::shared_ptr<device::Device> dev;
   bool virtual_mode;
 
-  /// Models a bandwidth-bound elementwise op in Virtual mode.
-  void model_memory_op(double bytes) const;
-  /// Models a GEMM-like op (compute- or bandwidth-bound, whichever worse).
-  void model_gemm(double flops, double bytes) const;
+  /// Where the shared host ops run.
+  frameworks::ops::Target target() const { return {*dev, virtual_mode}; }
+  /// `blob`'s diff, resolved before any parallel loop; null in Virtual mode,
+  /// which never allocates diffs.
+  float* diff(Blob* blob) const {
+    return virtual_mode ? nullptr : blob->diff();
+  }
 };
 
 class Layer {
@@ -84,28 +91,18 @@ class ReluLayer : public Layer {
   Blob* top_;  // may equal bottom_ (in-place)
 };
 
-enum class PoolMode { kMax, kAvg };
-
 class PoolLayer : public Layer {
  public:
   PoolLayer(const LayerContext& ctx, std::string name, Blob* bottom, Blob* top,
-            PoolMode mode, std::int64_t window, std::int64_t stride,
-            std::int64_t pad);
+            const frameworks::ops::Pool& pool);
   ~PoolLayer() override;
   void forward(const LayerContext& ctx) override;
   void backward(const LayerContext& ctx) override;
 
-  /// Floor-mode output edge: (in + 2*pad - window) / stride + 1.
-  static std::int64_t out_edge(std::int64_t in, std::int64_t window,
-                               std::int64_t stride, std::int64_t pad) {
-    return (in + 2 * pad - window) / stride + 1;
-  }
-
  private:
   Blob* bottom_;
   Blob* top_;
-  PoolMode mode_;
-  std::int64_t window_, stride_, pad_;
+  frameworks::ops::Pool pool_;
   std::shared_ptr<device::Device> dev_;
   std::int32_t* argmax_ = nullptr;  // device-tracked, max pooling only
 };
@@ -164,8 +161,7 @@ class BatchNormLayer : public Layer {
   std::shared_ptr<device::Device> dev_;
   std::unique_ptr<Blob> gamma_;  // (1, C, 1, 1)
   std::unique_ptr<Blob> beta_;
-  float* mean_ = nullptr;     // per-channel saved statistics
-  float* inv_std_ = nullptr;
+  float* stats_ = nullptr;  // per-channel saved mean, then inverse std
 };
 
 /// Elementwise sum of two equal-shape blobs (ResNet shortcut joins).

@@ -65,28 +65,26 @@ std::string Net::relu(const std::string& name, const std::string& bottom,
 std::string Net::pool_max(const std::string& name, const std::string& bottom,
                           std::int64_t window, std::int64_t stride,
                           std::int64_t pad) {
-  Blob* b = blob(bottom);
-  const TensorShape out{b->shape().n, b->shape().c,
-                        PoolLayer::out_edge(b->shape().h, window, stride, pad),
-                        PoolLayer::out_edge(b->shape().w, window, stride, pad)};
-  Blob* t = make_blob(name, out);
-  layers_.push_back(std::make_unique<PoolLayer>(ctx_, name, b, t,
-                                                PoolMode::kMax, window, stride,
-                                                pad));
-  return name;
+  return pool(name, bottom,
+              {frameworks::ops::PoolMode::kMax, window, stride, pad});
 }
 
 std::string Net::pool_avg(const std::string& name, const std::string& bottom,
                           std::int64_t window, std::int64_t stride,
                           std::int64_t pad) {
+  return pool(name, bottom,
+              {frameworks::ops::PoolMode::kAvgWindow, window, stride, pad});
+}
+
+std::string Net::pool(const std::string& name, const std::string& bottom,
+                      const frameworks::ops::Pool& op) {
   Blob* b = blob(bottom);
-  const TensorShape out{b->shape().n, b->shape().c,
-                        PoolLayer::out_edge(b->shape().h, window, stride, pad),
-                        PoolLayer::out_edge(b->shape().w, window, stride, pad)};
-  Blob* t = make_blob(name, out);
-  layers_.push_back(std::make_unique<PoolLayer>(ctx_, name, b, t,
-                                                PoolMode::kAvg, window, stride,
-                                                pad));
+  const auto edge = [&](std::int64_t in) {
+    return frameworks::ops::pool_out_edge(in, op.window, op.stride, op.pad);
+  };
+  Blob* t = make_blob(name, {b->shape().n, b->shape().c, edge(b->shape().h),
+                             edge(b->shape().w)});
+  layers_.push_back(std::make_unique<PoolLayer>(ctx_, name, b, t, op));
   return name;
 }
 

@@ -103,6 +103,8 @@ class Net {
 
  private:
   Blob* make_blob(const std::string& name, const TensorShape& shape);
+  std::string pool(const std::string& name, const std::string& bottom,
+                   const frameworks::ops::Pool& op);
   void seed_top_diff();
 
   std::string name_;

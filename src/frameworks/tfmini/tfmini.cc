@@ -5,18 +5,22 @@
 #include <cmath>
 #include <random>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
+#include "frameworks/ops.h"
 #include "gemm/gemm.h"
 #include "telemetry/trace.h"
 
 namespace ucudnn::tfmini {
 
+namespace ops = frameworks::ops;
+
 namespace {
 
-std::int64_t pool_out(std::int64_t in, std::int64_t window, std::int64_t stride,
-                      std::int64_t pad) {
-  return (in + 2 * pad - window) / stride + 1;
+// TensorFlow averages over the in-bounds elements of each window.
+ops::Pool pool_of(const Op& op) {
+  return {op.type == OpType::kMaxPool ? ops::PoolMode::kMax
+                                      : ops::PoolMode::kAvgValid,
+          op.window, op.stride, op.pad};
 }
 
 }  // namespace
@@ -102,8 +106,8 @@ int Graph::max_pool(const std::string& name, int input, std::int64_t window,
       padding == Padding::kSame ? same_pad(in.shape.h, window, stride) : 0;
   Op result = make_op(OpType::kMaxPool, name, {input},
                       {in.shape.n, in.shape.c,
-                       pool_out(in.shape.h, window, stride, pad),
-                       pool_out(in.shape.w, window, stride, pad)});
+                       ops::pool_out_edge(in.shape.h, window, stride, pad),
+                       ops::pool_out_edge(in.shape.w, window, stride, pad)});
   result.window = window;
   result.stride = stride;
   result.pad = pad;
@@ -212,6 +216,7 @@ Session::~Session() {
 }
 
 float* Session::grad(int op) {
+  if (virtual_mode_) return nullptr;
   OpBuffers& b = buffers_.at(static_cast<std::size_t>(op));
   if (b.grad == nullptr) {
     b.grad = static_cast<float*>(dev_->allocate(
@@ -241,12 +246,6 @@ void Session::initialize(std::uint64_t seed) {
   }
 }
 
-void Session::model_memory_op(double bytes) const {
-  const auto& spec = dev_->spec();
-  dev_->advance_clock_ms(spec.kernel_overhead_us * 1e-3 +
-                         bytes / (spec.mem_bandwidth_gbs * 1e9) * 1e3);
-}
-
 void Session::forward_op(int index) {
   const Op& op = graph_.op(index);
   OpBuffers& out = buffers_[static_cast<std::size_t>(index)];
@@ -256,6 +255,7 @@ void Session::forward_op(int index) {
   const auto in_op = [&](int slot) -> const Op& {
     return graph_.op(op.inputs[static_cast<std::size_t>(slot)]);
   };
+  const ops::Target target{*dev_, virtual_mode_};
 
   switch (op.type) {
     case OpType::kPlaceholder:
@@ -268,173 +268,44 @@ void Session::forward_op(int index) {
                           in(1).data, 0.0f, out.data);
       return;
     }
-    case OpType::kRelu: {
-      if (virtual_mode_) return model_memory_op(2.0 * op.shape.bytes());
-      const float* x = in(0).data;
-      float* y = out.data;
-      ThreadPool::global().parallel_for(
-          out.count,
-          [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t i = begin; i < end; ++i) {
-              y[i] = std::max(0.0f, x[i]);
-            }
-          },
-          1 << 14);
-      return;
-    }
+    case OpType::kRelu:
+      return ops::relu_forward(target, out.count, in(0).data, out.data);
     case OpType::kMaxPool:
-    case OpType::kAvgPool: {
-      if (virtual_mode_) {
-        return model_memory_op(in_op(0).shape.bytes() + op.shape.bytes());
-      }
-      const TensorShape& is = in_op(0).shape;
-      const float* x = in(0).data;
-      float* y = out.data;
-      auto* argmax = reinterpret_cast<std::int32_t*>(out.aux);
-      const bool is_max = op.type == OpType::kMaxPool;
-      ThreadPool::global().parallel_for(
-          op.shape.n * op.shape.c,
-          [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t nc = begin; nc < end; ++nc) {
-              const float* xp = x + nc * is.h * is.w;
-              float* yp = y + nc * op.shape.h * op.shape.w;
-              for (std::int64_t i = 0; i < op.shape.h; ++i) {
-                for (std::int64_t j = 0; j < op.shape.w; ++j) {
-                  const std::int64_t h0 =
-                      std::max<std::int64_t>(0, i * op.stride - op.pad);
-                  const std::int64_t w0 =
-                      std::max<std::int64_t>(0, j * op.stride - op.pad);
-                  const std::int64_t h1 =
-                      std::min(is.h, i * op.stride - op.pad + op.window);
-                  const std::int64_t w1 =
-                      std::min(is.w, j * op.stride - op.pad + op.window);
-                  if (is_max) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    std::int32_t best_idx = 0;
-                    for (std::int64_t h = h0; h < h1; ++h) {
-                      for (std::int64_t w = w0; w < w1; ++w) {
-                        if (xp[h * is.w + w] > best) {
-                          best = xp[h * is.w + w];
-                          best_idx = static_cast<std::int32_t>(h * is.w + w);
-                        }
-                      }
-                    }
-                    yp[i * op.shape.w + j] = best;
-                    argmax[nc * op.shape.h * op.shape.w + i * op.shape.w + j] =
-                        best_idx;
-                  } else {
-                    double acc = 0.0;
-                    for (std::int64_t h = h0; h < h1; ++h) {
-                      for (std::int64_t w = w0; w < w1; ++w) {
-                        acc += xp[h * is.w + w];
-                      }
-                    }
-                    // TF-style: divide by the number of valid elements.
-                    const double area =
-                        static_cast<double>((h1 - h0) * (w1 - w0));
-                    yp[i * op.shape.w + j] = static_cast<float>(acc / area);
-                  }
-                }
-              }
-            }
-          });
-      return;
-    }
+    case OpType::kAvgPool:
+      return ops::pool_forward(target, pool_of(op), in_op(0).shape, op.shape,
+                               in(0).data, out.data,
+                               reinterpret_cast<std::int32_t*>(out.aux));
     case OpType::kMatMul: {
       const std::int64_t n = op.shape.n;
       const std::int64_t in_features = in_op(0).shape.count() / n;
       if (virtual_mode_) {
-        return model_memory_op(in_op(0).shape.bytes() +
-                               in_op(1).shape.bytes() + op.shape.bytes() +
-                               2.0 * n * in_features * op.units / 4.0);
+        return ops::model_memory_op(
+            *dev_, in_op(0).shape.bytes() + in_op(1).shape.bytes() +
+                       op.shape.bytes() +
+                       2.0 * n * in_features * op.units / 4.0);
       }
       gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kYes, n, op.units, in_features,
                   1.0f, in(0).data, in_features, in(1).data, in_features, 0.0f,
                   out.data, op.units);
       return;
     }
-    case OpType::kBatchNorm: {
-      if (virtual_mode_) return model_memory_op(4.0 * op.shape.bytes());
-      const TensorShape& s = op.shape;
-      const std::int64_t plane = s.h * s.w;
-      const std::int64_t m = s.n * plane;
-      float* mean = out.aux;
-      float* inv_std = out.aux + s.c;
-      ThreadPool::global().parallel_for(
-          s.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t c = begin; c < end; ++c) {
-              double sum = 0.0, sq = 0.0;
-              for (std::int64_t n = 0; n < s.n; ++n) {
-                const float* x = in(0).data + (n * s.c + c) * plane;
-                for (std::int64_t p = 0; p < plane; ++p) {
-                  sum += x[p];
-                  sq += static_cast<double>(x[p]) * x[p];
-                }
-              }
-              const double mu = sum / static_cast<double>(m);
-              const double var = sq / static_cast<double>(m) - mu * mu;
-              mean[c] = static_cast<float>(mu);
-              inv_std[c] = static_cast<float>(1.0 / std::sqrt(var + op.eps));
-              for (std::int64_t n = 0; n < s.n; ++n) {
-                const float* x = in(0).data + (n * s.c + c) * plane;
-                float* y = out.data + (n * s.c + c) * plane;
-                for (std::int64_t p = 0; p < plane; ++p) {
-                  y[p] = (x[p] - mean[c]) * inv_std[c];
-                }
-              }
-            }
-          });
-      return;
-    }
-    case OpType::kAdd: {
-      if (virtual_mode_) return model_memory_op(3.0 * op.shape.bytes());
-      const float* a = in(0).data;
-      const float* b = in(1).data;
-      float* y = out.data;
-      ThreadPool::global().parallel_for(
-          out.count,
-          [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t i = begin; i < end; ++i) y[i] = a[i] + b[i];
-          },
-          1 << 14);
-      return;
-    }
+    case OpType::kBatchNorm:
+      return ops::batch_norm_forward(target, op.shape, op.eps, in(0).data,
+                                     nullptr, nullptr, out.aux, out.data);
+    case OpType::kAdd:
+      return ops::add_forward(target, out.count, in(0).data, in(1).data,
+                              out.data);
     case OpType::kConcat: {
-      if (virtual_mode_) return model_memory_op(2.0 * op.shape.bytes());
-      const std::int64_t plane = op.shape.h * op.shape.w;
-      std::int64_t c_offset = 0;
-      for (std::size_t slot = 0; slot < op.inputs.size(); ++slot) {
-        const TensorShape& s = graph_.op(op.inputs[slot]).shape;
-        const float* src = buffers_[static_cast<std::size_t>(op.inputs[slot])].data;
-        for (std::int64_t n = 0; n < op.shape.n; ++n) {
-          std::copy(src + n * s.c * plane, src + (n + 1) * s.c * plane,
-                    out.data + (n * op.shape.c + c_offset) * plane);
-        }
-        c_offset += s.c;
+      std::vector<ops::ConcatPart> parts;
+      for (int slot = 0; slot < static_cast<int>(op.inputs.size()); ++slot) {
+        parts.push_back({in(slot).data, in_op(slot).shape.c});
       }
-      return;
+      return ops::concat_forward(target, op.shape, parts, out.data);
     }
     case OpType::kSoftmaxXent: {
-      if (virtual_mode_) return model_memory_op(3.0 * in_op(0).shape.bytes());
       const std::int64_t n = in_op(0).shape.n;
-      const std::int64_t classes = in_op(0).shape.count() / n;
-      double loss = 0.0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* x = in(0).data + i * classes;
-        float* p = out.aux + i * classes;
-        const float max_v = *std::max_element(x, x + classes);
-        double sum = 0.0;
-        for (std::int64_t c = 0; c < classes; ++c) {
-          p[c] = std::exp(x[c] - max_v);
-          sum += p[c];
-        }
-        for (std::int64_t c = 0; c < classes; ++c) {
-          p[c] = static_cast<float>(p[c] / sum);
-        }
-        loss -= std::log(std::max(1e-12, static_cast<double>(p[i % classes])));
-      }
-      out.data[0] = static_cast<float>(loss / static_cast<double>(n));
-      return;
+      return ops::softmax_xent_forward(target, n, in_op(0).shape.count() / n,
+                                       in(0).data, out.aux, out.data);
     }
   }
 }
@@ -448,6 +319,13 @@ void Session::backward_op(int index) {
   const auto in_op = [&](int slot) -> const Op& {
     return graph_.op(op.inputs[static_cast<std::size_t>(slot)]);
   };
+  // Gradients are resolved here, before any parallel loop; all are null in
+  // Virtual mode.
+  const auto dx = [&](int slot) {
+    return grad(op.inputs[static_cast<std::size_t>(slot)]);
+  };
+  float* dy = grad(index);
+  const ops::Target target{*dev_, virtual_mode_};
 
   switch (op.type) {
     case OpType::kPlaceholder:
@@ -457,189 +335,52 @@ void Session::backward_op(int index) {
       const kernels::ConvProblem problem(in_op(0).shape, op.filter, op.geom);
       const bool v = virtual_mode_;
       handle_.convolution(ConvKernelType::kBackwardFilter, problem, 1.0f,
-                          v ? nullptr : in(0).data,
-                          v ? nullptr : grad(index),
-                          1.0f, v ? nullptr : grad(op.inputs[1]));
-      handle_.convolution(ConvKernelType::kBackwardData, problem, 1.0f,
-                          v ? nullptr : grad(index),
-                          v ? nullptr : in(1).data, 1.0f,
-                          v ? nullptr : grad(op.inputs[0]));
+                          v ? nullptr : in(0).data, dy, 1.0f, dx(1));
+      handle_.convolution(ConvKernelType::kBackwardData, problem, 1.0f, dy,
+                          v ? nullptr : in(1).data, 1.0f, dx(0));
       return;
     }
-    case OpType::kRelu: {
-      if (virtual_mode_) return model_memory_op(3.0 * op.shape.bytes());
-      const float* y = out.data;
-      const float* dy = grad(index);
-      float* dx = grad(op.inputs[0]);
-      ThreadPool::global().parallel_for(
-          out.count,
-          [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t i = begin; i < end; ++i) {
-              dx[i] += y[i] > 0.0f ? dy[i] : 0.0f;
-            }
-          },
-          1 << 14);
-      return;
-    }
-    case OpType::kMaxPool: {
-      if (virtual_mode_) {
-        return model_memory_op(in_op(0).shape.bytes() + op.shape.bytes());
-      }
-      const TensorShape& is = in_op(0).shape;
-      const auto* argmax = reinterpret_cast<const std::int32_t*>(out.aux);
-      float* dx_base = grad(op.inputs[0]);
-      const float* dy_base = grad(index);
-      ThreadPool::global().parallel_for(
-          op.shape.n * op.shape.c,
-          [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t nc = begin; nc < end; ++nc) {
-              float* dx = dx_base + nc * is.h * is.w;
-              const float* dy = dy_base + nc * op.shape.h * op.shape.w;
-              const std::int32_t* am = argmax + nc * op.shape.h * op.shape.w;
-              for (std::int64_t p = 0; p < op.shape.h * op.shape.w; ++p) {
-                dx[am[p]] += dy[p];
-              }
-            }
-          });
-      return;
-    }
-    case OpType::kAvgPool: {
-      if (virtual_mode_) {
-        return model_memory_op(in_op(0).shape.bytes() + op.shape.bytes());
-      }
-      const TensorShape& is = in_op(0).shape;
-      float* dx_base = grad(op.inputs[0]);
-      const float* dy_base = grad(index);
-      ThreadPool::global().parallel_for(
-          op.shape.n * op.shape.c,
-          [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t nc = begin; nc < end; ++nc) {
-              float* dx = dx_base + nc * is.h * is.w;
-              const float* dy = dy_base + nc * op.shape.h * op.shape.w;
-              for (std::int64_t i = 0; i < op.shape.h; ++i) {
-                for (std::int64_t j = 0; j < op.shape.w; ++j) {
-                  const std::int64_t h0 =
-                      std::max<std::int64_t>(0, i * op.stride - op.pad);
-                  const std::int64_t w0 =
-                      std::max<std::int64_t>(0, j * op.stride - op.pad);
-                  const std::int64_t h1 =
-                      std::min(is.h, i * op.stride - op.pad + op.window);
-                  const std::int64_t w1 =
-                      std::min(is.w, j * op.stride - op.pad + op.window);
-                  const float g = dy[i * op.shape.w + j] /
-                                  static_cast<float>((h1 - h0) * (w1 - w0));
-                  for (std::int64_t h = h0; h < h1; ++h) {
-                    for (std::int64_t w = w0; w < w1; ++w) {
-                      dx[h * is.w + w] += g;
-                    }
-                  }
-                }
-              }
-            }
-          });
-      return;
-    }
+    case OpType::kRelu:
+      return ops::relu_backward(target, out.count, out.data, dy, dx(0));
+    case OpType::kMaxPool:
+    case OpType::kAvgPool:
+      return ops::pool_backward(target, pool_of(op), in_op(0).shape, op.shape,
+                                dy, reinterpret_cast<std::int32_t*>(out.aux),
+                                dx(0));
     case OpType::kMatMul: {
       const std::int64_t n = op.shape.n;
       const std::int64_t in_features = in_op(0).shape.count() / n;
       if (virtual_mode_) {
-        return model_memory_op(2.0 * (in_op(0).shape.bytes() +
-                                      in_op(1).shape.bytes() +
-                                      op.shape.bytes()));
+        return ops::model_memory_op(
+            *dev_, 2.0 * (in_op(0).shape.bytes() + in_op(1).shape.bytes() +
+                          op.shape.bytes()));
       }
       // dW += dyᵀ x;  dx += dy W.
       gemm::sgemm(gemm::Trans::kYes, gemm::Trans::kNo, op.units, in_features, n,
-                  1.0f, grad(index), op.units, in(0).data, in_features, 1.0f,
-                  grad(op.inputs[1]), in_features);
+                  1.0f, dy, op.units, in(0).data, in_features, 1.0f, dx(1),
+                  in_features);
       gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kNo, n, in_features, op.units,
-                  1.0f, grad(index), op.units, in(1).data, in_features, 1.0f,
-                  grad(op.inputs[0]), in_features);
+                  1.0f, dy, op.units, in(1).data, in_features, 1.0f, dx(0),
+                  in_features);
       return;
     }
-    case OpType::kBatchNorm: {
-      if (virtual_mode_) return model_memory_op(6.0 * op.shape.bytes());
-      const TensorShape& s = op.shape;
-      const std::int64_t plane = s.h * s.w;
-      const std::int64_t m = s.n * plane;
-      const float* mean = out.aux;
-      const float* inv_std = out.aux + s.c;
-      ThreadPool::global().parallel_for(
-          s.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t c = begin; c < end; ++c) {
-              double dxhat_sum = 0.0, dxhat_xhat_sum = 0.0;
-              for (std::int64_t n = 0; n < s.n; ++n) {
-                const float* x = in(0).data + (n * s.c + c) * plane;
-                const float* dy = grad(index) + (n * s.c + c) * plane;
-                for (std::int64_t p = 0; p < plane; ++p) {
-                  const float xhat = (x[p] - mean[c]) * inv_std[c];
-                  dxhat_sum += dy[p];
-                  dxhat_xhat_sum += static_cast<double>(dy[p]) * xhat;
-                }
-              }
-              const float scale = inv_std[c] / static_cast<float>(m);
-              for (std::int64_t n = 0; n < s.n; ++n) {
-                const float* x = in(0).data + (n * s.c + c) * plane;
-                const float* dy = grad(index) + (n * s.c + c) * plane;
-                float* dx = grad(op.inputs[0]) + (n * s.c + c) * plane;
-                for (std::int64_t p = 0; p < plane; ++p) {
-                  const float xhat = (x[p] - mean[c]) * inv_std[c];
-                  dx[p] += scale * (static_cast<float>(m) * dy[p] -
-                                    static_cast<float>(dxhat_sum) -
-                                    xhat * static_cast<float>(dxhat_xhat_sum));
-                }
-              }
-            }
-          });
-      return;
-    }
-    case OpType::kAdd: {
-      if (virtual_mode_) return model_memory_op(3.0 * op.shape.bytes());
-      const float* dy = grad(index);
-      float* da = grad(op.inputs[0]);
-      float* db = grad(op.inputs[1]);
-      ThreadPool::global().parallel_for(
-          out.count,
-          [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t i = begin; i < end; ++i) {
-              da[i] += dy[i];
-              db[i] += dy[i];
-            }
-          },
-          1 << 14);
-      return;
-    }
+    case OpType::kBatchNorm:
+      return ops::batch_norm_backward(target, op.shape, in(0).data, nullptr,
+                                      out.aux, dy, dx(0), nullptr, nullptr);
+    case OpType::kAdd:
+      return ops::add_backward(target, out.count, dy, dx(0), dx(1));
     case OpType::kConcat: {
-      if (virtual_mode_) return model_memory_op(2.0 * op.shape.bytes());
-      const std::int64_t plane = op.shape.h * op.shape.w;
-      std::int64_t c_offset = 0;
-      for (std::size_t slot = 0; slot < op.inputs.size(); ++slot) {
-        const TensorShape& s = graph_.op(op.inputs[slot]).shape;
-        float* dst = grad(op.inputs[slot]);
-        const float* out_grad = grad(index);
-        for (std::int64_t n = 0; n < op.shape.n; ++n) {
-          const float* src = out_grad + (n * op.shape.c + c_offset) * plane;
-          for (std::int64_t i = 0; i < s.c * plane; ++i) {
-            dst[n * s.c * plane + i] += src[i];
-          }
-        }
-        c_offset += s.c;
+      std::vector<ops::ConcatPart> parts;
+      for (int slot = 0; slot < static_cast<int>(op.inputs.size()); ++slot) {
+        parts.push_back({dx(slot), in_op(slot).shape.c});
       }
-      return;
+      return ops::concat_backward(target, op.shape, dy, parts);
     }
     case OpType::kSoftmaxXent: {
-      if (virtual_mode_) return model_memory_op(2.0 * in_op(0).shape.bytes());
       const std::int64_t n = in_op(0).shape.n;
-      const std::int64_t classes = in_op(0).shape.count() / n;
-      const float seed = grad(index)[0] / static_cast<float>(n);
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* p = out.aux + i * classes;
-        float* dx = grad(op.inputs[0]) + i * classes;
-        const std::int64_t label = i % classes;
-        for (std::int64_t c = 0; c < classes; ++c) {
-          dx[c] += seed * (p[c] - (c == label ? 1.0f : 0.0f));
-        }
-      }
-      return;
+      return ops::softmax_xent_backward(target, n, in_op(0).shape.count() / n,
+                                        out.aux, dy == nullptr ? 0.0f : dy[0],
+                                        dx(0));
     }
   }
 }

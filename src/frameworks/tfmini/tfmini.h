@@ -112,8 +112,9 @@ class Session {
   double last_iteration_ms() const noexcept { return last_iteration_ms_; }
 
   float* data(int op) { return buffers_.at(static_cast<std::size_t>(op)).data; }
-  /// Gradient storage is allocated on first use (never in Virtual mode), so
-  /// the tracked footprint of timing runs matches forward-pass memory.
+  /// Gradient storage is allocated on first use. Virtual mode has none
+  /// (null), so the tracked footprint of timing runs matches forward-pass
+  /// memory.
   float* grad(int op);
 
  private:
@@ -126,7 +127,6 @@ class Session {
 
   void forward_op(int index);
   void backward_op(int index);
-  void model_memory_op(double bytes) const;
   /// Announces every Conv2d kernel (forward + both backward passes) to
   /// μ-cuDNN with its op label and the default workspace limit, mirroring
   /// TensorFlow's GetConvolution*Algorithm phase. Runs before the first

@@ -244,7 +244,9 @@ void corr_fft_tile(const CorrSpec& c, const FftPlan& plan, const TileRect& t,
 
 void corr_fft(const CorrSpec& c, const float* src, const float* flt,
               float* dst, float alpha, float beta, void* workspace) {
-  check(workspace != nullptr, Status::kBadParam, "FFT conv requires workspace");
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "FFT conv requires workspace");
+  }
   const FftPlan plan = corr_plan(c);
   const std::int64_t cells = plan.cells();
   const std::int64_t cb = std::min(c.cs, kChannelChunk);
@@ -276,8 +278,9 @@ FftPlan tiling_plan(const CorrSpec& c) {
 
 void corr_fft_tiling(const CorrSpec& c, const float* src, const float* flt,
                      float* dst, float alpha, float beta, void* workspace) {
-  check(workspace != nullptr, Status::kBadParam,
-        "FFT tiling conv requires workspace");
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "FFT tiling conv requires workspace");
+  }
   const FftPlan plan = tiling_plan(c);
   const std::int64_t cells = plan.cells();
   const std::int64_t cb = std::min(c.cs, kChannelChunk);
@@ -326,8 +329,10 @@ std::size_t fft_fwd_workspace(const ConvProblem& p) {
 
 void fft_forward(const ConvProblem& p, const float* x, const float* w,
                  float* y, float alpha, float beta, void* workspace) {
-  check(fft_supported(p), Status::kNotSupported,
-        "FFT forward requires unit stride/dilation");
+  if (!fft_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "FFT forward requires unit stride/dilation");
+  }
   corr_fft(forward_spec(p), x, w, y, alpha, beta, workspace);
 }
 
@@ -338,8 +343,10 @@ std::size_t fft_bwd_data_workspace(const ConvProblem& p) {
 
 void fft_backward_data(const ConvProblem& p, const float* dy, const float* w,
                        float* dx, float alpha, float beta, void* workspace) {
-  check(fft_supported(p), Status::kNotSupported,
-        "FFT backward-data requires unit stride/dilation");
+  if (!fft_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "FFT backward-data requires unit stride/dilation");
+  }
   corr_fft(backward_data_spec(p), dy, w, dx, alpha, beta, workspace);
 }
 
@@ -350,8 +357,11 @@ std::size_t fft_tiling_fwd_workspace(const ConvProblem& p) {
 
 void fft_tiling_forward(const ConvProblem& p, const float* x, const float* w,
                         float* y, float alpha, float beta, void* workspace) {
-  check(fft_tiling_supported(p), Status::kNotSupported,
-        "FFT tiling forward requires unit stride/dilation and window <= 32");
+  if (!fft_tiling_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "FFT tiling forward requires unit stride/dilation "
+                "and window <= 32");
+  }
   corr_fft_tiling(forward_spec(p), x, w, y, alpha, beta, workspace);
 }
 
@@ -363,8 +373,11 @@ std::size_t fft_tiling_bwd_data_workspace(const ConvProblem& p) {
 void fft_tiling_backward_data(const ConvProblem& p, const float* dy,
                               const float* w, float* dx, float alpha,
                               float beta, void* workspace) {
-  check(fft_tiling_supported(p), Status::kNotSupported,
-        "FFT tiling backward-data requires unit stride/dilation, window <= 32");
+  if (!fft_tiling_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "FFT tiling backward-data requires unit "
+                "stride/dilation, window <= 32");
+  }
   corr_fft_tiling(backward_data_spec(p), dy, w, dx, alpha, beta, workspace);
 }
 
@@ -394,9 +407,13 @@ std::size_t fft_bwd_filter_workspace(const ConvProblem& p) {
 
 void fft_backward_filter(const ConvProblem& p, const float* x, const float* dy,
                          float* dw, float alpha, float beta, void* workspace) {
-  check(fft_supported(p), Status::kNotSupported,
-        "FFT backward-filter requires unit stride/dilation");
-  check(workspace != nullptr, Status::kBadParam, "FFT conv requires workspace");
+  if (!fft_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "FFT backward-filter requires unit stride/dilation");
+  }
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "FFT conv requires workspace");
+  }
   const FftPlan plan = bwd_filter_plan(p);
   const std::int64_t cells = plan.cells();
   const std::int64_t full = plan.full_cells();

@@ -49,8 +49,9 @@ std::size_t precomp_fwd_workspace(const ConvProblem& p) {
 
 void precomp_gemm_forward(const ConvProblem& p, const float* x, const float* w,
                           float* y, float alpha, float beta, void* workspace) {
-  check(workspace != nullptr, Status::kBadParam,
-        "precomp_gemm_forward requires workspace");
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "precomp_gemm_forward requires workspace");
+  }
   const std::int64_t rows = col_rows(p);
   const std::int64_t plane = p.y.h * p.y.w;
   auto* indices = static_cast<std::int32_t*>(workspace);
@@ -84,8 +85,9 @@ std::size_t gemm_fwd_workspace(const ConvProblem& p) {
 
 void gemm_forward(const ConvProblem& p, const float* x, const float* w,
                   float* y, float alpha, float beta, void* workspace) {
-  check(workspace != nullptr, Status::kBadParam,
-        "gemm_forward requires workspace");
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "gemm_forward requires workspace");
+  }
   const std::int64_t rows = col_rows(p);
   const std::int64_t plane = p.y.h * p.y.w;
   const std::int64_t total = p.x.n * plane;
@@ -126,8 +128,9 @@ std::size_t gemm_bwd_data_workspace(const ConvProblem& p) {
 
 void gemm_backward_data(const ConvProblem& p, const float* dy, const float* w,
                         float* dx, float alpha, float beta, void* workspace) {
-  check(workspace != nullptr, Status::kBadParam,
-        "gemm_backward_data requires workspace");
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "gemm_backward_data requires workspace");
+  }
   const std::int64_t rows = col_rows(p);
   const std::int64_t plane = p.y.h * p.y.w;
   const std::int64_t total = p.x.n * plane;
@@ -157,8 +160,10 @@ std::size_t perimage_bwd_filter_workspace(const ConvProblem& p) {
 void perimage_backward_filter(const ConvProblem& p, const float* x,
                               const float* dy, float* dw, float alpha,
                               float beta, void* workspace) {
-  check(workspace != nullptr, Status::kBadParam,
-        "perimage_backward_filter requires workspace");
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam,
+                "perimage_backward_filter requires workspace");
+  }
   const std::int64_t rows = col_rows(p);
   const std::int64_t plane = p.y.h * p.y.w;
   auto* col = static_cast<float*>(workspace);
@@ -184,8 +189,9 @@ std::size_t gemm_bwd_filter_workspace(const ConvProblem& p) {
 void gemm_backward_filter(const ConvProblem& p, const float* x,
                           const float* dy, float* dw, float alpha, float beta,
                           void* workspace) {
-  check(workspace != nullptr, Status::kBadParam,
-        "gemm_backward_filter requires workspace");
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "gemm_backward_filter requires workspace");
+  }
   const std::int64_t rows = col_rows(p);
   const std::int64_t plane = p.y.h * p.y.w;
   const std::int64_t total = p.x.n * plane;

@@ -171,9 +171,13 @@ std::size_t winograd_fwd_workspace(const ConvProblem& p) {
 
 void winograd_forward(const ConvProblem& p, const float* x, const float* w,
                       float* y, float alpha, float beta, void* workspace) {
-  check(winograd_supported(p), Status::kNotSupported,
-        "Winograd requires 3x3 window, unit stride/dilation");
-  check(workspace != nullptr, Status::kBadParam, "Winograd requires workspace");
+  if (!winograd_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "Winograd requires 3x3 window, unit stride/dilation");
+  }
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "Winograd requires workspace");
+  }
   auto* u = static_cast<float*>(workspace);
   float* scratch = u + p.w.k * p.w.c * 16;
   build_filter_transforms(p, w, u);
@@ -236,9 +240,13 @@ std::size_t winograd_nonfused_fwd_workspace(const ConvProblem& p) {
 void winograd_nonfused_forward(const ConvProblem& p, const float* x,
                                const float* w, float* y, float alpha,
                                float beta, void* workspace) {
-  check(winograd_supported(p), Status::kNotSupported,
-        "Winograd requires 3x3 window, unit stride/dilation");
-  check(workspace != nullptr, Status::kBadParam, "Winograd requires workspace");
+  if (!winograd_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "Winograd requires 3x3 window, unit stride/dilation");
+  }
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "Winograd requires workspace");
+  }
   const std::int64_t th = tiles_h(p), tw = tiles_w(p);
   const std::int64_t nt = p.x.n * th * tw;
   const std::int64_t kc = p.w.k * p.w.c;
@@ -328,8 +336,10 @@ void winograd_nonfused_forward(const ConvProblem& p, const float* x,
 }
 
 std::size_t winograd_bwd_data_workspace(const ConvProblem& p) {
-  check(winograd_bwd_data_supported(p), Status::kNotSupported,
-        "Winograd backward-data unsupported for this problem");
+  if (!winograd_bwd_data_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "Winograd backward-data unsupported for this problem");
+  }
   ConvGeometry geom;
   geom.pad_h = 2 - p.geom.pad_h;
   geom.pad_w = 2 - p.geom.pad_w;
@@ -341,9 +351,13 @@ std::size_t winograd_bwd_data_workspace(const ConvProblem& p) {
 void winograd_backward_data(const ConvProblem& p, const float* dy,
                             const float* w, float* dx, float alpha, float beta,
                             void* workspace) {
-  check(winograd_bwd_data_supported(p), Status::kNotSupported,
-        "Winograd backward-data unsupported for this problem");
-  check(workspace != nullptr, Status::kBadParam, "Winograd requires workspace");
+  if (!winograd_bwd_data_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "Winograd backward-data unsupported for this problem");
+  }
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "Winograd requires workspace");
+  }
   auto* w_prime = static_cast<float*>(workspace);
   const ConvProblem lowered = lower_backward_data(p, w, w_prime);
   winograd_forward(lowered, dy, w_prime, dx, alpha, beta,
@@ -351,8 +365,10 @@ void winograd_backward_data(const ConvProblem& p, const float* dy,
 }
 
 std::size_t winograd_nonfused_bwd_data_workspace(const ConvProblem& p) {
-  check(winograd_bwd_data_supported(p), Status::kNotSupported,
-        "Winograd backward-data unsupported for this problem");
+  if (!winograd_bwd_data_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "Winograd backward-data unsupported for this problem");
+  }
   ConvGeometry geom;
   geom.pad_h = 2 - p.geom.pad_h;
   geom.pad_w = 2 - p.geom.pad_w;
@@ -364,9 +380,13 @@ std::size_t winograd_nonfused_bwd_data_workspace(const ConvProblem& p) {
 void winograd_nonfused_backward_data(const ConvProblem& p, const float* dy,
                                      const float* w, float* dx, float alpha,
                                      float beta, void* workspace) {
-  check(winograd_bwd_data_supported(p), Status::kNotSupported,
-        "Winograd backward-data unsupported for this problem");
-  check(workspace != nullptr, Status::kBadParam, "Winograd requires workspace");
+  if (!winograd_bwd_data_supported(p)) {
+    throw Error(Status::kNotSupported,
+                "Winograd backward-data unsupported for this problem");
+  }
+  if (workspace == nullptr) {
+    throw Error(Status::kBadParam, "Winograd requires workspace");
+  }
   auto* w_prime = static_cast<float*>(workspace);
   const ConvProblem lowered = lower_backward_data(p, w, w_prime);
   winograd_nonfused_forward(lowered, dy, w_prime, dx, alpha, beta,

@@ -363,6 +363,75 @@ TEST(ConvLayerTest, BiasGradientEqualsSerialDoubleSumBitwise) {
   }
 }
 
+TEST(LayerBackwardTest, DirectBackwardOnFreshBlobsAllocatesEachDiffOnce) {
+  // Drives each layer's backward directly, without Net::backward's up-front
+  // diff allocation, so the first diff() call of every bottom (and of the
+  // batch-norm parameters) happens inside the layer. A layer must resolve
+  // its diffs before its parallel loop: a diff() call inside a loop body
+  // races on the lazy allocation, which the tsan preset reports and which
+  // can allocate one diff per worker. The loops run on the global pool (one
+  // worker per hardware thread).
+  core::UcudnnHandle handle(cpu(), wr_options());
+  const LayerContext ctx{handle, handle.base().device_ptr(), false};
+  std::vector<std::unique_ptr<Blob>> blobs;
+  const auto blob = [&](const std::string& name, const TensorShape& shape) {
+    blobs.push_back(std::make_unique<Blob>(ctx.dev, name, shape));
+    fill_random(blobs.back()->data(), blobs.back()->count(), blobs.size());
+    return blobs.back().get();
+  };
+  // Forward, seed the top diff, then run backward on still-fresh `lazy`
+  // blobs.
+  const auto check = [&](Layer& layer, Blob* top,
+                         const std::vector<Blob*>& lazy) {
+    std::mt19937 rng(7);
+    layer.init_params(rng);
+    layer.forward(ctx);
+    fill_random(top->diff(), top->count(), 11);
+    layer.backward(ctx);
+    const auto usage = ctx.dev->usage_by_tag();
+    for (Blob* b : lazy) {
+      EXPECT_EQ(usage.at(b->name() + ":diff"), b->bytes())
+          << layer.name() << ": " << b->name();
+      double norm = 0.0;
+      for (std::int64_t i = 0; i < b->count(); ++i) {
+        ASSERT_TRUE(std::isfinite(b->diff()[i])) << b->name();
+        norm += std::abs(b->diff()[i]);
+      }
+      EXPECT_GT(norm, 0.0) << layer.name() << ": " << b->name();
+    }
+  };
+  const TensorShape shape{4, 8, 8, 8};
+  for (const auto mode : {frameworks::ops::PoolMode::kMax,
+                          frameworks::ops::PoolMode::kAvgWindow}) {
+    const std::string name =
+        mode == frameworks::ops::PoolMode::kMax ? "max" : "avg";
+    Blob* x = blob(name + "_x", shape);
+    Blob* y = blob(name, {4, 8, 4, 4});
+    PoolLayer pool(ctx, name, x, y, {mode, 3, 2, 1});
+    check(pool, y, {x});
+  }
+  {
+    Blob* x = blob("lrn_x", shape);
+    Blob* y = blob("lrn", shape);
+    LrnLayer lrn(ctx, "lrn", x, y, 5, 1e-4f, 0.75f, 1.0f);
+    check(lrn, y, {x});
+  }
+  {
+    Blob* x = blob("bn_x", shape);
+    Blob* y = blob("bn", shape);
+    BatchNormLayer bn(ctx, "bn", x, y);
+    const std::vector<Blob*> params = bn.params();
+    check(bn, y, {x, params[0], params[1]});
+  }
+  {
+    Blob* a = blob("cat_a", {4, 3, 8, 8});
+    Blob* b = blob("cat_b", {4, 5, 8, 8});
+    Blob* y = blob("cat", shape);
+    ConcatLayer concat("cat", {a, b}, y);
+    check(concat, y, {a, b});
+  }
+}
+
 TEST(NetNumericTest, ForwardBackwardRunsOnCpu) {
   core::UcudnnHandle handle(cpu(), wr_options());
   Net net(handle, "tiny");

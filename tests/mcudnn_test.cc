@@ -9,6 +9,7 @@
 
 #include "common/aligned_buffer.h"
 #include "common/status.h"
+#include "kernels/winograd.h"
 #include "mcudnn/mcudnn.h"
 
 namespace ucudnn::mcudnn {
@@ -332,6 +333,16 @@ TEST(ConvolutionTest, LaunchCheckFailuresKeepStatusAndMessage) {
   EXPECT_NE(null_operand_what.find("null operand in numeric convolution"),
             std::string::npos)
       << null_operand_what;
+
+  // A kernel-internal check, reached by calling the kernel directly.
+  const auto [kernel_ws, kernel_ws_what] = launch_error([&] {
+    kernels::winograd_forward(p, x.data(), w_tensor.data(), y.data(), 1.0f,
+                              0.0f, nullptr);
+  });
+  EXPECT_EQ(kernel_ws, Status::kBadParam);
+  EXPECT_NE(kernel_ws_what.find("Winograd requires workspace"),
+            std::string::npos)
+      << kernel_ws_what;
 }
 
 TEST(CStyleApiTest, WorkspaceSizeAndAlgorithm) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 
 #include "frameworks/tfmini/models.h"
@@ -101,46 +102,102 @@ TEST(SessionTest, ForwardBackwardNumeric) {
   }
 }
 
+// A graph under gradient check: `build` adds the ops and returns the
+// placeholder whose gradient is checked; the loss is the last op.
+struct GradientCase {
+  const char* name;
+  std::function<int(Graph&)> build;
+};
+
+// Softmax cross-entropy over a matmul head on `top`.
+int xent_head(Graph& g, int top) {
+  const auto& s = g.op(top).shape;
+  const int w = g.variable("head_w", {4, s.c * s.h * s.w, 1, 1});
+  return g.softmax_xent("loss", g.matmul("head", top, w));
+}
+
+const GradientCase kGradientCases[] = {
+    {"conv_relu_matmul",
+     [](Graph& g) {
+       const int x = g.placeholder("x", {2, 2, 8, 8});
+       const int w = g.variable("w", {3, 2, 3, 3});
+       xent_head(g, g.relu("r", g.conv2d("c", x, w, 1, Padding::kSame)));
+       return x;
+     }},
+    {"max_pool",
+     [](Graph& g) {
+       const int x = g.placeholder("x", {2, 2, 8, 8});
+       xent_head(g, g.max_pool("p", x, 2, 2, Padding::kValid));
+       return x;
+     }},
+    // SAME padding: the border windows average over fewer valid elements.
+    {"avg_pool_same",
+     [](Graph& g) {
+       const int x = g.placeholder("x", {2, 2, 7, 7});
+       xent_head(g, g.avg_pool("p", x, 3, 2, Padding::kSame));
+       return x;
+     }},
+    {"batch_norm",
+     [](Graph& g) {
+       const int x = g.placeholder("x", {4, 3, 5, 5});
+       xent_head(g, g.batch_norm("bn", x));
+       return x;
+     }},
+    {"add",
+     [](Graph& g) {
+       const int x = g.placeholder("x", {2, 2, 6, 6});
+       const int w = g.variable("w", {2, 2, 3, 3});
+       xent_head(g, g.add("sum", g.conv2d("c", x, w, 1, Padding::kSame), x));
+       return x;
+     }},
+    {"concat",
+     [](Graph& g) {
+       const int x = g.placeholder("x", {2, 2, 6, 6});
+       const int w = g.variable("w", {3, 2, 3, 3});
+       xent_head(g, g.concat("cat", {g.conv2d("c", x, w, 1, Padding::kSame),
+                                     x}));
+       return x;
+     }},
+};
+
 TEST(SessionTest, TapeGradientMatchesFiniteDifference) {
-  Graph g;
-  const int x = g.placeholder("x", {2, 2, 8, 8});
-  const int w = g.variable("w", {3, 2, 3, 3});
-  int top = g.conv2d("c", x, w, 1, Padding::kSame);
-  top = g.relu("r", top);
-  const int fcw = g.variable("fcw", {4, 3 * 8 * 8, 1, 1});
-  top = g.matmul("fc", top, fcw);
-  const int loss = g.softmax_xent("loss", top);
+  for (const GradientCase& test_case : kGradientCases) {
+    SCOPED_TRACE(test_case.name);
+    Graph g;
+    const int x = test_case.build(g);
+    const int loss = static_cast<int>(g.ops().size()) - 1;
 
-  core::UcudnnHandle handle(cpu(), wr_options());
-  Session session(g, handle);
-  session.initialize(11);
-  session.run_forward();
-  session.run_backward();
-
-  std::vector<float> analytic(
-      static_cast<std::size_t>(g.op(x).shape.count()));
-  std::copy(session.grad(x), session.grad(x) + analytic.size(),
-            analytic.begin());
-
-  const float eps = 2e-3f;
-  const std::int64_t stride = g.op(x).shape.count() / 16;
-  double worst = 0.0, scale = 1e-8;
-  for (std::int64_t i = 0; i < g.op(x).shape.count(); i += stride) {
-    const float saved = session.data(x)[i];
-    session.data(x)[i] = saved + eps;
+    core::UcudnnHandle handle(cpu(), wr_options());
+    Session session(g, handle);
+    session.initialize(11);
     session.run_forward();
-    const double plus = session.data(loss)[0];
-    session.data(x)[i] = saved - eps;
-    session.run_forward();
-    const double minus = session.data(loss)[0];
-    session.data(x)[i] = saved;
-    const double numeric = (plus - minus) / (2.0 * eps);
-    worst = std::max(worst, std::abs(numeric - analytic[static_cast<std::size_t>(i)]));
-    scale = std::max({scale, std::abs(numeric),
-                      static_cast<double>(
-                          std::abs(analytic[static_cast<std::size_t>(i)]))});
+    session.run_backward();
+
+    std::vector<float> analytic(
+        static_cast<std::size_t>(g.op(x).shape.count()));
+    std::copy(session.grad(x), session.grad(x) + analytic.size(),
+              analytic.begin());
+
+    const float eps = 2e-3f;
+    const std::int64_t stride = g.op(x).shape.count() / 16;
+    double worst = 0.0, scale = 1e-8;
+    for (std::int64_t i = 0; i < g.op(x).shape.count(); i += stride) {
+      const float saved = session.data(x)[i];
+      session.data(x)[i] = saved + eps;
+      session.run_forward();
+      const double plus = session.data(loss)[0];
+      session.data(x)[i] = saved - eps;
+      session.run_forward();
+      const double minus = session.data(loss)[0];
+      session.data(x)[i] = saved;
+      const double numeric = (plus - minus) / (2.0 * eps);
+      const float exact = analytic[static_cast<std::size_t>(i)];
+      worst = std::max(worst, std::abs(numeric - exact));
+      scale = std::max({scale, std::abs(numeric),
+                        static_cast<double>(std::abs(exact))});
+    }
+    EXPECT_LT(worst / scale, 0.1);
   }
-  EXPECT_LT(worst / scale, 0.1);
 }
 
 TEST(SessionTest, NoWorkspaceLimitAnnouncedBeforeFirstRun) {

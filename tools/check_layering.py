@@ -30,6 +30,11 @@ here:
      frameworks/ — serving talks to the library through UcudnnHandle only).
   8. Nothing outside src/serve includes serve/ headers back: the serving
      front-end is a top layer, not a dependency of the library.
+  9. src/frameworks/ops.{h,cc} (the host layer ops both frameworks call)
+     includes neither frameworks/caffepp/ nor frameworks/tfmini/.
+ 10. The frameworks are siblings: src/frameworks/caffepp/** never includes
+     frameworks/tfmini/ and src/frameworks/tfmini/** never includes
+     frameworks/caffepp/ — code they share lives in frameworks/ops.h.
 
 Usage:  check_layering.py [--self-test] [ROOT]
 
@@ -99,6 +104,23 @@ RULES = [
         re.compile(r"^src/(?!serve/).+\.(h|cc)$"),
         ("serve/",),
         "the serving front-end sits on top; the library never includes it",
+    ),
+    # Rule 9: the shared host ops sit below both frameworks.
+    (
+        re.compile(r"^src/frameworks/ops\.(h|cc)$"),
+        ("frameworks/caffepp/", "frameworks/tfmini/"),
+        "the shared host ops serve both frameworks and include neither",
+    ),
+    # Rule 10: the frameworks are siblings.
+    (
+        re.compile(r"^src/frameworks/caffepp/.+\.(h|cc)$"),
+        ("frameworks/tfmini/",),
+        "frameworks never include each other; shared code is frameworks/ops.h",
+    ),
+    (
+        re.compile(r"^src/frameworks/tfmini/.+\.(h|cc)$"),
+        ("frameworks/caffepp/",),
+        "frameworks never include each other; shared code is frameworks/ops.h",
     ),
 ]
 
@@ -329,6 +351,30 @@ def self_test() -> int:
         ("src/serve/server.cc", '#include "telemetry/watchdog.h"\n', 0),
         ("src/common/fault_injection.cc",
          '#include "telemetry/flight_recorder.h"\n', 0),
+        # Rule 9: the shared host ops include neither framework...
+        ("src/frameworks/ops.cc", '#include "frameworks/caffepp/blob.h"\n', 1),
+        ("src/frameworks/ops.h", '#include "frameworks/tfmini/tfmini.h"\n', 1),
+        (
+            "src/frameworks/ops.cc",
+            '#include "frameworks/ops.h"\n#include "common/thread_pool.h"\n',
+            0,
+        ),
+        # ...and, being framework code, stay above the facade too.
+        ("src/frameworks/ops.cc", '#include "mcudnn/mcudnn.h"\n', 1),
+        # Rule 10: both frameworks include the ops, never each other.
+        ("src/frameworks/caffepp/layers.h", '#include "frameworks/ops.h"\n', 0),
+        ("src/frameworks/tfmini/tfmini.cc", '#include "frameworks/ops.h"\n', 0),
+        ("src/frameworks/caffepp/net.cc",
+         '#include "frameworks/caffepp/layers.h"\n', 0),
+        ("src/frameworks/caffepp/net.cc",
+         '#include "frameworks/tfmini/tfmini.h"\n', 1),
+        ("src/frameworks/tfmini/models.cc",
+         '#include "frameworks/caffepp/blob.h"\n', 1),
+        (
+            "src/frameworks/tfmini/tfmini.h",
+            '#include "frameworks/caffepp/net.h"  // layering: allow\n',
+            0,
+        ),
     ]
     failures = []
     for rel, text, expected in cases:
