@@ -1,10 +1,13 @@
 // Table I reproduction: the evaluation-environment specification. The
 // hardware rows come from this reproduction's simulated device profiles; the
 // software rows list the substitutions built for this repository (see
-// DESIGN.md §2).
+// DESIGN.md §2) and the host the HostCpu kernels run on: the instruction
+// set of the GEMM register tile and the kernel pool size.
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/simd.h"
+#include "common/thread_pool.h"
 
 using namespace ucudnn;
 
@@ -42,5 +45,10 @@ int main(int argc, char** argv) {
   std::printf("%-22s %s\n", "Caffe substitute", "caffepp (this repo)");
   std::printf("%-22s %s\n", "TensorFlow substitute", "tfmini (this repo)");
   std::printf("%-22s %s\n", "C++ standard", "C++20");
+  const std::size_t pool_threads = ThreadPool::global().num_threads();
+  std::printf("%-22s %s\n", "host SIMD (GEMM tile)", simd::active_isa());
+  std::printf("%-22s %zu\n", "kernel pool threads", pool_threads);
+  artifact.config("simd_isa", simd::active_isa());
+  artifact.config("kernel_pool_threads", pool_threads);
   return 0;
 }

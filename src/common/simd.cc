@@ -438,31 +438,56 @@ bool simd_enabled_by_env() noexcept {
   }
 }
 
-bool use_vector_path() noexcept {
+}  // namespace
+
+const char* isa_name(Isa isa) noexcept {
+  switch (isa) {
+    case Isa::kAvx2Fma: return "avx2-fma";
+    case Isa::kAvx512: return "avx512f";
+    case Isa::kNeon: return "neon";
+    case Isa::kScalar: break;
+  }
+  return "scalar";
+}
+
+bool cpu_supports(Isa isa) noexcept {
+  switch (isa) {
+    case Isa::kScalar: return true;
 #if defined(UCUDNN_SIMD_X86)
-  static const bool use = simd_enabled_by_env() &&
-                          __builtin_cpu_supports("avx2") &&
-                          __builtin_cpu_supports("fma");
+    case Isa::kAvx2Fma:
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    case Isa::kAvx512:
+      return cpu_supports(Isa::kAvx2Fma) && __builtin_cpu_supports("avx512f");
 #elif defined(UCUDNN_SIMD_NEON)
-  static const bool use = simd_enabled_by_env();
-#else
-  static const bool use = false;
+    case Isa::kNeon: return true;
 #endif
+    default: return false;
+  }
+}
+
+Isa active() noexcept {
+  static const Isa isa = [] {
+    if (!simd_enabled_by_env()) return Isa::kScalar;
+    for (const Isa widest : {Isa::kAvx512, Isa::kAvx2Fma, Isa::kNeon}) {
+      if (cpu_supports(widest)) return widest;
+    }
+    return Isa::kScalar;
+  }();
+  return isa;
+}
+
+namespace {
+
+// The check every primitive below makes per call; a cached flag keeps it
+// to one load after the first call.
+bool use_vector_path() noexcept {
+  static const bool use = active() != Isa::kScalar;
   return use;
 }
 
 }  // namespace
 
-const char* active_isa() noexcept {
-  if (!use_vector_path()) return "scalar";
-#if defined(UCUDNN_SIMD_X86)
-  return "avx2-fma";
-#elif defined(UCUDNN_SIMD_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
+const char* active_isa() noexcept { return isa_name(active()); }
 
 bool vectorized() noexcept { return use_vector_path(); }
 

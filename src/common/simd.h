@@ -1,5 +1,5 @@
 // Runtime-dispatched SIMD primitives shared by the CPU kernel substrate
-// (GEMM, FFT, Winograd, im2col). On x86-64 an AVX2+FMA path is selected at
+// (GEMM, FFT, Winograd, im2col). On x86-64 the instruction set is selected at
 // runtime via __builtin_cpu_supports; on AArch64 the NEON path is compiled
 // in unconditionally; everywhere else (and under UCUDNN_SIMD=0) a portable
 // scalar fallback with identical semantics is used. All pointers may be
@@ -10,11 +10,27 @@
 
 namespace ucudnn::simd {
 
-/// Name of the active instruction set: "avx2-fma", "neon", or "scalar".
-/// Resolved once per process (UCUDNN_SIMD=0 forces "scalar").
+/// Instruction sets the CPU kernels are built for. kAvx512 only widens the
+/// GEMM register tile (gemm/gemm.cc); the primitives below run their AVX2
+/// path under it.
+enum class Isa { kScalar, kAvx2Fma, kAvx512, kNeon };
+
+/// "scalar", "avx2-fma", "avx512f" or "neon".
+const char* isa_name(Isa isa) noexcept;
+
+/// True when this CPU can run `isa`, whatever UCUDNN_SIMD says. kScalar is
+/// always supported.
+bool cpu_supports(Isa isa) noexcept;
+
+/// The instruction set the process runs on: the widest one the CPU supports,
+/// resolved once per process. UCUDNN_SIMD=0 forces kScalar. The GEMM picks
+/// its register tile from this value.
+Isa active() noexcept;
+
+/// isa_name(active()).
 const char* active_isa() noexcept;
 
-/// True when a vector path (AVX2 or NEON) is active.
+/// True when a vector path (AVX2, AVX-512 or NEON) is active.
 bool vectorized() noexcept;
 
 /// dst[i] += src[i] for i in [0, n).

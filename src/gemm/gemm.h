@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "common/simd.h"
+
 namespace ucudnn::gemm {
 
 enum class Trans { kNo, kYes };
@@ -19,7 +21,9 @@ void sgemm_naive(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
                  const float* b, std::int64_t ldb, float beta, float* c,
                  std::int64_t ldc);
 
-/// Cache-blocked, thread-parallel GEMM with identical semantics.
+/// Cache-blocked, thread-parallel GEMM with identical semantics. Runs the
+/// register tile of simd::active(). Each element of C is summed in the same
+/// order whatever the thread count or the slice of C a call covers.
 void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
            std::int64_t k, float alpha, const float* a, std::int64_t lda,
            const float* b, std::int64_t ldb, float beta, float* c,
@@ -30,5 +34,16 @@ void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
 void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
            std::int64_t k, float alpha, const float* a, const float* b,
            float beta, float* c);
+
+namespace internal {
+
+/// sgemm on the register tile of `isa` instead of simd::active(), so tests
+/// can cover every tile the CPU runs. Requires simd::cpu_supports(isa).
+void sgemm_isa(simd::Isa isa, Trans trans_a, Trans trans_b, std::int64_t m,
+               std::int64_t n, std::int64_t k, float alpha, const float* a,
+               std::int64_t lda, const float* b, std::int64_t ldb, float beta,
+               float* c, std::int64_t ldc);
+
+}  // namespace internal
 
 }  // namespace ucudnn::gemm

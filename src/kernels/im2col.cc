@@ -1,9 +1,8 @@
 #include "kernels/im2col.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/simd.h"
+#include "common/mathutil.h"
 #include "common/thread_pool.h"
 
 namespace ucudnn::kernels {
@@ -19,9 +18,9 @@ inline std::int64_t spatial_s(const ConvProblem& p, std::int64_t s) noexcept {
   return p.geom.mode == ConvMode::kCrossCorrelation ? s : p.w.s - 1 - s;
 }
 
-// In-bounds output column range for one lowered row: iw = j * stride + base
-// stays inside [0, xw) exactly for j in [j_lo, j_hi). Hoisting the bounds out
-// of the inner loop leaves a branch-free interior (memcpy when stride == 1).
+// In-bounds output range along one axis: i = j * stride + base stays inside
+// [0, xw) exactly for j in [lo, hi). Hoisting the bounds out of the inner
+// loops leaves a branch-free interior (a plain copy when stride == 1).
 struct ColRange {
   std::int64_t lo, hi;
 };
@@ -35,94 +34,95 @@ inline ColRange col_range(std::int64_t ow, std::int64_t stride,
   return {lo, std::max(lo, hi)};
 }
 
-// One output row of im2col: out_row[j] = x_row[j * stride + base] with zero
-// padding outside [0, xw).
-inline void lower_row(float* out_row, const float* x_row, std::int64_t ow,
-                      std::int64_t stride, std::int64_t base,
-                      std::int64_t xw) noexcept {
-  const ColRange jr = col_range(ow, stride, base, xw);
-  std::fill(out_row, out_row + jr.lo, 0.0f);
-  if (stride == 1) {
-    if (jr.hi > jr.lo) {
-      std::memcpy(out_row + jr.lo, x_row + jr.lo + base,
-                  static_cast<std::size_t>(jr.hi - jr.lo) * sizeof(float));
-    }
-  } else {
-    for (std::int64_t j = jr.lo; j < jr.hi; ++j) {
-      out_row[j] = x_row[j * stride + base];
-    }
-  }
-  std::fill(out_row + jr.hi, out_row + ow, 0.0f);
-}
+// Everything about one (c, r, s) row of the column matrix that does not
+// depend on the image: where its channel plane starts, which output rows
+// read an input row inside the image, and which output columns read inside
+// it. Computed once per row, then reused for every image and output row.
+struct RowPlan {
+  std::int64_t plane;   // offset of channel c within one image
+  std::int64_t ih0;     // input row read by output row 0 (may be < 0)
+  std::int64_t base_w;  // input column read by output column 0 (may be < 0)
+  ColRange rows;        // output rows with an in-bounds input row
+  ColRange cols;        // output columns with an in-bounds input column
+};
 
-// Accumulating transpose of lower_row: x_row[j * stride + base] += in_row[j].
-inline void scatter_row(float* x_row, const float* in_row, std::int64_t ow,
-                        std::int64_t stride, std::int64_t base,
-                        std::int64_t xw) noexcept {
-  const ColRange jr = col_range(ow, stride, base, xw);
-  if (stride == 1) {
-    simd::add(x_row + jr.lo + base, in_row + jr.lo, jr.hi - jr.lo);
-  } else {
-    for (std::int64_t j = jr.lo; j < jr.hi; ++j) {
-      x_row[j * stride + base] += in_row[j];
-    }
-  }
-}
-
-// Lowers one (c, r, s) row of the column matrix for one image.
-void lower_one_row(const ConvProblem& p, const float* x_image,
-                   std::int64_t row, float* out) {
+RowPlan plan_row(const ConvProblem& p, std::int64_t row) noexcept {
   const std::int64_t c = row / (p.w.r * p.w.s);
   const std::int64_t r = (row / p.w.s) % p.w.r;
   const std::int64_t s = row % p.w.s;
-  const std::int64_t rr = spatial_r(p, r);
-  const std::int64_t ss = spatial_s(p, s);
-  const std::int64_t base_w = ss * p.geom.dilation_w - p.geom.pad_w;
-  const float* x_channel = x_image + c * p.x.h * p.x.w;
-  for (std::int64_t i = 0; i < p.y.h; ++i) {
-    const std::int64_t ih =
-        i * p.geom.stride_h - p.geom.pad_h + rr * p.geom.dilation_h;
-    float* out_row = out + i * p.y.w;
-    if (ih < 0 || ih >= p.x.h) {
-      std::fill(out_row, out_row + p.y.w, 0.0f);
-      continue;
+  const std::int64_t ih0 = spatial_r(p, r) * p.geom.dilation_h - p.geom.pad_h;
+  const std::int64_t base_w =
+      spatial_s(p, s) * p.geom.dilation_w - p.geom.pad_w;
+  return {c * p.x.h * p.x.w, ih0, base_w,
+          col_range(p.y.h, p.geom.stride_h, ih0, p.x.h),
+          col_range(p.y.w, p.geom.stride_w, base_w, p.x.w)};
+}
+
+// Output pixel (i, j) of a row reads input element
+// row_origin(p, rp, i) + j * stride_w of the image (offsets are formed
+// before the pointer, which may not point outside the image).
+inline std::int64_t row_origin(const ConvProblem& p, const RowPlan& rp,
+                               std::int64_t i) noexcept {
+  return rp.plane + (i * p.geom.stride_h + rp.ih0) * p.x.w + rp.base_w;
+}
+
+// Lowers one (row, image) pair: out[i * OW + j] is the input element output
+// pixel (i, j) reads, or zero where it reads padding.
+void lower_pair(const ConvProblem& p, const RowPlan& rp, const float* x_image,
+                float* out) noexcept {
+  const std::int64_t ow = p.y.w;
+  const std::int64_t stride_w = p.geom.stride_w;
+  const ColRange jr = rp.cols;
+  std::fill(out, out + rp.rows.lo * ow, 0.0f);
+  for (std::int64_t i = rp.rows.lo; i < rp.rows.hi; ++i) {
+    const std::int64_t origin = row_origin(p, rp, i);
+    float* out_row = out + i * ow;
+    std::fill(out_row, out_row + jr.lo, 0.0f);
+    if (stride_w == 1) {
+      std::copy(x_image + (origin + jr.lo), x_image + (origin + jr.hi),
+                out_row + jr.lo);
+    } else {
+      for (std::int64_t j = jr.lo; j < jr.hi; ++j) {
+        out_row[j] = x_image[origin + j * stride_w];
+      }
     }
-    lower_row(out_row, x_channel + ih * p.x.w, p.y.w, p.geom.stride_w, base_w,
-              p.x.w);
+    std::fill(out_row + jr.hi, out_row + ow, 0.0f);
   }
+  std::fill(out + rp.rows.hi * ow, out + p.y.h * ow, 0.0f);
+}
+
+// Parallel grain of the lowering, in output floats per chunk.
+constexpr std::int64_t kLowerGrain = std::int64_t{1} << 14;
+
+// Lowers `images` consecutive images of x into
+// col[C*R*S][images * OH*OW], parallel over (row, image) pairs. Pair
+// row * images + n writes the OH*OW run at that index, so a chunk writes one
+// contiguous range.
+void lower(const ConvProblem& p, const float* x, std::int64_t images,
+           float* col) {
+  const std::int64_t image = p.x.c * p.x.h * p.x.w;
+  const std::int64_t plane = p.y.h * p.y.w;
+  ThreadPool::global().parallel_for(
+      col_rows(p) * images,
+      [&](std::int64_t begin, std::int64_t end, std::size_t) {
+        std::int64_t row = begin / images;
+        RowPlan rp = plan_row(p, row);
+        for (std::int64_t pair = begin; pair < end; ++pair) {
+          if (pair / images != row) rp = plan_row(p, ++row);
+          lower_pair(p, rp, x + (pair % images) * image, col + pair * plane);
+        }
+      },
+      /*min_chunk=*/ceil_div(kLowerGrain, plane));
 }
 
 }  // namespace
 
 void im2col(const ConvProblem& p, const float* x_image, float* col) {
-  const std::int64_t cols = p.y.h * p.y.w;
-  const std::int64_t rows = col_rows(p);
-  // Rows write disjoint output ranges; when called from inside an outer
-  // parallel region the chunks are shared with idle workers.
-  ThreadPool::global().parallel_for(
-      rows, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t row = begin; row < end; ++row) {
-          lower_one_row(p, x_image, row, col + row * cols);
-        }
-      });
+  lower(p, x_image, 1, col);
 }
 
 void im2col_batched(const ConvProblem& p, const float* x, float* col) {
-  const std::int64_t image = p.x.c * p.x.h * p.x.w;
-  const std::int64_t per_image_cols = p.y.h * p.y.w;
-  const std::int64_t total_cols = p.x.n * per_image_cols;
-  const std::int64_t rows = col_rows(p);
-  ThreadPool::global().parallel_for(
-      p.x.n, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t n = begin; n < end; ++n) {
-          // Lower image n directly into the batched layout with strided writes.
-          const float* x_image = x + n * image;
-          for (std::int64_t row = 0; row < rows; ++row) {
-            lower_one_row(p, x_image, row,
-                          col + row * total_cols + n * per_image_cols);
-          }
-        }
-      });
+  lower(p, x, p.x.n, col);
 }
 
 void col2im_accumulate(const ConvProblem& p, const float* col, float* x_image) {
@@ -131,26 +131,20 @@ void col2im_accumulate(const ConvProblem& p, const float* col, float* x_image) {
 
 void col2im_accumulate_strided(const ConvProblem& p, const float* col,
                                std::int64_t row_stride, float* x_image) {
-  const std::int64_t cols = row_stride;
+  const std::int64_t rs = p.w.r * p.w.s;
   // Parallel over channels: rows of a channel scatter into that channel's
   // plane only, so channel chunks never race.
   ThreadPool::global().parallel_for(
       p.w.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t c = begin; c < end; ++c) {
-          float* x_channel = x_image + c * p.x.h * p.x.w;
-          for (std::int64_t r = 0; r < p.w.r; ++r) {
-            const std::int64_t rr = spatial_r(p, r);
-            for (std::int64_t s = 0; s < p.w.s; ++s) {
-              const std::int64_t ss = spatial_s(p, s);
-              const std::int64_t base_w = ss * p.geom.dilation_w - p.geom.pad_w;
-              const float* in = col + ((c * p.w.r + r) * p.w.s + s) * cols;
-              for (std::int64_t i = 0; i < p.y.h; ++i) {
-                const std::int64_t ih =
-                    i * p.geom.stride_h - p.geom.pad_h + rr * p.geom.dilation_h;
-                if (ih < 0 || ih >= p.x.h) continue;
-                scatter_row(x_channel + ih * p.x.w, in + i * p.y.w, p.y.w,
-                            p.geom.stride_w, base_w, p.x.w);
-              }
+        for (std::int64_t row = begin * rs; row < end * rs; ++row) {
+          const RowPlan rp = plan_row(p, row);
+          const float* in = col + row * row_stride;
+          const ColRange jr = rp.cols;
+          for (std::int64_t i = rp.rows.lo; i < rp.rows.hi; ++i) {
+            const std::int64_t origin = row_origin(p, rp, i);
+            const float* in_row = in + i * p.y.w;
+            for (std::int64_t j = jr.lo; j < jr.hi; ++j) {
+              x_image[origin + j * p.geom.stride_w] += in_row[j];
             }
           }
         }

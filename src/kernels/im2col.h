@@ -26,7 +26,8 @@ inline std::int64_t col_rows(const ConvProblem& p) noexcept {
 void im2col(const ConvProblem& p, const float* x_image, float* col);
 
 /// Lowers a full batch x[N][C][H][W] to col[C*R*S][N*OH*OW]
-/// (column index = n*OH*OW + oh*OW + ow). Thread-parallel over images.
+/// (column index = n*OH*OW + oh*OW + ow). Thread-parallel over
+/// (row, image) pairs; im2col is the one-image case.
 void im2col_batched(const ConvProblem& p, const float* x, float* col);
 
 /// Scatters col[C*R*S][OH*OW] back into one image, accumulating into

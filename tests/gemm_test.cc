@@ -1,7 +1,7 @@
 // Unit and property tests for the SGEMM substrate: the blocked parallel
 // implementation must match the naive reference for all transpose modes,
 // alpha/beta combinations, and a sweep of shapes (including non-multiples of
-// the blocking factors).
+// the blocking factors), on every register tile this CPU can run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/simd.h"
 #include "gemm/gemm.h"
 #include "tensor/tensor.h"
 
@@ -25,6 +26,18 @@ std::vector<float> random_vec(std::int64_t count, std::uint64_t seed) {
   return v;
 }
 
+// Every instruction set whose register tile this CPU can run: scalar always,
+// plus AVX2 and AVX-512 (or NEON). Covers the narrower tiles on a host whose
+// sgemm picks the widest, whatever UCUDNN_SIMD says.
+std::vector<simd::Isa> supported_isas() {
+  std::vector<simd::Isa> isas;
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2Fma,
+                              simd::Isa::kAvx512, simd::Isa::kNeon}) {
+    if (simd::cpu_supports(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
 struct GemmCase {
   std::int64_t m, n, k;
   Trans ta, tb;
@@ -37,18 +50,29 @@ TEST_P(GemmParamTest, MatchesNaiveReference) {
   const GemmCase p = GetParam();
   const auto a = random_vec(p.m * p.k, 1);
   const auto b = random_vec(p.k * p.n, 2);
-  auto c_ref = random_vec(p.m * p.n, 3);
-  auto c_fast = c_ref;
+  const auto c0 = random_vec(p.m * p.n, 3);
+  auto c_ref = c0;
 
   const std::int64_t lda = p.ta == Trans::kNo ? p.k : p.m;
   const std::int64_t ldb = p.tb == Trans::kNo ? p.n : p.k;
   gemm::sgemm_naive(p.ta, p.tb, p.m, p.n, p.k, p.alpha, a.data(), lda, b.data(),
                     ldb, p.beta, c_ref.data(), p.n);
+  auto c_fast = c0;
   gemm::sgemm(p.ta, p.tb, p.m, p.n, p.k, p.alpha, a.data(), lda, b.data(), ldb,
               p.beta, c_fast.data(), p.n);
 
   const double err = max_rel_diff(c_fast.data(), c_ref.data(), p.m * p.n);
   EXPECT_LT(err, 2e-4) << "m=" << p.m << " n=" << p.n << " k=" << p.k;
+
+  for (const simd::Isa isa : supported_isas()) {
+    auto c_tile = c0;
+    gemm::internal::sgemm_isa(isa, p.ta, p.tb, p.m, p.n, p.k, p.alpha,
+                              a.data(), lda, b.data(), ldb, p.beta,
+                              c_tile.data(), p.n);
+    EXPECT_LT(max_rel_diff(c_tile.data(), c_ref.data(), p.m * p.n), 2e-4)
+        << simd::isa_name(isa) << " m=" << p.m << " n=" << p.n
+        << " k=" << p.k;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -76,14 +100,17 @@ INSTANTIATE_TEST_SUITE_P(
 constexpr double kParityTol = 2e-4;
 
 TEST(GemmTest, ParityAtBlockAndChunkEdges) {
-  // Shapes straddling the register tile (6x16), the cache blocks
-  // (MC=96 / KC=256 / NC=512), and the parallel-split min_chunk edges
-  // (64 columns for the N split, 16 rows for the M split) — each +/-1 so
-  // both the full-tile fast path and the masked edge path run.
+  // Shapes straddling the register tiles (6x16 and 8x32), the cache blocks
+  // (MC=96 / KC=256 / NC=512), and the old parallel-split min_chunk edges
+  // (64 columns, 16 rows) — each +/-1 so both the full-tile fast path and
+  // the edge-tile path run — plus a skinny-deep product (16x75x4097, the
+  // batched BackwardFilter shape) whose strip split spreads over threads.
+  // Every shape runs on every register tile the CPU supports.
   const std::int64_t shapes[][3] = {
       {6, 16, 1},   {7, 17, 2},    {5, 15, 255},  {6, 16, 257},
       {95, 63, 33}, {97, 65, 255}, {64, 513, 40}, {17, 511, 7},
-      {129, 16, 96}};
+      {129, 16, 96}, {7, 31, 3},   {8, 32, 64},   {9, 33, 257},
+      {16, 75, 4097}};
   const float betas[] = {0.0f, 1.0f, 0.5f};
   for (const auto& shape : shapes) {
     const std::int64_t m = shape[0], n = shape[1], k = shape[2];
@@ -97,21 +124,70 @@ TEST(GemmTest, ParityAtBlockAndChunkEdges) {
           const std::int64_t ldc = n + 7;
           const auto a = random_vec(m * k + lda * std::max(m, k), 21);
           const auto b = random_vec(k * n + ldb * std::max(k, n), 22);
-          auto c_ref = random_vec(m * ldc, 23);
-          auto c_fast = c_ref;
+          const auto c0 = random_vec(m * ldc, 23);
+          auto c_ref = c0;
           gemm::sgemm_naive(ta, tb, m, n, k, 1.25f, a.data(), lda, b.data(),
                             ldb, beta, c_ref.data(), ldc);
-          gemm::sgemm(ta, tb, m, n, k, 1.25f, a.data(), lda, b.data(), ldb,
-                      beta, c_fast.data(), ldc);
-          double err = 0;
-          for (std::int64_t i = 0; i < m; ++i) {
-            err = std::max(err, max_rel_diff(c_fast.data() + i * ldc,
-                                             c_ref.data() + i * ldc, n));
+          for (const simd::Isa isa : supported_isas()) {
+            auto c_fast = c0;
+            gemm::internal::sgemm_isa(isa, ta, tb, m, n, k, 1.25f, a.data(),
+                                      lda, b.data(), ldb, beta, c_fast.data(),
+                                      ldc);
+            double err = 0;
+            for (std::int64_t i = 0; i < m; ++i) {
+              err = std::max(err, max_rel_diff(c_fast.data() + i * ldc,
+                                               c_ref.data() + i * ldc, n));
+            }
+            EXPECT_LT(err, kParityTol)
+                << simd::isa_name(isa) << " m=" << m << " n=" << n
+                << " k=" << k << " ta=" << (ta == Trans::kYes)
+                << " tb=" << (tb == Trans::kYes) << " beta=" << beta;
           }
-          EXPECT_LT(err, kParityTol)
-              << "m=" << m << " n=" << n << " k=" << k
-              << " ta=" << (ta == Trans::kYes) << " tb=" << (tb == Trans::kYes)
-              << " beta=" << beta;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTest, SlicesAtStripMultiplesAreBitwiseEqual) {
+  // Partition independence: C computed whole equals C computed as row and
+  // column slices cut at multiples of 24 rows / 96 columns (multiples of
+  // every tile's strip), bit for bit. The parallel strip split relies on it,
+  // so results do not depend on the thread count.
+  const std::int64_t m = 61, n = 301, k = 517;
+  const std::int64_t row_cuts[] = {0, 24, 48, m};
+  const std::int64_t col_cuts[] = {0, 96, 288, n};
+  for (const simd::Isa isa : supported_isas()) {
+    for (const Trans ta : {Trans::kNo, Trans::kYes}) {
+      for (const Trans tb : {Trans::kNo, Trans::kYes}) {
+        for (const float beta : {0.0f, 1.0f, 0.5f}) {
+          const std::int64_t lda = ta == Trans::kNo ? k : m;
+          const std::int64_t ldb = tb == Trans::kNo ? n : k;
+          const auto a = random_vec(m * k, 41);
+          const auto b = random_vec(k * n, 42);
+          const auto c0 = random_vec(m * n, 43);
+          auto whole = c0;
+          gemm::internal::sgemm_isa(isa, ta, tb, m, n, k, 0.75f, a.data(), lda,
+                                    b.data(), ldb, beta, whole.data(), n);
+          auto sliced = c0;
+          for (int ri = 0; ri + 1 < 4; ++ri) {
+            for (int ci = 0; ci + 1 < 4; ++ci) {
+              const std::int64_t r0 = row_cuts[ri], c_0 = col_cuts[ci];
+              const float* a_s = a.data() + (ta == Trans::kNo ? r0 * lda : r0);
+              const float* b_s = b.data() + (tb == Trans::kNo ? c_0 : c_0 * ldb);
+              gemm::internal::sgemm_isa(
+                  isa, ta, tb, row_cuts[ri + 1] - r0, col_cuts[ci + 1] - c_0,
+                  k, 0.75f, a_s, lda, b_s, ldb, beta,
+                  sliced.data() + r0 * n + c_0, n);
+            }
+          }
+          std::int64_t differing = 0;
+          for (std::size_t i = 0; i < whole.size(); ++i) {
+            differing += whole[i] != sliced[i];
+          }
+          EXPECT_EQ(differing, 0)
+              << simd::isa_name(isa) << " ta=" << (ta == Trans::kYes)
+              << " tb=" << (tb == Trans::kYes) << " beta=" << beta;
         }
       }
     }

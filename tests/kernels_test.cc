@@ -128,6 +128,102 @@ INSTANTIATE_TEST_SUITE_P(
              std::string(to_string(std::get<1>(info.param)));
     });
 
+// The GEMM family (explicit and precomputed-index GEMM Forward, GEMM +
+// col2im BackwardData ALGO_1, per-image and batched BackwardFilter ALGO_1 /
+// ALGO_3) on the three train_host convolutions at micro-batches 1, 2 and
+// 16, against the direct reference at beta 0, 1 and 0.5. The existing
+// sweeps only cover beta 0 on small shapes; these are the shapes the
+// register tiles, pack panels and strip split are tuned for.
+struct TrainHostCase {
+  std::string name;
+  ProblemCase conv;
+  std::int64_t micro_batch;
+  ConvKernelType type;
+};
+
+std::vector<TrainHostCase> train_host_cases() {
+  const ProblemCase convs[] = {
+      {"conv1", {1, 3, 32, 32}, {16, 3, 5, 5}, {.pad_h = 2, .pad_w = 2}},
+      {"conv2", {1, 16, 16, 16}, {32, 16, 5, 5}, {.pad_h = 2, .pad_w = 2}},
+      {"conv3", {1, 32, 8, 8}, {32, 32, 3, 3}, {.pad_h = 1, .pad_w = 1}},
+  };
+  std::vector<TrainHostCase> cases;
+  for (const ProblemCase& conv : convs) {
+    for (const std::int64_t batch : {1, 2, 16}) {
+      for (const ConvKernelType type :
+           {ConvKernelType::kForward, ConvKernelType::kBackwardData,
+            ConvKernelType::kBackwardFilter}) {
+        cases.push_back({conv.name + "b" + std::to_string(batch) +
+                             std::string(to_string(type)),
+                         conv, batch, type});
+      }
+    }
+  }
+  return cases;
+}
+
+std::vector<int> gemm_family(ConvKernelType type) {
+  switch (type) {
+    case ConvKernelType::kForward:
+      return {fwd_algo::kImplicitPrecompGemm, fwd_algo::kGemm};
+    case ConvKernelType::kBackwardData:
+      return {bwd_data_algo::kAlgo1};
+    case ConvKernelType::kBackwardFilter:
+      return {bwd_filter_algo::kAlgo1, bwd_filter_algo::kAlgo3};
+  }
+  return {};
+}
+
+class TrainHostGemmParityTest
+    : public ::testing::TestWithParam<TrainHostCase> {};
+
+TEST_P(TrainHostGemmParityTest, GemmFamilyMatchesDirectAtEveryBeta) {
+  const TrainHostCase& tc = GetParam();
+  const ConvProblem p(tc.conv.x.with_batch(tc.micro_batch), tc.conv.w,
+                      tc.conv.geom);
+  std::vector<float> x(static_cast<std::size_t>(p.x.count()));
+  std::vector<float> w(static_cast<std::size_t>(p.w.count()));
+  std::vector<float> dy(static_cast<std::size_t>(p.y.count()));
+  fill_random(x.data(), p.x.count(), 51);
+  fill_random(w.data(), p.w.count(), 52);
+  fill_random(dy.data(), p.y.count(), 53);
+
+  const float* a = tc.type == ConvKernelType::kBackwardData ? dy.data()
+                                                            : x.data();
+  const float* b = tc.type == ConvKernelType::kBackwardFilter ? dy.data()
+                                                              : w.data();
+  const std::int64_t out_count =
+      tc.type == ConvKernelType::kForward        ? p.y.count()
+      : tc.type == ConvKernelType::kBackwardData ? p.x.count()
+                                                 : p.w.count();
+  const int reference_algo =
+      tc.type == ConvKernelType::kForward        ? fwd_algo::kDirect
+      : tc.type == ConvKernelType::kBackwardData ? bwd_data_algo::kAlgo0
+                                                 : bwd_filter_algo::kAlgo0;
+  std::vector<float> base(static_cast<std::size_t>(out_count));
+  fill_random(base.data(), out_count, 54);
+
+  for (const float beta : {0.0f, 1.0f, 0.5f}) {
+    std::vector<float> reference = base;
+    execute(tc.type, reference_algo, p, a, b, reference.data(), 1.0f, beta,
+            nullptr, 0);
+    for (const int algo : gemm_family(tc.type)) {
+      ASSERT_TRUE(algo_supported(tc.type, algo, p)) << algo_name(tc.type, algo);
+      const std::size_t ws_bytes = algo_workspace(tc.type, algo, p);
+      AlignedBuffer<char> ws(ws_bytes);
+      std::vector<float> out = base;
+      execute(tc.type, algo, p, a, b, out.data(), 1.0f, beta, ws.data(),
+              ws_bytes);
+      EXPECT_LT(max_rel_diff(out.data(), reference.data(), out_count), 5e-3)
+          << tc.name << " " << algo_name(tc.type, algo) << " beta=" << beta;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TrainHostShapes, TrainHostGemmParityTest,
+                         ::testing::ValuesIn(train_host_cases()),
+                         [](const auto& info) { return info.param.name; });
+
 TEST(RegistryTest, AlgoCountsMirrorCudnn) {
   EXPECT_EQ(algo_count(ConvKernelType::kForward), 8);
   EXPECT_EQ(algo_count(ConvKernelType::kBackwardData), 6);
