@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 
 #include "common/status.h"
 
@@ -17,24 +18,32 @@ std::string env_string(const std::string& name, const std::string& fallback) {
   return env_raw(name).value_or(fallback);
 }
 
-std::int64_t env_int(const std::string& name, std::int64_t fallback) {
+std::int64_t env_int(const std::string& name, std::int64_t fallback,
+                     std::int64_t min, std::int64_t max) {
   const auto raw = env_raw(name);
   if (!raw) return fallback;
+  std::int64_t value = 0;
   try {
     std::size_t pos = 0;
-    const std::int64_t value = std::stoll(*raw, &pos);
+    value = std::stoll(*raw, &pos);
     check(pos == raw->size(), Status::kInvalidValue,
           "trailing characters in " + name + "=" + *raw);
-    return value;
   } catch (const Error&) {
     throw;
   } catch (const std::exception&) {
     throw Error(Status::kInvalidValue, "malformed integer " + name + "=" + *raw);
   }
+  check(value >= min && value <= max, Status::kInvalidValue,
+        name + "=" + *raw + " is outside [" + std::to_string(min) + ", " +
+            std::to_string(max) + "]");
+  return value;
 }
 
 std::size_t parse_bytes(const std::string& text) {
-  check(!text.empty(), Status::kInvalidValue, "empty size string");
+  // stoull skips leading blanks and wraps a leading '-'; a size starts with
+  // a digit.
+  check(!text.empty() && std::isdigit(static_cast<unsigned char>(text[0])),
+        Status::kInvalidValue, "malformed size: '" + text + "'");
   std::size_t pos = 0;
   unsigned long long value = 0;
   try {
@@ -54,6 +63,8 @@ std::size_t parse_bytes(const std::string& text) {
         throw Error(Status::kInvalidValue, "unknown size suffix: " + text);
     }
   }
+  check(value <= std::numeric_limits<std::size_t>::max() / multiplier,
+        Status::kInvalidValue, "size out of range: " + text);
   return static_cast<std::size_t>(value) * multiplier;
 }
 

@@ -19,15 +19,6 @@ namespace {
 
 // ------------------------------ scalar --------------------------------------
 
-void add_scalar(float* dst, const float* src, std::int64_t n) noexcept {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
-void mul_acc_scalar(float* dst, const float* a, const float* b,
-                    std::int64_t n) noexcept {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] += a[i] * b[i];
-}
-
 void dot16_acc_scalar(const float* u, const float* v, std::int64_t groups,
                       float m[16]) noexcept {
   for (std::int64_t g = 0; g < groups; ++g) {
@@ -99,29 +90,6 @@ void fft_stages_scalar(float* data, std::int64_t n, const float* w,
 #if defined(UCUDNN_SIMD_X86)
 
 // ------------------------------ AVX2 + FMA ----------------------------------
-
-__attribute__((target("avx2,fma"))) void add_avx2(float* dst, const float* src,
-                                                  std::int64_t n) noexcept {
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i),
-                                            _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
-__attribute__((target("avx2,fma"))) void mul_acc_avx2(float* dst,
-                                                      const float* a,
-                                                      const float* b,
-                                                      std::int64_t n) noexcept {
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        dst + i, _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                                 _mm256_loadu_ps(dst + i)));
-  }
-  for (; i < n; ++i) dst[i] += a[i] * b[i];
-}
 
 __attribute__((target("avx2,fma"))) void dot16_acc_avx2(const float* u,
                                                         const float* v,
@@ -212,30 +180,6 @@ __attribute__((target("avx2,fma"))) void cmul_conj_acc_avx2(
   if (i < n) cmul_conj_acc_scalar(y + 2 * i, a + 2 * i, b + 2 * i, n - i);
 }
 
-__attribute__((target("avx2,fma"))) void fft_butterfly_avx2(
-    float* d0, float* d1, const float* w, std::int64_t half,
-    bool inverse) noexcept {
-  // Conjugating w means negating its imaginary lanes; xor with +0.0 is a
-  // no-op, so one mask covers both directions without a branch in the loop.
-  const __m256 conj_mask =
-      inverse ? _mm256_set1_ps(-0.0f) : _mm256_set1_ps(0.0f);
-  std::int64_t i = 0;
-  for (; i + 4 <= half; i += 4) {
-    const __m256 vw = _mm256_loadu_ps(w + 2 * i);
-    const __m256 wr = _mm256_moveldup_ps(vw);
-    const __m256 wi = _mm256_xor_ps(_mm256_movehdup_ps(vw), conj_mask);
-    const __m256 vx = _mm256_loadu_ps(d1 + 2 * i);
-    const __m256 xswap = _mm256_permute_ps(vx, 0xB1);
-    const __m256 v = _mm256_fmaddsub_ps(vx, wr, _mm256_mul_ps(xswap, wi));
-    const __m256 u = _mm256_loadu_ps(d0 + 2 * i);
-    _mm256_storeu_ps(d0 + 2 * i, _mm256_add_ps(u, v));
-    _mm256_storeu_ps(d1 + 2 * i, _mm256_sub_ps(u, v));
-  }
-  if (i < half) {
-    fft_butterfly_scalar(d0 + 2 * i, d1 + 2 * i, w + 2 * i, half - i, inverse);
-  }
-}
-
 // The whole transform runs inside one target("avx2") function: per-stage
 // dispatch would pay the SSE<->AVX transition and call overhead once per
 // butterfly block, which dominates for the short early stages.
@@ -301,24 +245,6 @@ __attribute__((target("avx2,fma"))) void fft_stages_avx2(
 #elif defined(UCUDNN_SIMD_NEON)
 
 // ------------------------------ NEON ----------------------------------------
-
-void add_neon(float* dst, const float* src, std::int64_t n) noexcept {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(dst + i, vaddq_f32(vld1q_f32(dst + i), vld1q_f32(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
-void mul_acc_neon(float* dst, const float* a, const float* b,
-                  std::int64_t n) noexcept {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(dst + i, vfmaq_f32(vld1q_f32(dst + i), vld1q_f32(a + i),
-                                 vld1q_f32(b + i)));
-  }
-  for (; i < n; ++i) dst[i] += a[i] * b[i];
-}
 
 void dot16_acc_neon(const float* u, const float* v, std::int64_t groups,
                     float m[16]) noexcept {
@@ -491,35 +417,6 @@ const char* active_isa() noexcept { return isa_name(active()); }
 
 bool vectorized() noexcept { return use_vector_path(); }
 
-void add(float* dst, const float* src, std::int64_t n) noexcept {
-#if defined(UCUDNN_SIMD_X86)
-  if (use_vector_path()) return add_avx2(dst, src, n);
-#elif defined(UCUDNN_SIMD_NEON)
-  if (use_vector_path()) return add_neon(dst, src, n);
-#endif
-  add_scalar(dst, src, n);
-}
-
-void mul_acc(float* dst, const float* a, const float* b,
-             std::int64_t n) noexcept {
-#if defined(UCUDNN_SIMD_X86)
-  if (use_vector_path()) return mul_acc_avx2(dst, a, b, n);
-#elif defined(UCUDNN_SIMD_NEON)
-  if (use_vector_path()) return mul_acc_neon(dst, a, b, n);
-#endif
-  mul_acc_scalar(dst, a, b, n);
-}
-
-void dot16_acc(const float* u, const float* v, std::int64_t groups,
-               float m[16]) noexcept {
-#if defined(UCUDNN_SIMD_X86)
-  if (use_vector_path()) return dot16_acc_avx2(u, v, groups, m);
-#elif defined(UCUDNN_SIMD_NEON)
-  if (use_vector_path()) return dot16_acc_neon(u, v, groups, m);
-#endif
-  dot16_acc_scalar(u, v, groups, m);
-}
-
 void dot16_acc_batch(const float* u, const float* v, std::int64_t groups,
                      std::int64_t k, float* m) noexcept {
 #if defined(UCUDNN_SIMD_X86)
@@ -548,16 +445,6 @@ void cmul_conj_acc(float* y, const float* a, const float* b,
   if (use_vector_path()) return cmul_conj_acc_neon(y, a, b, n);
 #endif
   cmul_conj_acc_scalar(y, a, b, n);
-}
-
-void fft_butterfly(float* d0, float* d1, const float* w, std::int64_t half,
-                   bool inverse) noexcept {
-#if defined(UCUDNN_SIMD_X86)
-  if (use_vector_path()) return fft_butterfly_avx2(d0, d1, w, half, inverse);
-#elif defined(UCUDNN_SIMD_NEON)
-  if (use_vector_path()) return fft_butterfly_neon(d0, d1, w, half, inverse);
-#endif
-  fft_butterfly_scalar(d0, d1, w, half, inverse);
 }
 
 void fft_stages(float* data, std::int64_t n, const float* w,

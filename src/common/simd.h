@@ -33,21 +33,10 @@ const char* active_isa() noexcept;
 /// True when a vector path (AVX2, AVX-512 or NEON) is active.
 bool vectorized() noexcept;
 
-/// dst[i] += src[i] for i in [0, n).
-void add(float* dst, const float* src, std::int64_t n) noexcept;
-
-/// dst[i] += a[i] * b[i] for i in [0, n).
-void mul_acc(float* dst, const float* a, const float* b,
-             std::int64_t n) noexcept;
-
-/// m[e] += sum_g u[g*16 + e] * v[g*16 + e] for e in [0, 16) — the Winograd
-/// F(2x2, 3x3) per-tile channel reduction (16 strided dot products).
-void dot16_acc(const float* u, const float* v, std::int64_t groups,
-               float m[16]) noexcept;
-
-/// Batched dot16_acc over k filters sharing one input-tile transform:
+/// The Winograd F(2x2, 3x3) per-tile channel reduction (16 strided dot
+/// products per filter) over k filters sharing one input-tile transform:
 /// m[f*16 + e] += sum_g u[(f*groups + g)*16 + e] * v[g*16 + e] for every
-/// f in [0, k). One dispatch covers the whole per-tile reduction.
+/// f in [0, k) and e in [0, 16). One dispatch covers the whole reduction.
 void dot16_acc_batch(const float* u, const float* v, std::int64_t groups,
                      std::int64_t k, float* m) noexcept;
 
@@ -59,12 +48,6 @@ void cmul_acc(float* y, const float* a, const float* b,
 /// Interleaved complex: y[i] += a[i] * conj(b[i]) over n complexes.
 void cmul_conj_acc(float* y, const float* a, const float* b,
                    std::int64_t n) noexcept;
-
-/// Radix-2 FFT butterfly stage over interleaved complex data: for i in
-/// [0, half), v = d1[i] * w[i] (conj(w[i]) when `inverse`), then
-/// d0[i], d1[i] = d0[i] + v, d0[i] - v. Arrays hold 2*half floats each.
-void fft_butterfly(float* d0, float* d1, const float* w, std::int64_t half,
-                   bool inverse) noexcept;
 
 /// All radix-2 stages of an n-point FFT (n a power of two >= 2) over
 /// bit-reversed interleaved complex `data` (2*n floats), using the

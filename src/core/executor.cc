@@ -86,20 +86,14 @@ void Executor::run(const ExecutionPlan& plan, float alpha, const float* a,
       // workspace aliasing any operand (or the operands aliasing the
       // accumulator) silently corrupts gradients. Checked per segment with
       // the micro-batch spans actually touched.
-      const std::size_t a_bytes = static_cast<std::size_t>(
-          type == ConvKernelType::kBackwardData ? sub.y.bytes()
-                                                : sub.x.bytes());
-      const std::size_t b_bytes = static_cast<std::size_t>(
-          type == ConvKernelType::kBackwardFilter ? sub.y.bytes()
-                                                  : sub.w.bytes());
-      const std::size_t out_bytes = static_cast<std::size_t>(
-          type == ConvKernelType::kForward        ? sub.y.bytes()
-          : type == ConvKernelType::kBackwardData ? sub.x.bytes()
-                                                  : sub.w.bytes());
+      const kernels::OperandCounts n = kernels::operand_counts(type, sub);
+      const auto bytes = [](std::int64_t count) {
+        return static_cast<std::size_t>(count) * sizeof(float);
+      };
       analysis::check_disjoint({{ws, ws_bytes, "workspace"},
-                                {a_ptr, a_bytes, "operand a"},
-                                {b_ptr, b_bytes, "operand b"},
-                                {out_ptr, out_bytes, "output"}});
+                                {a_ptr, bytes(n.a), "operand a"},
+                                {b_ptr, bytes(n.b), "operand b"},
+                                {out_ptr, bytes(n.out), "output"}});
     }
 
     int failures = 0;

@@ -1,5 +1,7 @@
 #include "core/options.h"
 
+#include <limits>
+
 #include "common/env.h"
 
 namespace ucudnn::core {
@@ -17,13 +19,11 @@ Options Options::from_env() {
       env_bytes("UCUDNN_TOTAL_WORKSPACE_SIZE", std::size_t{64} << 20);
   opts.share_wr_workspace = env_bool("UCUDNN_SHARED_WORKSPACE", false);
   opts.cache_path = env_string("UCUDNN_CACHE_PATH", "");
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   opts.benchmark_devices =
-      static_cast<int>(env_int("UCUDNN_BENCHMARK_DEVICES", 1));
-  check(opts.benchmark_devices >= 1, Status::kInvalidValue,
-        "UCUDNN_BENCHMARK_DEVICES must be >= 1");
-  opts.max_retries = static_cast<int>(env_int("UCUDNN_MAX_RETRIES", 3));
-  check(opts.max_retries >= 0, Status::kInvalidValue,
-        "UCUDNN_MAX_RETRIES must be >= 0");
+      static_cast<int>(env_int("UCUDNN_BENCHMARK_DEVICES", 1, 1, kIntMax));
+  opts.max_retries =
+      static_cast<int>(env_int("UCUDNN_MAX_RETRIES", 3, 0, kIntMax));
   opts.fail_fast = env_bool("UCUDNN_FAIL_FAST", false);
   return opts;
 }

@@ -8,6 +8,8 @@
 //                                limit the framework passes (needed for
 //                                frameworks that never pass one, §IV-B2)
 //   UCUDNN_TOTAL_WORKSPACE_SIZE  WD total arena bytes           (64M)
+//   UCUDNN_SHARED_WORKSPACE      1 = one WR workspace buffer shared by all
+//                                kernels (sequential execution) (0)
 //   UCUDNN_CACHE_PATH            benchmark-cache database file  (unset = off)
 //   UCUDNN_BENCHMARK_DEVICES     parallel benchmarking fan-out  (1)
 //   UCUDNN_MAX_RETRIES           transient-kernel-failure retries before the
@@ -53,8 +55,8 @@
 //                                hardware concurrency, values above 1024 are
 //                                clamped (docs/kernels.md)    (cores)
 //   UCUDNN_SIMD                  0 = force the portable scalar kernel paths
-//                                instead of runtime AVX2/NEON dispatch
-//                                (docs/kernels.md)            (auto)
+//                                instead of runtime AVX-512 / AVX2 / NEON
+//                                dispatch (docs/kernels.md)   (auto)
 //   UCUDNN_SERVE_*               serving front-end knobs (workers, queue
 //                                capacity, batch window, deadlines, overload
 //                                watermarks) — read by serve::ServeOptions,

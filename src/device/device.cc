@@ -48,47 +48,6 @@ DeviceSpec host_cpu_spec() {
                     .measured = true};
 }
 
-double algo_efficiency(ConvKernelType type, int algo) noexcept {
-  // Fractions of peak, calibrated to reproduce cuDNN's qualitative ordering:
-  // zero-workspace algorithms run far below peak; staged GEMM/FFT/Winograd
-  // variants approach it. (FFT/Winograd flop counts are already reduced by
-  // the registry's cost model, so their efficiency is on transformed flops.)
-  using namespace kernels;
-  switch (type) {
-    case ConvKernelType::kForward:
-      switch (algo) {
-        case fwd_algo::kImplicitGemm: return 0.28;
-        case fwd_algo::kImplicitPrecompGemm: return 0.42;
-        case fwd_algo::kGemm: return 0.58;
-        case fwd_algo::kDirect: return 0.08;
-        case fwd_algo::kFft: return 0.50;
-        case fwd_algo::kFftTiling: return 0.44;
-        case fwd_algo::kWinograd: return 0.46;
-        case fwd_algo::kWinogradNonfused: return 0.60;
-      }
-      break;
-    case ConvKernelType::kBackwardData:
-      switch (algo) {
-        case bwd_data_algo::kAlgo0: return 0.22;
-        case bwd_data_algo::kAlgo1: return 0.52;
-        case bwd_data_algo::kFft: return 0.50;
-        case bwd_data_algo::kFftTiling: return 0.44;
-        case bwd_data_algo::kWinograd: return 0.44;
-        case bwd_data_algo::kWinogradNonfused: return 0.58;
-      }
-      break;
-    case ConvKernelType::kBackwardFilter:
-      switch (algo) {
-        case bwd_filter_algo::kAlgo0: return 0.20;
-        case bwd_filter_algo::kAlgo1: return 0.45;
-        case bwd_filter_algo::kFft: return 0.50;
-        case bwd_filter_algo::kAlgo3: return 0.58;
-      }
-      break;
-  }
-  return 0.1;
-}
-
 Device::Device(DeviceSpec spec, int ordinal)
     : spec_(std::move(spec)), ordinal_(ordinal) {}
 
@@ -98,7 +57,7 @@ double Device::model_time_ms(ConvKernelType type, int algo,
   const double traffic = kernels::algo_traffic_bytes(type, algo, p);
   const double batch = static_cast<double>(p.batch());
   const double utilization = batch / (batch + spec_.batch_half);
-  const double eff = algo_efficiency(type, algo) * utilization;
+  const double eff = kernels::algo_efficiency(type, algo) * utilization;
   const double compute_ms = flops / (eff * spec_.peak_sp_gflops * 1e9) * 1e3;
   const double memory_ms =
       traffic / (spec_.mem_bandwidth_gbs * 1e9) * 1e3;

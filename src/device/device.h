@@ -44,10 +44,6 @@ DeviceSpec p100_sxm2_spec();
 DeviceSpec v100_sxm2_spec();
 DeviceSpec host_cpu_spec();
 
-/// Modeled efficiency (fraction of peak) of an algorithm, before the
-/// small-batch utilization penalty. Exposed for tests/ablation.
-double algo_efficiency(ConvKernelType type, int algo) noexcept;
-
 class Device {
  public:
   explicit Device(DeviceSpec spec, int ordinal = 0);
@@ -57,8 +53,9 @@ class Device {
   bool is_simulated() const noexcept { return !spec_.measured; }
 
   /// Analytic kernel time: overhead + max(compute-time, memory-time), with
-  /// algorithm efficiency and a small-batch utilization factor
-  /// n / (n + batch_half). Deterministic. Milliseconds.
+  /// the algorithm's catalog efficiency (kernels::algo_efficiency) and a
+  /// small-batch utilization factor n / (n + batch_half). Deterministic.
+  /// Milliseconds.
   double model_time_ms(ConvKernelType type, int algo,
                        const kernels::ConvProblem& p) const;
 

@@ -89,5 +89,29 @@ struct ConvProblem {
   }
 };
 
+/// Element counts of a kernel's three float operands, in the roles
+/// kernels::execute() takes them:
+///   Forward:        a = x,  b = w,  out = y
+///   BackwardData:   a = dy, b = w,  out = dx
+///   BackwardFilter: a = x,  b = dy, out = dw
+struct OperandCounts {
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+  std::int64_t out = 0;
+};
+
+constexpr OperandCounts operand_counts(ConvKernelType type,
+                                       const ConvProblem& p) noexcept {
+  switch (type) {
+    case ConvKernelType::kForward:
+      return {p.x.count(), p.w.count(), p.y.count()};
+    case ConvKernelType::kBackwardData:
+      return {p.y.count(), p.w.count(), p.x.count()};
+    case ConvKernelType::kBackwardFilter:
+      return {p.x.count(), p.y.count(), p.w.count()};
+  }
+  return {};
+}
+
 }  // namespace kernels
 }  // namespace ucudnn

@@ -1,6 +1,7 @@
-// Algorithm registry: the single point the mcudnn API layer (and the
-// μ-cuDNN optimizer) uses to enumerate convolution algorithms, query
-// support/workspace/cost, and execute them.
+// Algorithm catalog: the single point the mcudnn API layer, the μ-cuDNN
+// optimizer and the device model use to enumerate convolution algorithms,
+// query support/workspace/cost, and execute them. Every algorithm is one
+// `Algorithm` row in its kernel type's table, indexed by the ids below.
 //
 // Algorithm enumerations mirror cuDNN 7:
 //   Forward:        IMPLICIT_GEMM, IMPLICIT_PRECOMP_GEMM, GEMM, DIRECT,
@@ -49,6 +50,25 @@ inline constexpr int kAlgo3 = 3;
 inline constexpr int kCount = 4;
 }  // namespace bwd_filter_algo
 
+/// One row of the catalog: everything known about one algorithm.
+struct Algorithm {
+  std::string name;
+  /// Exact workspace requirement in bytes; null means none.
+  std::size_t (*workspace)(const ConvProblem& p) = nullptr;
+  /// Runs the algorithm with the caller's workspace span (see execute()).
+  void (*run)(const ConvProblem& p, const float* a, const float* b, float* out,
+              float alpha, float beta, void* ws,
+              std::size_t ws_bytes) = nullptr;
+  /// Stride/dilation/window rule for ungrouped problems; null means all.
+  bool (*supported)(const ConvProblem& p) noexcept = nullptr;
+  /// Modeled flop count for the device simulator; null means 2 x MACs.
+  double (*flops)(const ConvProblem& p) = nullptr;
+  /// Modeled fraction of peak before the small-batch utilization penalty.
+  double efficiency = 0.1;
+  /// Whether the algorithm also runs grouped convolutions.
+  bool grouped = false;
+};
+
 /// Number of algorithm slots for a kernel type.
 int algo_count(ConvKernelType type) noexcept;
 
@@ -69,11 +89,13 @@ double algo_flops(ConvKernelType type, int algo, const ConvProblem& p);
 /// Modeled DRAM traffic in bytes (used by the device simulator).
 double algo_traffic_bytes(ConvKernelType type, int algo, const ConvProblem& p);
 
-/// Runs the algorithm. Operand roles per kernel type:
-///   Forward:        a = x,  b = w,  out = y
-///   BackwardData:   a = dy, b = w,  out = dx
-///   BackwardFilter: a = x,  b = dy, out = dw
-/// Throws kNotSupported / kBadParam (e.g. workspace too small).
+/// Modeled efficiency (fraction of peak) of an algorithm, before the
+/// small-batch utilization penalty (used by the device simulator).
+double algo_efficiency(ConvKernelType type, int algo);
+
+/// Runs the algorithm on operands in the roles operand_counts() lists
+/// (Forward: a = x, b = w, out = y). Throws kNotSupported / kBadParam (e.g.
+/// workspace too small).
 ///
 /// With UCUDNN_AUDIT_WORKSPACE=1 the kernel runs against a red-zoned
 /// AuditedBuffer of exactly its declared workspace size instead of the
@@ -84,21 +106,14 @@ void execute(ConvKernelType type, int algo, const ConvProblem& p,
              const float* a, const float* b, float* out, float alpha,
              float beta, void* workspace, std::size_t workspace_bytes);
 
-// --- test-kernel extension ------------------------------------------------
-// Extra algorithm slots appended after the cuDNN-mirrored ids, used by the
-// analysis tests to register deliberately misbehaving kernels (workspace
-// overrun / under-declaration) and assert the auditor catches them.
+// --- test kernels ------------------------------------------------------------
+// Extra rows appended after the cuDNN-mirrored ids, used by the analysis
+// tests to register deliberately misbehaving kernels (workspace overrun /
+// under-declaration) and assert the auditor catches them. A test kernel
+// needs a name, a workspace function and a run function.
+using TestKernel = Algorithm;
 
-/// A dynamically registered algorithm. `workspace` declares the requirement;
-/// `run` executes with the caller-provided span.
-struct TestKernel {
-  std::string name;
-  std::size_t (*workspace)(const ConvProblem& p) = nullptr;
-  void (*run)(const ConvProblem& p, const float* a, const float* b, float* out,
-              float alpha, float beta, void* ws, std::size_t ws_bytes) = nullptr;
-};
-
-/// Appends `kernel` to `type`'s algorithm list and returns its algorithm id
+/// Appends `kernel` to `type`'s algorithm table and returns its algorithm id
 /// (>= the built-in kCount). Registered kernels are always "supported" and
 /// participate in algo_count/find_algorithms. Not thread-safe; call from
 /// test setup only.

@@ -66,21 +66,13 @@ struct Scratch {
 
   Scratch(ConvKernelType type, const kernels::ConvProblem& p,
           std::size_t ws_bytes) {
-    const std::int64_t a_count =
-        type == ConvKernelType::kBackwardData ? p.y.count() : p.x.count();
-    const std::int64_t b_count =
-        type == ConvKernelType::kBackwardFilter ? p.y.count() : p.w.count();
-    const std::int64_t out_count = type == ConvKernelType::kForward
-                                       ? p.y.count()
-                                       : type == ConvKernelType::kBackwardData
-                                             ? p.x.count()
-                                             : p.w.count();
-    a = AlignedBuffer<float>(static_cast<std::size_t>(a_count));
-    b = AlignedBuffer<float>(static_cast<std::size_t>(b_count));
-    out = AlignedBuffer<float>(static_cast<std::size_t>(out_count));
-    fill_constant(a.data(), a_count, 0.5f);
-    fill_constant(b.data(), b_count, 0.25f);
-    fill_constant(out.data(), out_count, 0.0f);
+    const kernels::OperandCounts n = kernels::operand_counts(type, p);
+    a = AlignedBuffer<float>(static_cast<std::size_t>(n.a));
+    b = AlignedBuffer<float>(static_cast<std::size_t>(n.b));
+    out = AlignedBuffer<float>(static_cast<std::size_t>(n.out));
+    fill_constant(a.data(), n.a, 0.5f);
+    fill_constant(b.data(), n.b, 0.25f);
+    fill_constant(out.data(), n.out, 0.0f);
     ws = AlignedBuffer<char>(ws_bytes);
   }
 };

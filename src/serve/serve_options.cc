@@ -1,5 +1,6 @@
 #include "serve/serve_options.h"
 
+#include <limits>
 #include <sstream>
 
 #include "common/env.h"
@@ -23,17 +24,23 @@ double env_fraction(const std::string& name, double fallback) {
 
 ServeOptions ServeOptions::from_env() {
   ServeOptions opts;
-  opts.workers = static_cast<int>(env_int("UCUDNN_SERVE_WORKERS", opts.workers));
+  // Range-checked before narrowing; validate() then applies the semantic
+  // bounds.
+  constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  opts.workers = static_cast<int>(
+      env_int("UCUDNN_SERVE_WORKERS", opts.workers, kIntMin, kIntMax));
   opts.queue_capacity = static_cast<std::size_t>(
       env_int("UCUDNN_SERVE_QUEUE_CAPACITY",
-              static_cast<std::int64_t>(opts.queue_capacity)));
+              static_cast<std::int64_t>(opts.queue_capacity), 0,
+              std::numeric_limits<std::int64_t>::max()));
   opts.batch_window_us =
       env_int("UCUDNN_SERVE_BATCH_WINDOW_US", opts.batch_window_us);
   opts.max_batch = env_int("UCUDNN_SERVE_MAX_BATCH", opts.max_batch);
   opts.default_deadline_ms = env_fraction("UCUDNN_SERVE_DEADLINE_MS",
                                           opts.default_deadline_ms);
-  opts.max_retries =
-      static_cast<int>(env_int("UCUDNN_SERVE_MAX_RETRIES", opts.max_retries));
+  opts.max_retries = static_cast<int>(env_int(
+      "UCUDNN_SERVE_MAX_RETRIES", opts.max_retries, kIntMin, kIntMax));
   opts.retry_backoff_us =
       env_int("UCUDNN_SERVE_RETRY_BACKOFF_US", opts.retry_backoff_us);
   opts.window_watermark =

@@ -37,21 +37,6 @@ std::int64_t steady_us() noexcept {
       .count();
 }
 
-/// Element count of the buffer a request's `output` points at; depends on
-/// the kernel type (forward writes dY-shaped, backward-data dX-shaped,
-/// backward-filter dW-shaped data).
-std::int64_t output_elems(const ServeRequest& req) {
-  switch (req.type) {
-    case ConvKernelType::kBackwardData:
-      return req.problem.x.count();
-    case ConvKernelType::kBackwardFilter:
-      return req.problem.w.count();
-    case ConvKernelType::kForward:
-      break;
-  }
-  return req.problem.y.count();
-}
-
 }  // namespace
 
 Server::Server(core::UcudnnHandle& handle, ServeOptions opts)
@@ -317,7 +302,9 @@ void Server::process_batch(std::vector<TicketPtr>& batch) {
       batch.front()->request().beta != 0.0f) {
     const ServeRequest& req = batch.front()->request();
     snapshot_dst = req.output;
-    output_snapshot.assign(req.output, req.output + output_elems(req));
+    output_snapshot.assign(
+        req.output,
+        req.output + kernels::operand_counts(req.type, req.problem).out);
   }
 
   const double exec_begin_us = recorder.now_us();

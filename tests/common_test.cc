@@ -74,6 +74,9 @@ TEST(EnvTest, ByteSuffixes) {
   EXPECT_THROW(parse_bytes("x"), Error);
   EXPECT_THROW(parse_bytes("1T"), Error);
   EXPECT_THROW(parse_bytes("1MM"), Error);
+  // A sign or a product past SIZE_MAX must not wrap into a huge size.
+  EXPECT_THROW(parse_bytes("-1"), Error);
+  EXPECT_THROW(parse_bytes("17179869184G"), Error);
 }
 
 TEST(EnvTest, BoolParsing) {

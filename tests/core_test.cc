@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "core/benchmark_cache.h"
 #include "core/benchmarker.h"
@@ -610,6 +611,28 @@ TEST(OptionsTest, EnvRoundTrip) {
   EXPECT_EQ(defaults.batch_size_policy, BatchSizePolicy::kPowerOfTwo);
   EXPECT_EQ(defaults.workspace_policy, WorkspacePolicy::kWR);
   EXPECT_FALSE(defaults.workspace_limit.has_value());
+}
+
+TEST(OptionsTest, OutOfRangeValuesAreRejectedNotNarrowed) {
+  // Cast to int, 2^32 reads as 0 and 2^32 + 2 as 2; as a size, -1 reads as
+  // 2^64 - 1. Each must be rejected instead.
+  const std::pair<const char*, const char*> bad[] = {
+      {"UCUDNN_BENCHMARK_DEVICES", "4294967298"},
+      {"UCUDNN_BENCHMARK_DEVICES", "4294967296"},
+      {"UCUDNN_MAX_RETRIES", "4294967298"},
+      {"UCUDNN_WORKSPACE_LIMIT", "-1"},
+      {"UCUDNN_TOTAL_WORKSPACE_SIZE", "-1"},
+  };
+  for (const auto& [name, value] : bad) {
+    ::setenv(name, value, 1);
+    try {
+      Options::from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::kInvalidValue) << name << "=" << value;
+    }
+    ::unsetenv(name);
+  }
 }
 
 // ------------------------------------------------------------ UcudnnHandle

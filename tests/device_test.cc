@@ -3,6 +3,9 @@
 // virtual clock, and multi-device nodes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/status.h"
 #include "device/device.h"
 #include "kernels/registry.h"
@@ -84,6 +87,106 @@ TEST(DeviceModelTest, TimeIsMonotoneInBatchOncePipelined) {
     EXPECT_GT(t, prev);
     prev = t;
   }
+}
+
+TEST(DeviceModelTest, PinnedModelTimesOnP100) {
+  // Every built-in algorithm the P100 profile supports, on AlexNet conv2 at
+  // batch 32, a grouped 3x3 problem, the same 3x3 problem ungrouped
+  // (Winograd) and a memory-bound 1x1 problem (the traffic term decides the
+  // staged algorithms there). The other model tests check orderings only;
+  // these values catch a change in any flops, traffic or efficiency term.
+  const ConvProblem problems[] = {
+      conv2_like(32),
+      ConvProblem({16, 64, 14, 14}, {128, 32, 3, 3},
+                  {.pad_h = 1, .pad_w = 1, .groups = 2}),
+      ConvProblem({16, 64, 14, 14}, {128, 64, 3, 3}, {.pad_h = 1, .pad_w = 1}),
+      ConvProblem({32, 16, 64, 64}, {16, 16, 1, 1}, {}),
+  };
+  constexpr ConvKernelType kFwd = ConvKernelType::kForward;
+  constexpr ConvKernelType kBwdData = ConvKernelType::kBackwardData;
+  constexpr ConvKernelType kBwdFilter = ConvKernelType::kBackwardFilter;
+  using namespace kernels;
+  struct Pinned {
+    int problem;
+    ConvKernelType type;
+    int algo;
+    double ms;
+  };
+  const Pinned pinned[] = {
+      {0, kFwd, fwd_algo::kImplicitGemm, 12.682347169811321},
+      {0, kFwd, fwd_algo::kImplicitPrecompGemm, 8.4568981132075471},
+      {0, kFwd, fwd_algo::kGemm, 6.1256158750813281},
+      {0, kFwd, fwd_algo::kDirect, 44.373215094339628},
+      {0, kFwd, fwd_algo::kFft, 2.0558424271698112},
+      {0, kFwd, fwd_algo::kFftTiling, 2.3353663945111496},
+      {0, kBwdData, bwd_data_algo::kAlgo0, 16.139532761578046},
+      {0, kBwdData, bwd_data_algo::kAlgo1, 6.831725399129172},
+      {0, kBwdData, bwd_data_algo::kFft, 2.0558424271698112},
+      {0, kBwdData, bwd_data_algo::kFftTiling, 2.3353663945111496},
+      {0, kBwdFilter, bwd_filter_algo::kAlgo0, 17.752886037735845},
+      {0, kBwdFilter, bwd_filter_algo::kAlgo1, 7.893504905660377},
+      {0, kBwdFilter, bwd_filter_algo::kFft, 2.0558424271698112},
+      {0, kBwdFilter, bwd_filter_algo::kAlgo3, 6.1256158750813281},
+      {1, kFwd, fwd_algo::kImplicitGemm, 0.13258958490566033},
+      {1, kFwd, fwd_algo::kImplicitPrecompGemm, 0.0903930566037736},
+      {1, kFwd, fwd_algo::kDirect, 0.44906354716981123},
+      {1, kBwdData, bwd_data_algo::kAlgo0, 0.16711401715265867},
+      {1, kBwdFilter, bwd_filter_algo::kAlgo0, 0.18322541886792451},
+      {2, kFwd, fwd_algo::kImplicitGemm, 0.25917916981132066},
+      {2, kFwd, fwd_algo::kImplicitPrecompGemm, 0.17478611320754719},
+      {2, kFwd, fwd_algo::kGemm, 0.1282244268054652},
+      {2, kFwd, fwd_algo::kDirect, 0.89212709433962245},
+      {2, kFwd, fwd_algo::kFft, 0.12366803320754716},
+      {2, kFwd, fwd_algo::kFftTiling, 0.58104186620926246},
+      {2, kFwd, fwd_algo::kWinograd, 0.076174661197703025},
+      {2, kFwd, fwd_algo::kWinogradNonfused, 0.059800573584905654},
+      {2, kBwdData, bwd_data_algo::kAlgo0, 0.32822803430531733},
+      {2, kBwdData, bwd_data_algo::kAlgo1, 0.14232724528301885},
+      {2, kBwdData, bwd_data_algo::kFft, 0.12366803320754716},
+      {2, kBwdData, bwd_data_algo::kFftTiling, 0.58104186620926246},
+      {2, kBwdData, bwd_data_algo::kWinograd, 0.079364418524871361},
+      {2, kBwdData, bwd_data_algo::kWinogradNonfused, 0.061655765777488616},
+      {2, kBwdFilter, bwd_filter_algo::kAlgo0, 0.36045083773584902},
+      {2, kBwdFilter, bwd_filter_algo::kAlgo1, 0.16353370566037734},
+      {2, kBwdFilter, bwd_filter_algo::kFft, 0.12366803320754716},
+      {2, kBwdFilter, bwd_filter_algo::kAlgo3, 0.1282244268054652},
+      {3, kFwd, fwd_algo::kImplicitGemm, 0.035676679245283019},
+      {3, kFwd, fwd_algo::kImplicitPrecompGemm, 0.030353573770491804},
+      {3, kFwd, fwd_algo::kGemm, 0.074760480874316942},
+      {3, kFwd, fwd_algo::kDirect, 0.10986837735849059},
+      {3, kFwd, fwd_algo::kFft, 0.15037704452830189},
+      {3, kFwd, fwd_algo::kFftTiling, 0.15531079245283022},
+      {3, kBwdData, bwd_data_algo::kAlgo0, 0.043770319039451118},
+      {3, kBwdData, bwd_data_algo::kAlgo1, 0.074760480874316942},
+      {3, kBwdData, bwd_data_algo::kFft, 0.15037704452830189},
+      {3, kBwdData, bwd_data_algo::kFftTiling, 0.043327698113207552},
+      {3, kBwdFilter, bwd_filter_algo::kAlgo0, 0.047547350943396217},
+      {3, kBwdFilter, bwd_filter_algo::kAlgo1, 0.029637333333333335},
+      {3, kBwdFilter, bwd_filter_algo::kFft, 0.15037704452830189},
+      {3, kBwdFilter, bwd_filter_algo::kAlgo3, 0.074760480874316942},
+  };
+  const Device p100(p100_sxm2_spec());
+  std::size_t checked = 0;
+  for (int i = 0; i < static_cast<int>(std::size(problems)); ++i) {
+    for (const ConvKernelType type : {kFwd, kBwdData, kBwdFilter}) {
+      for (int algo = 0; algo < algo_count(type); ++algo) {
+        if (!algo_supported(type, algo, problems[i])) continue;
+        const auto it = std::find_if(
+            std::begin(pinned), std::end(pinned), [&](const Pinned& e) {
+              return e.problem == i && e.type == type && e.algo == algo;
+            });
+        ASSERT_NE(it, std::end(pinned))
+            << "unpinned " << to_string(type) << " " << algo_name(type, algo)
+            << " on problem " << i;
+        EXPECT_NEAR(p100.model_time_ms(type, algo, problems[i]), it->ms,
+                    it->ms * 1e-12)
+            << to_string(type) << " " << algo_name(type, algo)
+            << " on problem " << i;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(pinned));
 }
 
 TEST(DeviceMemoryTest, TracksUsageAndPeak) {

@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/aligned_buffer.h"
@@ -98,6 +100,35 @@ class ServeTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjector::instance().configure(""); }
 };
+
+// --- options ---------------------------------------------------------------
+
+TEST(ServeOptionsTest, FromEnvRejectsOutOfRangeIntegers) {
+  // A negative capacity cast to std::size_t is an unbounded queue whose
+  // watermarks never trip; a worker count past INT_MAX would narrow to 2.
+  const std::pair<const char*, const char*> bad[] = {
+      {"UCUDNN_SERVE_QUEUE_CAPACITY", "-1"},
+      {"UCUDNN_SERVE_WORKERS", "4294967298"},
+      {"UCUDNN_SERVE_MAX_RETRIES", "4294967296"},
+  };
+  for (const auto& [name, value] : bad) {
+    ::setenv(name, value, 1);
+    try {
+      ServeOptions::from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::kInvalidValue) << name << "=" << value;
+    }
+    ::unsetenv(name);
+  }
+  ::setenv("UCUDNN_SERVE_QUEUE_CAPACITY", "8", 1);
+  ::setenv("UCUDNN_SERVE_WORKERS", "3", 1);
+  const ServeOptions opts = ServeOptions::from_env();
+  EXPECT_EQ(opts.queue_capacity, 8u);
+  EXPECT_EQ(opts.workers, 3);
+  ::unsetenv("UCUDNN_SERVE_QUEUE_CAPACITY");
+  ::unsetenv("UCUDNN_SERVE_WORKERS");
+}
 
 // --- admission & overload ladder (workerless => deterministic) ------------
 

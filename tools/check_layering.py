@@ -35,6 +35,10 @@ here:
  10. The frameworks are siblings: src/frameworks/caffepp/** never includes
      frameworks/tfmini/ and src/frameworks/tfmini/** never includes
      frameworks/caffepp/ — code they share lives in frameworks/ops.h.
+ 11. The algorithm catalog is the only place that names algorithms: under
+     src/, only src/kernels/registry.{h,cc} may spell a fwd_algo::,
+     bwd_data_algo:: or bwd_filter_algo:: constant. Everything else asks
+     the catalog (name, support, workspace, cost, efficiency) by id.
 
 Usage:  check_layering.py [--self-test] [ROOT]
 
@@ -125,6 +129,12 @@ RULES = [
 ]
 
 
+# Rule 11: algorithm ids are named only inside the catalog.
+ALGO_ID = re.compile(r"\b(?:fwd_algo|bwd_data_algo|bwd_filter_algo)::")
+ALGO_CATALOG = re.compile(r"^src/kernels/registry\.(h|cc)$")
+SOURCE = re.compile(r"^src/.+\.(h|cc)$")
+
+
 def strip_comments_and_strings(text: str) -> str:
     """Blanks comments and string/char literal contents, preserving layout
     (so line arithmetic still works on the result). Include directives use
@@ -169,11 +179,21 @@ def check_text(rel: str, raw: str) -> list[str]:
     leaf = TELEMETRY_LEAF.match(rel) is not None
     locking_leaf = LOCKING_LEAF.match(rel) is not None
     serve = SERVE_LAYER.match(rel) is not None
-    if not rules and not leaf and not locking_leaf and not serve:
+    algo_ids = SOURCE.match(rel) is not None and not ALGO_CATALOG.match(rel)
+    if not (rules or leaf or locking_leaf or serve or algo_ids):
         return []
     clean = strip_comments_and_strings(raw)
     raw_lines = raw.splitlines()
     findings = []
+    if algo_ids:
+        for match in ALGO_ID.finditer(clean):
+            line = line_of(clean, match.start())
+            if not suppressed(raw_lines, line):
+                findings.append(
+                    f"{rel}:{line}: layering: {rel} names the algorithm id "
+                    f"{match.group(0)}... (only src/kernels/registry.{{h,cc}} "
+                    "names algorithms; ask the catalog instead)"
+                )
     for match in INCLUDE.finditer(clean):
         delim = match.group(1)
         header = match.group(2)
@@ -218,21 +238,11 @@ def check_text(rel: str, raw: str) -> list[str]:
 
 def scan_tree(root: Path) -> list[str]:
     findings = []
-    for base in (
-        "src/common",
-        "src/core",
-        "src/frameworks",
-        "src/serve",
-        "src/telemetry",
-    ):
-        directory = root / base
-        if not directory.is_dir():
-            continue
-        for path in sorted(directory.rglob("*")):
-            if path.suffix in {".h", ".cc"} and path.is_file():
-                rel = path.relative_to(root).as_posix()
-                raw = path.read_text(encoding="utf-8", errors="replace")
-                findings.extend(check_text(rel, raw))
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix in {".h", ".cc"} and path.is_file():
+            rel = path.relative_to(root).as_posix()
+            raw = path.read_text(encoding="utf-8", errors="replace")
+            findings.extend(check_text(rel, raw))
     return findings
 
 
@@ -375,6 +385,37 @@ def self_test() -> int:
             '#include "frameworks/caffepp/net.h"  // layering: allow\n',
             0,
         ),
+        # Rule 11: the catalog names algorithm ids...
+        (
+            "src/kernels/registry.h",
+            "namespace fwd_algo {\ninline constexpr int kGemm = 2;\n}\n",
+            0,
+        ),
+        (
+            "src/kernels/registry.cc",
+            "static_assert(fwd_algo::kCount == 8);\n"
+            "int n = bwd_filter_algo::kCount + bwd_data_algo::kCount;\n",
+            0,
+        ),
+        # ...nothing else does: a per-algorithm switch is flagged per case.
+        (
+            "src/device/device.cc",
+            "switch (algo) {\n"
+            "  case fwd_algo::kGemm: return 0.58;\n"
+            "  case kernels::bwd_data_algo::kAlgo0: return 0.22;\n"
+            "}\n",
+            2,
+        ),
+        ("src/core/planner.cc", "int a = kernels::bwd_filter_algo::kFft;\n", 1),
+        # Comments and the suppression comment do not count.
+        ("src/mcudnn/mcudnn.cc", "// falls back to fwd_algo::kGemm\n", 0),
+        (
+            "src/core/executor.cc",
+            "int a = fwd_algo::kDirect;  // layering: allow\n",
+            0,
+        ),
+        # Tests, benches and examples are outside src/.
+        ("tests/device_test.cc", "int a = fwd_algo::kGemm;\n", 0),
     ]
     failures = []
     for rel, text, expected in cases:
