@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/status.h"
 
@@ -28,10 +29,11 @@ std::vector<MicroConfig> best_micro_configs(const MicroBenchmark& bench,
   return best;
 }
 
-}  // namespace
-
-Configuration optimize_wr(const MicroBenchmark& bench, std::int64_t batch,
-                          std::size_t ws_limit) {
+// The WR DP: fastest division of `batch` under `ws_limit`, or nullopt when
+// no micro-configuration of any usable size fits.
+std::optional<Configuration> fastest_division(const MicroBenchmark& bench,
+                                              std::int64_t batch,
+                                              std::size_t ws_limit) {
   check_param(batch >= 1, "batch must be >= 1");
   check_param(bench.sizes.size() == bench.perfs.size(),
               "benchmark table shape mismatch");
@@ -56,10 +58,7 @@ Configuration optimize_wr(const MicroBenchmark& bench, std::int64_t batch,
       }
     }
   }
-
-  check(dp[static_cast<std::size_t>(batch)] < kInf, Status::kNotSupported,
-        "no micro-batch division covers batch " + std::to_string(batch) +
-            " within workspace limit " + std::to_string(ws_limit));
+  if (!(dp[static_cast<std::size_t>(batch)] < kInf)) return std::nullopt;
 
   // Reconstruct (micro-batches emitted largest-position-first; order is
   // semantically irrelevant, they run sequentially).
@@ -71,6 +70,18 @@ Configuration optimize_wr(const MicroBenchmark& bench, std::int64_t batch,
     b = prev;
   }
   return config;
+}
+
+}  // namespace
+
+Configuration optimize_wr(const MicroBenchmark& bench, std::int64_t batch,
+                          std::size_t ws_limit) {
+  std::optional<Configuration> config =
+      fastest_division(bench, batch, ws_limit);
+  check(config.has_value(), Status::kNotSupported,
+        "no micro-batch division covers batch " + std::to_string(batch) +
+            " within workspace limit " + std::to_string(ws_limit));
+  return std::move(*config);
 }
 
 Configuration plan_wr(MicroBenchmark& bench, std::int64_t batch,
@@ -118,43 +129,20 @@ void pareto_prune(std::vector<Configuration>& configs) {
 std::vector<Configuration> desirable_configurations(const MicroBenchmark& bench,
                                                     std::int64_t batch,
                                                     std::size_t ws_cap) {
-  check_param(batch >= 1, "batch must be >= 1");
-
-  // M(b'): micro-configurations of size b' within the cap, themselves
-  // Pareto-pruned (dominated micro-configs can never help).
-  std::vector<std::vector<MicroConfig>> micro_sets(bench.sizes.size());
-  for (std::size_t i = 0; i < bench.sizes.size(); ++i) {
-    std::vector<Configuration> as_configs;
-    for (const auto& perf : bench.perfs[i]) {
-      if (perf.memory > ws_cap) continue;
-      Configuration c;
-      c.append(MicroConfig{perf.algo, bench.sizes[i], perf.time_ms, perf.memory});
-      as_configs.push_back(std::move(c));
-    }
-    pareto_prune(as_configs);
-    for (const auto& c : as_configs) micro_sets[i].push_back(c.micro[0]);
+  // Each solve is the fastest division within the limit, so it is the
+  // front entry at that limit; one byte below its workspace is the next.
+  std::vector<Configuration> front;
+  std::size_t limit = ws_cap;
+  while (auto config = fastest_division(bench, batch, limit)) {
+    const std::size_t workspace = config->workspace;
+    front.push_back(std::move(*config));
+    if (workspace == 0) break;
+    limit = workspace - 1;
   }
-
-  // D(0) = { empty }; D(b) = P( U_{b'} D(b - b') ++ M(b') ).
-  std::vector<std::vector<Configuration>> d(static_cast<std::size_t>(batch) + 1);
-  d[0].push_back(Configuration{});
-  for (std::int64_t b = 1; b <= batch; ++b) {
-    std::vector<Configuration> candidates;
-    for (std::size_t i = 0; i < bench.sizes.size(); ++i) {
-      const std::int64_t size = bench.sizes[i];
-      if (size > b || micro_sets[i].empty()) continue;
-      for (const auto& base : d[static_cast<std::size_t>(b - size)]) {
-        for (const auto& micro : micro_sets[i]) {
-          Configuration extended = base;
-          extended.append(micro);
-          candidates.push_back(std::move(extended));
-        }
-      }
-    }
-    pareto_prune(candidates);
-    d[static_cast<std::size_t>(b)] = std::move(candidates);
-  }
-  return d[static_cast<std::size_t>(batch)];
+  // Time never falls as the limit shrinks, except by rounding: drop each
+  // entry that a smaller-workspace one matches.
+  pareto_prune(front);
+  return front;
 }
 
 }  // namespace ucudnn::core

@@ -9,9 +9,10 @@
 // and share one workspace, so a configuration's footprint is the max of its
 // micro workspaces.
 //
-// This header also provides the set-valued variant of the same DP that emits
-// a desirable-configuration set — the Pareto front in (time x workspace)
-// space (§III-C1) — consumed by the WD ILP.
+// The same DP also yields the desirable-configuration set consumed by the WD
+// ILP, the Pareto front in (time x workspace) space (§III-C1): the WR
+// optimum under a limit is the fastest division within it, so walking the
+// limit down from the cap visits every front entry.
 #pragma once
 
 #include <functional>
@@ -48,7 +49,9 @@ void pareto_prune(std::vector<Configuration>& configs);
 
 /// Desirable configuration set D(batch): every Pareto-optimal division of
 /// the mini-batch with workspace at most `ws_cap` (the WD total limit).
-/// Contains the WR optimum as one of its elements.
+/// Built by solving WR at `ws_cap`, then again one byte below each
+/// solution's workspace until it is 0 or no division fits, and sorted as
+/// pareto_prune leaves it; empty when no division fits the cap.
 std::vector<Configuration> desirable_configurations(const MicroBenchmark& bench,
                                                     std::int64_t batch,
                                                     std::size_t ws_cap);

@@ -161,47 +161,6 @@ std::vector<AlgoPerf> find_algorithms(const Handle& handle, ConvKernelType type,
   return results;
 }
 
-std::vector<AlgoPerf> find_algorithms_ex(const Handle& handle,
-                                         ConvKernelType type,
-                                         const kernels::ConvProblem& p,
-                                         const float* a, const float* b,
-                                         float* out, void* workspace,
-                                         std::size_t workspace_bytes) {
-  std::vector<AlgoPerf> results;
-  results.reserve(static_cast<std::size_t>(kernels::algo_count(type)));
-  for (int algo = 0; algo < kernels::algo_count(type); ++algo) {
-    AlgoPerf perf;
-    perf.algo = algo;
-    if (!kernels::algo_supported(type, algo, p)) {
-      perf.status = Status::kNotSupported;
-      results.push_back(perf);
-      continue;
-    }
-    perf.memory = kernels::algo_workspace(type, algo, p);
-    if (perf.memory > workspace_bytes) {
-      // Ex semantics: algorithms that do not fit the provided buffer are
-      // reported but not run.
-      perf.status = Status::kAllocFailed;
-      results.push_back(perf);
-      continue;
-    }
-    perf.status = Status::kSuccess;
-    if (handle.device().is_simulated()) {
-      perf.time_ms = handle.device().model_time_ms(type, algo, p);
-    } else {
-      check_param(a != nullptr && b != nullptr && out != nullptr,
-                  "find_algorithms_ex needs operand buffers on HostCpu");
-      Timer timer;
-      kernels::execute(type, algo, p, a, b, out, 1.0f, 0.0f, workspace,
-                       workspace_bytes);
-      perf.time_ms = timer.elapsed_ms();
-    }
-    results.push_back(perf);
-  }
-  sort_by_time(results);
-  return results;
-}
-
 int get_algorithm(const Handle& handle, ConvKernelType type,
                   const kernels::ConvProblem& p, AlgoPreference preference,
                   std::size_t ws_limit) {

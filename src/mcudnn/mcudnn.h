@@ -100,19 +100,6 @@ std::vector<AlgoPerf> find_algorithms(const Handle& handle, ConvKernelType type,
                                       const kernels::ConvProblem& p,
                                       const std::vector<int>& algos);
 
-/// cudnnFindConvolution*AlgorithmEx: like find_algorithms, but measured
-/// runs use CALLER-provided operand and workspace buffers (and therefore
-/// leave real results in `out`, like the cuDNN Ex entry points). Only
-/// algorithms whose workspace fits `workspace_bytes` are evaluated; the
-/// rest trail with kAllocFailed status. On simulated devices timing is
-/// modeled and the buffers are untouched.
-std::vector<AlgoPerf> find_algorithms_ex(const Handle& handle,
-                                         ConvKernelType type,
-                                         const kernels::ConvProblem& p,
-                                         const float* a, const float* b,
-                                         float* out, void* workspace,
-                                         std::size_t workspace_bytes);
-
 /// cudnnGetConvolution*Algorithm: cheapest algorithm honoring the preference.
 /// kSpecifyWorkspaceLimit picks the FASTEST algorithm whose workspace fits
 /// `ws_limit` — one byte short of the fastest algorithm's need and you get

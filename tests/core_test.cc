@@ -14,6 +14,7 @@
 #include <set>
 #include <utility>
 
+#include "common/timer.h"
 #include "core/benchmark_cache.h"
 #include "core/benchmarker.h"
 #include "core/options.h"
@@ -799,6 +800,31 @@ TEST(UcudnnHandleTest, OptimizationTimersAdvance) {
                      nullptr, 0.0f, nullptr);
   EXPECT_GT(handle.total_benchmark_ms(), 0.0);
   EXPECT_GE(handle.total_optimize_ms(), 0.0);
+}
+
+TEST(UcudnnHandleTest, WdOptimizeTimeExcludesBenchmarking) {
+  // finalize_wd benchmarks every recorded kernel on a fresh handle; that time
+  // belongs to total_benchmark_ms alone, so the two timers cannot add up to
+  // more than the call took.
+  Options opts;
+  opts.workspace_policy = WorkspacePolicy::kWD;
+  opts.total_workspace_size = std::size_t{120} << 20;
+  opts.batch_size_policy = BatchSizePolicy::kAll;
+  UcudnnHandle handle(p100(), opts);
+  for (ConvKernelType type :
+       {ConvKernelType::kForward, ConvKernelType::kBackwardData,
+        ConvKernelType::kBackwardFilter}) {
+    handle.get_algorithm(type, conv2_like(64),
+                         mcudnn::AlgoPreference::kPreferFastest, 0);
+  }
+  ASSERT_EQ(handle.total_benchmark_ms(), 0.0);
+  Timer timer;
+  handle.finalize_wd();
+  const double wall_ms = timer.elapsed_ms();
+  ASSERT_TRUE(handle.wd_finalized());
+  EXPECT_GT(handle.total_benchmark_ms(), 0.0);
+  EXPECT_GE(handle.total_optimize_ms(), 0.0);
+  EXPECT_LE(handle.total_optimize_ms() + handle.total_benchmark_ms(), wall_ms);
 }
 
 TEST(UcudnnHandleTest, CudnnShapedStatusApi) {

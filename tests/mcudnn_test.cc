@@ -108,51 +108,6 @@ TEST(FindAlgorithmsTest, MeasuredModeProducesPositiveTimes) {
   }
 }
 
-TEST(FindAlgorithmsExTest, RespectsTheProvidedWorkspaceBuffer) {
-  // The Ex entry point only runs algorithms that fit the caller's buffer;
-  // the rest come back with kAllocFailed, like cuDNN's Ex functions.
-  Handle handle(p100());
-  const ConvProblem p = small_problem(8);
-  const std::size_t tiny = 1024;
-  const auto perfs = find_algorithms_ex(handle, ConvKernelType::kForward, p,
-                                        nullptr, nullptr, nullptr, nullptr,
-                                        tiny);
-  bool saw_fit = false, saw_too_big = false;
-  for (const auto& perf : perfs) {
-    if (perf.status == Status::kSuccess) {
-      EXPECT_LE(perf.memory, tiny);
-      saw_fit = true;
-    } else if (perf.status == Status::kAllocFailed) {
-      EXPECT_GT(perf.memory, tiny);
-      saw_too_big = true;
-    }
-  }
-  EXPECT_TRUE(saw_fit);      // zero-workspace algorithms always fit
-  EXPECT_TRUE(saw_too_big);  // staged algorithms exceed 1 KiB here
-}
-
-TEST(FindAlgorithmsExTest, MeasuredModeWritesRealResults) {
-  Handle handle;  // host CPU
-  const ConvProblem p = small_problem(2);
-  Tensor x(p.x), w_tensor(TensorShape{p.w.k, p.w.c, p.w.r, p.w.s}), y(p.y);
-  Tensor y_ref(p.y);
-  fill_random(x, 3);
-  fill_random(w_tensor, 4);
-  const std::size_t ws_bytes =
-      workspace_size(handle, ConvKernelType::kForward, p, kernels::fwd_algo::kGemm);
-  AlignedBuffer<char> ws(ws_bytes);
-  const auto perfs = find_algorithms_ex(handle, ConvKernelType::kForward, p,
-                                        x.data(), w_tensor.data(), y.data(),
-                                        ws.data(), ws_bytes);
-  EXPECT_FALSE(perfs.empty());
-  EXPECT_EQ(perfs.front().status, Status::kSuccess);
-  // The Ex call leaves a real convolution result in y (last-run algorithm).
-  kernels::execute(ConvKernelType::kForward, kernels::fwd_algo::kDirect, p,
-                   x.data(), w_tensor.data(), y_ref.data(), 1.0f, 0.0f,
-                   nullptr, 0);
-  EXPECT_LT(max_rel_diff(y.data(), y_ref.data(), p.y.count()), 5e-3);
-}
-
 TEST(GetAlgorithmTest, OneByteShortFallsBackToSlowerAlgorithm) {
   // The exact pathology of Fig. 1: a workspace limit one byte below the
   // fastest algorithm's requirement must select a different algorithm.

@@ -6,9 +6,12 @@
 // optimizer's combinatorial core directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "core/types.h"
 #include "core/wd_optimizer.h"
@@ -94,44 +97,111 @@ TEST_P(WrPropertyTest, DpMatchesBruteForceOnRandomTables) {
   }
 }
 
+// Appends (workspace, time) of every division of `remaining` samples into
+// `micros[first..]`, each multiset of micro-configurations once.
+void enumerate_divisions(const std::vector<MicroConfig>& micros,
+                         std::size_t first, std::int64_t remaining,
+                         double time, std::size_t ws,
+                         std::vector<std::pair<std::size_t, double>>& out) {
+  if (remaining == 0) {
+    out.emplace_back(ws, time);
+    return;
+  }
+  for (std::size_t j = first; j < micros.size(); ++j) {
+    if (micros[j].batch > remaining) continue;
+    enumerate_divisions(micros, j, remaining - micros[j].batch,
+                        time + micros[j].time_ms,
+                        std::max(ws, micros[j].workspace), out);
+  }
+}
+
+// The Pareto set of all divisions within `cap`, as (workspace, time) sorted
+// by workspace ascending with strictly decreasing time.
+std::vector<std::pair<std::size_t, double>> brute_force_front(
+    const MicroBenchmark& table, std::int64_t batch, std::size_t cap) {
+  std::vector<MicroConfig> micros;
+  for (std::size_t i = 0; i < table.sizes.size(); ++i) {
+    for (const auto& perf : table.perfs[i]) {
+      if (perf.memory > cap) continue;
+      micros.push_back(
+          MicroConfig{perf.algo, table.sizes[i], perf.time_ms, perf.memory});
+    }
+  }
+  std::vector<std::pair<std::size_t, double>> all;
+  enumerate_divisions(micros, 0, batch, 0.0, 0, all);
+  std::sort(all.begin(), all.end());
+  std::vector<std::pair<std::size_t, double>> front;
+  for (const auto& point : all) {
+    if (front.empty() || point.second < front.back().second) {
+      front.push_back(point);
+    }
+  }
+  return front;
+}
+
 TEST_P(WrPropertyTest, FrontIsParetoAndCoversEveryLimit) {
   const unsigned seed = GetParam();
   const std::int64_t batch = 6 + (seed % 5);
   const auto table = random_table(seed * 131, batch, 4,
                                   BatchSizePolicy::kAll);
-  const std::size_t cap = 50000;
-  const auto front = desirable_configurations(table, batch, cap);
-  ASSERT_FALSE(front.empty());
-  // Pareto structure.
-  for (std::size_t i = 1; i < front.size(); ++i) {
-    EXPECT_GT(front[i].workspace, front[i - 1].workspace);
-    EXPECT_LT(front[i].time_ms, front[i - 1].time_ms);
-  }
-  // Each element is internally consistent.
-  for (const auto& config : front) {
-    EXPECT_EQ(config.batch, batch);
-    double time = 0.0;
-    std::size_t ws = 0;
-    for (const auto& micro : config.micro) {
-      time += micro.time_ms;
-      ws = std::max(ws, micro.workspace);
+  // The same table with every workspace one byte larger: no division fits a
+  // limit of 0, so the walk down the front must end on infeasibility.
+  const MicroBenchmark no_zero_ws = [&] {
+    MicroBenchmark shifted = table;
+    for (auto& perfs : shifted.perfs) {
+      for (auto& perf : perfs) perf.memory += 1;
     }
-    EXPECT_NEAR(config.time_ms, time, 1e-9);
-    EXPECT_EQ(config.workspace, ws);
-    EXPECT_LE(config.workspace, cap);
-  }
-  // The front answers every WR query: best-within-limit == WR optimum.
-  for (const std::size_t limit : {std::size_t{300}, std::size_t{1500},
-                                  std::size_t{20000}, cap}) {
-    const double expected = brute_force_wr(table, batch, limit);
-    double from_front = std::numeric_limits<double>::infinity();
-    for (const auto& config : front) {
-      if (config.workspace <= limit) {
-        from_front = std::min(from_front, config.time_ms);
+    return shifted;
+  }();
+  EXPECT_THROW(optimize_wr(no_zero_ws, batch, 0), Error);
+
+  for (const MicroBenchmark* t : {&table, &no_zero_ws}) {
+    // 50000 admits every division; 3000 cuts the front short.
+    for (const std::size_t cap : {std::size_t{50000}, std::size_t{3000}}) {
+      std::vector<Configuration> front;
+      ASSERT_NO_THROW(front = desirable_configurations(*t, batch, cap));
+      ASSERT_FALSE(front.empty());
+      // Pareto structure.
+      for (std::size_t i = 1; i < front.size(); ++i) {
+        EXPECT_GT(front[i].workspace, front[i - 1].workspace);
+        EXPECT_LT(front[i].time_ms, front[i - 1].time_ms);
       }
-    }
-    if (std::isfinite(expected)) {
-      EXPECT_NEAR(from_front, expected, 1e-9) << "limit " << limit;
+      // Each element is internally consistent.
+      for (const auto& config : front) {
+        EXPECT_EQ(config.batch, batch);
+        double time = 0.0;
+        std::size_t ws = 0;
+        for (const auto& micro : config.micro) {
+          time += micro.time_ms;
+          ws = std::max(ws, micro.workspace);
+        }
+        EXPECT_NEAR(config.time_ms, time, 1e-9);
+        EXPECT_EQ(config.workspace, ws);
+        EXPECT_LE(config.workspace, cap);
+      }
+      // Every Pareto point of the brute-force enumeration is in the front.
+      const auto expected = brute_force_front(*t, batch, cap);
+      ASSERT_EQ(front.size(), expected.size()) << "cap " << cap;
+      for (std::size_t i = 0; i < front.size(); ++i) {
+        EXPECT_EQ(front[i].workspace, expected[i].first) << "entry " << i;
+        EXPECT_NEAR(front[i].time_ms, expected[i].second, 1e-9)
+            << "entry " << i;
+      }
+      // The front answers every WR query: best-within-limit == WR optimum.
+      for (const std::size_t limit : {std::size_t{300}, std::size_t{1500},
+                                      std::size_t{20000}, cap}) {
+        const double expected_time =
+            brute_force_wr(*t, batch, std::min(limit, cap));
+        double from_front = std::numeric_limits<double>::infinity();
+        for (const auto& config : front) {
+          if (config.workspace <= limit) {
+            from_front = std::min(from_front, config.time_ms);
+          }
+        }
+        if (std::isfinite(expected_time)) {
+          EXPECT_NEAR(from_front, expected_time, 1e-9) << "limit " << limit;
+        }
+      }
     }
   }
 }
