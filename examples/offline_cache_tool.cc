@@ -7,6 +7,9 @@
 //   model:  alexnet | alexnet-grouped | resnet18 | resnet50 | densenet40
 //   batch:  mini-batch size (default 256)
 //   policy: undivided | powerOfTwo | all (default powerOfTwo)
+//
+// Exits non-zero if pass 2, which loads pass 1's database, calls
+// find_algorithms at all or ends with a different number of entries.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -14,6 +17,7 @@
 
 #include "common/timer.h"
 #include "frameworks/caffepp/model_zoo.h"
+#include "telemetry/metrics.h"
 
 using namespace ucudnn;
 
@@ -80,9 +84,25 @@ int main(int argc, char** argv) {
 
   std::printf("pass 2: same model, database preloaded (simulates another run "
               "or another cluster node)\n");
+  const telemetry::Counter find_calls =
+      telemetry::MetricsRegistry::instance().counter(
+          "ucudnn.mcudnn.find_algorithms");
+  const std::uint64_t finds_before = find_calls.value();
+  const std::size_t cold_entries = entries;
   const double warm = benchmark_model(cache_path, model, batch, policy,
                                       &entries);
-  std::printf("  %.1f ms (%.1fx faster startup), %zu entries\n", warm,
-              cold / warm, entries);
+  const std::uint64_t warm_finds = find_calls.value() - finds_before;
+  std::printf("  %.1f ms (%.1fx faster startup), %zu entries, %llu "
+              "find_algorithms calls\n",
+              warm, cold / warm, entries,
+              static_cast<unsigned long long>(warm_finds));
+  if (warm_finds != 0 || entries != cold_entries) {
+    std::fprintf(stderr,
+                 "pass 2 re-benchmarked: %llu find_algorithms calls, %zu "
+                 "entries after pass 1's %zu\n",
+                 static_cast<unsigned long long>(warm_finds), entries,
+                 cold_entries);
+    return 1;
+  }
   return 0;
 }

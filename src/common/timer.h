@@ -17,7 +17,6 @@ class Timer {
         .count();
   }
 
-  double elapsed_us() const { return elapsed_ms() * 1e3; }
   double elapsed_s() const { return elapsed_ms() * 1e-3; }
 
  private:

@@ -8,6 +8,7 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/status.h"
+#include "kernels/registry.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -26,9 +27,6 @@ telemetry::Counter& cache_misses_metric() {
       "ucudnn.benchmark_cache.misses");
   return c;
 }
-
-// Third field of a database line holding a partial entry.
-constexpr std::string_view kPartialMarker = "partial";
 
 }  // namespace
 
@@ -55,15 +53,7 @@ std::string BenchmarkCache::blacklist_key(const std::string& device,
   return os.str();
 }
 
-std::optional<std::vector<mcudnn::AlgoPerf>> BenchmarkCache::lookup(
-    const std::string& device, ConvKernelType type,
-    const kernels::ConvProblem& problem, std::int64_t micro_batch) const {
-  std::optional<CachedPerfs> entry = find(device, type, problem, micro_batch);
-  if (!entry || !entry->complete) return std::nullopt;
-  return std::move(entry->perfs);
-}
-
-std::optional<CachedPerfs> BenchmarkCache::find(
+std::optional<std::vector<mcudnn::AlgoPerf>> BenchmarkCache::find(
     const std::string& device, ConvKernelType type,
     const kernels::ConvProblem& problem, std::int64_t micro_batch) const {
   MutexLock lock(mutex_);
@@ -73,51 +63,22 @@ std::optional<CachedPerfs> BenchmarkCache::find(
     return std::nullopt;
   }
   cache_hits_metric().add(1);
-  if (blacklist_.empty()) return it->second;
-  CachedPerfs filtered{{}, it->second.complete};
-  filtered.perfs.reserve(it->second.perfs.size());
-  std::copy_if(it->second.perfs.begin(), it->second.perfs.end(),
-               std::back_inserter(filtered.perfs),
-               [&](const mcudnn::AlgoPerf& p) {
-                 return blacklist_.count(blacklist_key(device, type, p.algo)) ==
-                        0;
-               });
-  if (filtered.complete && filtered.perfs.empty() &&
-      !it->second.perfs.empty()) {
-    // The blacklist emptied a non-empty entry. Returning the empty vector
-    // would read as "this problem supports no algorithms at all" and make
-    // the caller give up; a miss instead sends it back to find_algorithms,
-    // which re-measures and applies the blacklist to fresh results.
-    return std::nullopt;
-  }
-  return filtered;
-}
-
-void BenchmarkCache::store(const std::string& device, ConvKernelType type,
-                           const kernels::ConvProblem& problem,
-                           std::int64_t micro_batch,
-                           const std::vector<mcudnn::AlgoPerf>& perfs) {
-  MutexLock lock(mutex_);
-  entries_[make_key(device, type, problem, micro_batch)] = {perfs, true};
+  return it->second;
 }
 
 void BenchmarkCache::merge(const std::string& device, ConvKernelType type,
                            const kernels::ConvProblem& problem,
                            std::int64_t micro_batch,
-                           const std::vector<mcudnn::AlgoPerf>& evaluated,
-                           bool complete) {
+                           const std::vector<mcudnn::AlgoPerf>& evaluated) {
   MutexLock lock(mutex_);
-  CachedPerfs& entry =
-      entries_
-          .try_emplace(make_key(device, type, problem, micro_batch),
-                       CachedPerfs{{}, false})
-          .first->second;
+  std::vector<mcudnn::AlgoPerf>& entry =
+      entries_[make_key(device, type, problem, micro_batch)];
   for (const mcudnn::AlgoPerf& perf : evaluated) {
     const auto same = std::find_if(
-        entry.perfs.begin(), entry.perfs.end(),
+        entry.begin(), entry.end(),
         [&](const mcudnn::AlgoPerf& p) { return p.algo == perf.algo; });
-    if (same == entry.perfs.end()) {
-      entry.perfs.push_back(perf);
+    if (same == entry.end()) {
+      entry.push_back(perf);
     } else {
       *same = perf;
     }
@@ -125,17 +86,25 @@ void BenchmarkCache::merge(const std::string& device, ConvKernelType type,
   const auto failed = [](const mcudnn::AlgoPerf& p) {
     return p.status != Status::kSuccess;
   };
-  entry.complete = entry.complete || complete;
-  if (entry.complete) {
-    entry.perfs.erase(
-        std::remove_if(entry.perfs.begin(), entry.perfs.end(), failed),
-        entry.perfs.end());
-  }
-  std::stable_sort(entry.perfs.begin(), entry.perfs.end(),
+  std::stable_sort(entry.begin(), entry.end(),
                    [&](const mcudnn::AlgoPerf& l, const mcudnn::AlgoPerf& r) {
                      if (failed(l) != failed(r)) return failed(r);
                      return !failed(l) && l.time_ms < r.time_ms;
                    });
+}
+
+void BenchmarkCache::store(const std::string& device, ConvKernelType type,
+                           const kernels::ConvProblem& problem,
+                           std::int64_t micro_batch,
+                           const std::vector<mcudnn::AlgoPerf>& perfs) {
+  std::vector<mcudnn::AlgoPerf> all = perfs;
+  for (int algo = 0; algo < kernels::algo_count(type); ++algo) {
+    const auto same = [&](const mcudnn::AlgoPerf& p) { return p.algo == algo; };
+    if (std::none_of(perfs.begin(), perfs.end(), same)) {
+      all.push_back({.algo = algo});  // status kNotSupported
+    }
+  }
+  merge(device, type, problem, micro_batch, all);
 }
 
 std::size_t BenchmarkCache::size() const {
@@ -158,7 +127,10 @@ void BenchmarkCache::blacklist(const std::string& device, ConvKernelType type,
 bool BenchmarkCache::is_blacklisted(const std::string& device,
                                     ConvKernelType type, int algo) const {
   MutexLock lock(mutex_);
-  return blacklist_.count(blacklist_key(device, type, algo)) != 0;
+  // The benchmarker asks once per (size, algorithm); skip building the key
+  // in the common case of an empty blacklist.
+  return !blacklist_.empty() &&
+         blacklist_.count(blacklist_key(device, type, algo)) != 0;
 }
 
 std::size_t BenchmarkCache::blacklisted_count() const {
@@ -210,7 +182,7 @@ CacheLoadResult BenchmarkCache::load_file(const std::string& path) {
 
   // Parse into a staging map first: either the whole file is good and gets
   // merged, or none of it does.
-  std::map<std::string, CachedPerfs> parsed;
+  std::map<std::string, std::vector<mcudnn::AlgoPerf>> parsed;
   std::string why;
   bool corrupt = FaultInjector::instance().armed() &&
                  FaultInjector::instance().should_fail(FaultSite::kCacheLoad);
@@ -221,20 +193,19 @@ CacheLoadResult BenchmarkCache::load_file(const std::string& path) {
       std::string line;
       while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#') continue;
-        // key \t perfs [\t partial]: lines without the marker, which
-        // includes every file written before partial entries existed, are
-        // complete.
+        // key \t perfs [\t partial]: files written while entries carried
+        // a completeness flag mark some lines "partial"; the field says
+        // nothing an entry's list does not, so it is accepted and ignored.
         const auto tab = line.find('\t');
         check(tab != std::string::npos, Status::kInternalError,
               "malformed benchmark cache line: " + line);
         const auto marker = line.find('\t', tab + 1);
-        const bool partial = marker != std::string::npos;
-        check(!partial || line.compare(marker + 1, std::string::npos,
-                                       kPartialMarker) == 0,
+        check(marker == std::string::npos ||
+                  line.compare(marker + 1, std::string::npos, "partial") == 0,
               Status::kInternalError,
               "malformed benchmark cache line: " + line);
-        parsed[line.substr(0, tab)] = {
-            decode_perfs(line.substr(tab + 1, marker - tab - 1)), !partial};
+        parsed[line.substr(0, tab)] =
+            decode_perfs(line.substr(tab + 1, marker - tab - 1));
       }
       // status-discipline: allow (recorded in `why`; quarantined + logged below)
     } catch (const Error& e) {
@@ -274,9 +245,7 @@ void BenchmarkCache::save_file(const std::string& path) const {
     {
       MutexLock lock(mutex_);
       for (const auto& [key, entry] : entries_) {
-        out << key << "\t" << encode_perfs(entry.perfs);
-        if (!entry.complete) out << "\t" << kPartialMarker;
-        out << "\n";
+        out << key << "\t" << encode_perfs(entry) << "\n";
       }
     }
     out.flush();

@@ -22,51 +22,39 @@ enum class CacheLoadResult {
   kQuarantined,  // file was corrupt; renamed to <path>.corrupt, nothing loaded
 };
 
-/// One cached (device, kernel, problem, micro size) entry. A complete entry
-/// evaluated every usable algorithm and lists the successful ones; anything
-/// it does not list is unusable. A partial entry lists only the algorithms
-/// evaluated so far (failures with their status) and says nothing about the
-/// rest, which a later planner measures when it needs them.
-struct CachedPerfs {
-  std::vector<mcudnn::AlgoPerf> perfs;
-  bool complete = true;
-};
-
+/// A cached (device, kernel, problem, micro size) entry lists every
+/// algorithm evaluated so far with its status, successes first by time. An
+/// algorithm it does not list has not been evaluated yet; the benchmarker
+/// times it when a plan needs it (§III-D, like cudnnFind*'s per-algorithm
+/// status).
 class BenchmarkCache {
  public:
-  /// The complete entry's results, with blacklisted algorithms filtered
-  /// out, so a blacklist decision immediately affects every later plan. A
-  /// partial entry is a miss here.
-  std::optional<std::vector<mcudnn::AlgoPerf>> lookup(
+  /// The entry as evaluated: the blacklist is not applied here. Counts one
+  /// cache hit or miss.
+  std::optional<std::vector<mcudnn::AlgoPerf>> find(
       const std::string& device, ConvKernelType type,
       const kernels::ConvProblem& problem, std::int64_t micro_batch) const;
 
-  /// The entry, complete or partial, with blacklisted algorithms filtered
-  /// out. Counts one cache hit or miss.
-  std::optional<CachedPerfs> find(const std::string& device,
-                                  ConvKernelType type,
-                                  const kernels::ConvProblem& problem,
-                                  std::int64_t micro_batch) const;
+  /// Adds newly evaluated algorithms to the entry (creating it if there is
+  /// none), replacing earlier results for the same algorithms.
+  void merge(const std::string& device, ConvKernelType type,
+             const kernels::ConvProblem& problem, std::int64_t micro_batch,
+             const std::vector<mcudnn::AlgoPerf>& evaluated);
 
-  /// Stores a complete entry, replacing any previous one.
+  /// Test shorthand for a synthetic table: merges `perfs` and lists every
+  /// other algorithm as kNotSupported, so nothing is left to evaluate.
   void store(const std::string& device, ConvKernelType type,
              const kernels::ConvProblem& problem, std::int64_t micro_batch,
              const std::vector<mcudnn::AlgoPerf>& perfs);
 
-  /// Adds newly evaluated algorithms to the entry (creating a partial one
-  /// if there is none). `complete` says every usable algorithm has now been
-  /// evaluated; the entry then keeps only the successful results.
-  void merge(const std::string& device, ConvKernelType type,
-             const kernels::ConvProblem& problem, std::int64_t micro_batch,
-             const std::vector<mcudnn::AlgoPerf>& evaluated, bool complete);
-
   std::size_t size() const;
   void clear();
 
-  /// Marks an algorithm as persistently failing on a device; lookups filter
-  /// it from their results until the process exits. Blacklisting is kept in
-  /// memory only — the on-disk database stays untouched so one bad run does
-  /// not poison the shared cluster cache (§III-D).
+  /// Marks an algorithm as persistently failing on a device; the
+  /// benchmarker leaves it out of every table until the process exits.
+  /// Blacklisting is kept in memory only — entries and the on-disk database
+  /// stay untouched so one bad run does not poison the shared cluster cache
+  /// (§III-D).
   void blacklist(const std::string& device, ConvKernelType type, int algo);
   bool is_blacklisted(const std::string& device, ConvKernelType type,
                       int algo) const;
@@ -99,7 +87,8 @@ class BenchmarkCache {
                                    ConvKernelType type, int algo);
 
   mutable Mutex mutex_{"BenchmarkCache"};
-  std::map<std::string, CachedPerfs> entries_ GUARDED_BY(mutex_);
+  std::map<std::string, std::vector<mcudnn::AlgoPerf>> entries_
+      GUARDED_BY(mutex_);
   std::set<std::string> blacklist_ GUARDED_BY(mutex_);
 };
 

@@ -186,25 +186,16 @@ MicroBenchmark Benchmarker::table(ConvKernelType type,
   result.bounded.resize(result.sizes.size());
 
   // Every candidate size belongs round-robin to the handle that measures
-  // it, and its cache lookup, blacklist filter, and store are all keyed by
+  // it, and its cache lookup, blacklist filter, and merge are all keyed by
   // that handle's device name. Keying everything by device 0 (as an earlier
   // revision did) silently cross-pollutes the cache on heterogeneous nodes:
   // results measured on device w land under device 0's name.
   const int algo_count = kernels::algo_count(type);
-  std::vector<std::vector<int>> misses(result.sizes.size());
+  std::vector<std::vector<int>> modeled(result.sizes.size());
   for (std::size_t i = 0; i < result.sizes.size(); ++i) {
     const std::size_t w = i % handles_.size();
-    std::optional<CachedPerfs> hit =
+    const std::optional<std::vector<mcudnn::AlgoPerf>> entry =
         cache_->find(device_name(w), type, problem, result.sizes[i]);
-    if (hit && hit->complete) {
-      result.perfs[i] = std::move(hit->perfs);
-      continue;
-    }
-    if (!hit && handles_[w].device().is_simulated()) {
-      // Modeled timings cost nothing: evaluate every algorithm at once.
-      for (int algo = 0; algo < algo_count; ++algo) misses[i].push_back(algo);
-      continue;
-    }
     const kernels::ConvProblem micro = problem.with_batch(result.sizes[i]);
     for (int algo = 0; algo < algo_count; ++algo) {
       if (!kernels::algo_supported(type, algo, micro) ||
@@ -212,8 +203,8 @@ MicroBenchmark Benchmarker::table(ConvKernelType type,
         continue;
       }
       if (const mcudnn::AlgoPerf* cached =
-              hit ? find_perf(hit->perfs, algo) : nullptr) {
-        // A partial entry lists failed algorithms too; they stay out.
+              entry ? find_perf(*entry, algo) : nullptr) {
+        // A listed failure stays out.
         if (cached->status == Status::kSuccess) {
           result.perfs[i].push_back(*cached);
         }
@@ -223,31 +214,10 @@ MicroBenchmark Benchmarker::table(ConvKernelType type,
                                  kernels::algo_workspace(type, algo, micro)});
       result.bounded[i].push_back(algo);
     }
+    // Modeled timings cost nothing: a simulated size is settled at once.
+    if (handles_[w].device().is_simulated()) modeled[i] = result.bounded[i];
   }
-
-  Evaluation evaluation =
-      evaluate(handles_, type, problem, result.sizes, misses);
-  // Store whatever the workers finished before surfacing any error, so a
-  // single failing device does not discard the benchmarking the others
-  // already paid for — the retried call resolves those as cache hits.
-  for (std::size_t i = 0; i < result.sizes.size(); ++i) {
-    if (!evaluation.results[i]) continue;
-    std::vector<mcudnn::AlgoPerf>& perfs = *evaluation.results[i];
-    const std::string& device = device_name(i % handles_.size());
-    // Keep only successful, non-blacklisted entries; they arrive
-    // time-sorted.
-    perfs.erase(std::remove_if(perfs.begin(), perfs.end(),
-                               [&](const mcudnn::AlgoPerf& p) {
-                                 return p.status != Status::kSuccess ||
-                                        cache_->is_blacklisted(device, type,
-                                                               p.algo);
-                               }),
-                perfs.end());
-    cache_->store(device, type, problem, result.sizes[i], perfs);
-    result.perfs[i] = std::move(perfs);
-  }
-  if (evaluation.error) std::rethrow_exception(evaluation.error);
-  if (result.bounded_count() > 0) result.derive_bounds();
+  evaluate_and_settle(type, problem, result, modeled);
 
   add_benchmark_ms(timer.elapsed_ms());
   benchmark_runs_metric().add(1);
@@ -270,9 +240,18 @@ void Benchmarker::measure(ConvKernelType type,
       requests[pair.size_index].push_back(pair.algo);
     }
   }
+  evaluate_and_settle(type, problem, bench, requests);
+  add_benchmark_ms(timer.elapsed_ms());
+}
 
+void Benchmarker::evaluate_and_settle(
+    ConvKernelType type, const kernels::ConvProblem& problem,
+    MicroBenchmark& bench, const std::vector<std::vector<int>>& requests) {
   const Evaluation evaluation =
       evaluate(handles_, type, problem, bench.sizes, requests);
+  // Merge whatever the workers finished before surfacing any error, so a
+  // single failing device does not discard the benchmarking the others
+  // already paid for — the retried call resolves those as cache hits.
   for (std::size_t i = 0; i < bench.sizes.size(); ++i) {
     if (!evaluation.results[i]) continue;
     const std::vector<mcudnn::AlgoPerf>& results = *evaluation.results[i];
@@ -287,12 +266,10 @@ void Benchmarker::measure(ConvKernelType type,
       bench.settle(i, perf.algo,
                    usable ? std::optional<double>(perf.time_ms) : std::nullopt);
     }
-    cache_->merge(device, type, problem, bench.sizes[i], results,
-                  bench.bounded[i].empty());
+    cache_->merge(device, type, problem, bench.sizes[i], results);
   }
   if (evaluation.error) std::rethrow_exception(evaluation.error);
   bench.derive_bounds();
-  add_benchmark_ms(timer.elapsed_ms());
 }
 
 MicroBenchmark Benchmarker::run(ConvKernelType type,

@@ -75,10 +75,11 @@ class Benchmarker {
               std::shared_ptr<BenchmarkCache> cache);
 
   /// The table of every candidate micro size of `problem`'s batch under
-  /// `policy`, built lazily: cached results are used as they are, and every
-  /// other usable pair gets a lower bound. On a simulated device
-  /// find_algorithms runs no kernel, so misses are evaluated at once and the
-  /// table is complete.
+  /// `policy`, built lazily. For each supported, non-blacklisted algorithm
+  /// the cache entry decides: a listed success gives its timing, a listed
+  /// failure leaves the algorithm out, and an unlisted one gets a lower
+  /// bound. On a simulated device find_algorithms runs no kernel, so those
+  /// bounds are measured at once and the table is complete.
   MicroBenchmark table(ConvKernelType type, const kernels::ConvProblem& problem,
                        BatchSizePolicy policy);
 
@@ -113,6 +114,12 @@ class Benchmarker {
     return handles_[w].device().spec().name;
   }
   void add_benchmark_ms(double ms);
+  /// Evaluates requests[i] at size i, settles the results in `bench`,
+  /// merges them into the cache, and re-derives the bounds.
+  void evaluate_and_settle(ConvKernelType type,
+                           const kernels::ConvProblem& problem,
+                           MicroBenchmark& bench,
+                           const std::vector<std::vector<int>>& requests);
 
   std::vector<mcudnn::Handle> handles_;
   std::shared_ptr<BenchmarkCache> cache_;

@@ -188,7 +188,6 @@ class Planner {
   const WdPlan* wd_plan() const noexcept {
     return wd_plan_ ? &*wd_plan_ : nullptr;
   }
-  bool wd_degraded_to_wr() const noexcept { return wd_degraded_to_wr_; }
 
   // --- introspection ----------------------------------------------------
 

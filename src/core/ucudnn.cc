@@ -165,13 +165,9 @@ int UcudnnHandle::get_algorithm(ConvKernelType type,
   // After WD finalization further queries are ignored (§III-E).
   if (wd_finalized()) return kVirtualAlgo;
 
-  const std::size_t limit =
-      preference == mcudnn::AlgoPreference::kNoWorkspace ? 0
-      : preference == mcudnn::AlgoPreference::kPreferFastest
-          ? std::numeric_limits<std::size_t>::max()
-          : ws_limit;
   // Record unique kernels for WD, with the framework-provided limit.
-  planner_.record_limit(record_kernel(type, problem), limit);
+  planner_.record_limit(record_kernel(type, problem),
+                        mcudnn::workspace_limit(preference, ws_limit));
   return kVirtualAlgo;
 }
 

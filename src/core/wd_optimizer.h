@@ -5,9 +5,13 @@
 //   min  Σ_k Σ_{c ∈ D_k} t_{k,c} · x_{k,c}
 //   s.t. Σ_k Σ_c m_{k,c} · x_{k,c} ≤ W_total,   Σ_c x_{k,c} = 1  ∀k,
 //
-// which is a multiple-choice knapsack, solved by the exact MCKP DP (the
-// GLPK-replacement path). The branch-and-bound ILP solver in src/ilp stays a
-// cross-validation and ablation tool over the same WdKnapsack.
+// which is a multiple-choice knapsack, solved by the MCKP DP (the
+// GLPK-replacement path). The DP rounds weights up to buckets of
+// ceil(W_total / 65536) bytes, 1 KiB for a 64 MiB arena, so it is exact
+// only when W_total <= 65536 bytes; otherwise it is exact on the rounded
+// weights and may pass over a selection that fits by less than that. The
+// branch-and-bound ILP solver in src/ilp stays a cross-validation and
+// ablation tool over the same WdKnapsack.
 #pragma once
 
 #include <vector>

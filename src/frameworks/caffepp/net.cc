@@ -240,10 +240,6 @@ std::vector<Net::LayerTime> Net::time(int iterations) {
   const bool virtual_mode = ctx_.virtual_mode;
   double total = 0.0;
   for (int iter = 0; iter < iterations; ++iter) {
-    if (!virtual_mode) {
-      // Keep numeric backward inputs fresh (zeroed diffs).
-      // (Numeric timing measures wall clock per layer.)
-    }
     for (std::size_t i = 0; i < layers_.size(); ++i) {
       const double clock0 = dev.clock_ms();
       Timer timer;

@@ -1,11 +1,12 @@
 // tfmini: a TensorFlow-1.x-style mini framework — deferred graph
 // construction, session-based execution, tape autodiff.
 //
-// Its integration style with μ-cuDNN intentionally differs from caffepp's
-// and mirrors TensorFlow 1.4.1 as described in §IV-B2 of the paper: the
-// framework never calls GetConvolution*Algorithm with a workspace limit
-// before running — convolutions are issued directly, so μ-cuDNN derives the
-// per-kernel limit from UCUDNN_WORKSPACE_LIMIT / Options::workspace_limit.
+// Its integration style with μ-cuDNN differs from caffepp's and mirrors
+// TensorFlow 1.4.1 as described in §IV-B2 of the paper: layers do not
+// announce kernels as the graph is built. Instead, just before the first
+// run, the session announces all three passes of every Conv2d with the
+// 8 MiB default limit (kDefaultPerKernelLimit), which
+// UCUDNN_WORKSPACE_LIMIT / Options::workspace_limit overrides.
 #pragma once
 
 #include <map>

@@ -5,7 +5,7 @@
 //                       min cᵀx, Ax {<=,=,>=} b, x >= 0.
 //  * solve_binary_ilp — depth-first branch-and-bound on the LP relaxation
 //                       for x ∈ {0,1}ⁿ problems.
-//  * solve_mckp       — exact (bucketed-weight) dynamic program for the
+//  * solve_mckp       — bucketed-weight dynamic program for the
 //                       multiple-choice knapsack form the WD optimizer emits:
 //                       min Σ cost, one item per group, Σ weight ≤ capacity.
 #pragma once

@@ -1,8 +1,13 @@
-// Exact multiple-choice knapsack DP: the default WD solve path.
+// Multiple-choice knapsack DP over a bucketed weight grid: the default WD
+// solve path.
 //
-// Weights are rounded UP to a bucket grid of at most `buckets` cells, so a
-// returned selection is always feasible for the true capacity; when the
-// capacity fits the grid exactly (capacity <= buckets) the optimum is exact.
+// Weights are rounded UP to buckets of ceil(capacity / buckets) units, so a
+// returned selection is always feasible for the true capacity. The optimum
+// is exact only when capacity <= buckets (one unit per bucket). Otherwise
+// it is exact on the rounded weights and may miss a selection that fits
+// only by less than one bucket per kernel: for the default 64 MiB WD arena
+// and 65536 buckets a bucket is 1 KiB, coarser than the 256 B segment
+// alignment of the weights.
 #include <algorithm>
 #include <cmath>
 #include <limits>

@@ -164,12 +164,7 @@ std::vector<AlgoPerf> find_algorithms(const Handle& handle, ConvKernelType type,
 int get_algorithm(const Handle& handle, ConvKernelType type,
                   const kernels::ConvProblem& p, AlgoPreference preference,
                   std::size_t ws_limit) {
-  const std::size_t limit =
-      preference == AlgoPreference::kNoWorkspace
-          ? 0
-          : preference == AlgoPreference::kPreferFastest
-                ? std::numeric_limits<std::size_t>::max()
-                : ws_limit;
+  const std::size_t limit = workspace_limit(preference, ws_limit);
   const auto results = find_algorithms(handle, type, p);
   for (const AlgoPerf& perf : results) {
     if (perf.status == Status::kSuccess && perf.memory <= limit) {

@@ -36,6 +36,16 @@ enum class AlgoPreference {
   kSpecifyWorkspaceLimit,
 };
 
+/// The workspace limit a preference stands for: 0 for kNoWorkspace, no
+/// limit for kPreferFastest, `ws_limit` for kSpecifyWorkspaceLimit.
+constexpr std::size_t workspace_limit(AlgoPreference preference,
+                                      std::size_t ws_limit) {
+  return preference == AlgoPreference::kNoWorkspace ? 0
+         : preference == AlgoPreference::kPreferFastest
+             ? std::numeric_limits<std::size_t>::max()
+             : ws_limit;
+}
+
 /// cudnnConvolution*AlgoPerf_t equivalent.
 struct AlgoPerf {
   int algo = -1;

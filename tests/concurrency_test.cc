@@ -8,6 +8,7 @@
 // verify the locked invariants. The lock-order tests skip themselves when
 // the detector is compiled out (release builds without sanitizers).
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -61,18 +62,25 @@ TEST(BenchmarkCacheConcurrencyTest, ParallelLookupStoreBlacklist) {
         const ConvProblem problem = problem_for(i % kVariants);
         cache.store(device, ConvKernelType::kForward, problem, 4,
                     sample_perfs());
-        // is_blacklisted is sampled BEFORE the lookup: once an algorithm is
-        // observed blacklisted, every later lookup must filter it (the
-        // blacklist only grows, so this order makes the check race-free).
+        // is_blacklisted is sampled BEFORE the find: the blacklist only
+        // grows, so an algorithm observed blacklisted must stay so. The
+        // blacklist never edits an entry: algorithm 2 stays listed as a
+        // success either way.
         const bool blacklisted_before =
             cache.is_blacklisted(device, ConvKernelType::kForward, 2);
         const auto hit =
-            cache.lookup(device, ConvKernelType::kForward, problem, 4);
-        if (!hit.has_value() || hit->empty()) mismatches.fetch_add(1);
-        if (hit.has_value() && blacklisted_before) {
-          for (const mcudnn::AlgoPerf& perf : *hit) {
-            if (perf.algo == 2) mismatches.fetch_add(1);
-          }
+            cache.find(device, ConvKernelType::kForward, problem, 4);
+        if (!hit.has_value() ||
+            std::none_of(hit->begin(), hit->end(),
+                         [](const mcudnn::AlgoPerf& perf) {
+                           return perf.algo == 2 &&
+                                  perf.status == Status::kSuccess;
+                         })) {
+          mismatches.fetch_add(1);
+        }
+        if (blacklisted_before &&
+            !cache.is_blacklisted(device, ConvKernelType::kForward, 2)) {
+          mismatches.fetch_add(1);
         }
         if (i == kIters / 2 && t == 0) {
           cache.blacklist(device, ConvKernelType::kForward, 2);
@@ -89,10 +97,14 @@ TEST(BenchmarkCacheConcurrencyTest, ParallelLookupStoreBlacklist) {
   EXPECT_EQ(cache.size(), 2u * kVariants);
   EXPECT_EQ(cache.blacklisted_count(), 1u);
   EXPECT_TRUE(cache.is_blacklisted("dev0", ConvKernelType::kForward, 2));
-  const auto filtered =
-      cache.lookup("dev0", ConvKernelType::kForward, problem_for(0), 4);
-  ASSERT_TRUE(filtered.has_value());
-  for (const mcudnn::AlgoPerf& perf : *filtered) EXPECT_NE(perf.algo, 2);
+  const auto entry =
+      cache.find("dev0", ConvKernelType::kForward, problem_for(0), 4);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->front().algo, 0);
+  EXPECT_TRUE(std::any_of(entry->begin(), entry->end(),
+                          [](const mcudnn::AlgoPerf& perf) {
+                            return perf.algo == 2;
+                          }));
 }
 
 TEST(PlanCacheConcurrencyTest, ParallelLookupInsertEpochBump) {

@@ -23,6 +23,7 @@
 #include "core/wd_optimizer.h"
 #include "core/wr_optimizer.h"
 #include "ilp/ilp.h"
+#include "telemetry/metrics.h"
 #include "tensor/tensor.h"
 
 namespace ucudnn::core {
@@ -110,6 +111,25 @@ TEST(BenchmarkerTest, CachesResults) {
   EXPECT_EQ(bench.cache()->size(), after_first);  // no new entries
 }
 
+TEST(BenchmarkerTest, SimulatedTableSettlesAtOnceAndCountsOneRun) {
+  // A simulated size's bounds are settled inside table() itself, through
+  // the cache, and the whole table counts as one benchmark run.
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::instance();
+  const telemetry::Counter runs = registry.counter("ucudnn.benchmark.runs");
+  const telemetry::Histogram ms = registry.histogram("ucudnn.benchmark.ms");
+  const std::uint64_t runs0 = runs.value();
+  const std::uint64_t observed0 = ms.data().count;
+  Benchmarker bench = make_benchmarker();
+  const MicroBenchmark table = bench.table(
+      ConvKernelType::kForward, small_problem(8), BatchSizePolicy::kPowerOfTwo);
+  EXPECT_EQ(table.bounded_count(), 0u);
+  EXPECT_EQ(bench.cache()->size(), table.sizes.size());
+  if (telemetry::kCompiledIn) {
+    EXPECT_EQ(runs.value() - runs0, 1u);
+    EXPECT_EQ(ms.data().count - observed0, 1u);
+  }
+}
+
 TEST(BenchmarkerTest, ParallelDevicesAgreeWithSingle) {
   device::Node node(device::p100_sxm2_spec(), 4);
   std::vector<mcudnn::Handle> handles;
@@ -153,13 +173,12 @@ TEST(BenchmarkerTest, HeterogeneousDevicesKeyResultsByMeasuringDevice) {
   for (std::size_t i = 0; i < table.sizes.size(); ++i) {
     const std::string& measuring = i % 2 == 0 ? p100_name : k80_name;
     const std::string& other = i % 2 == 0 ? k80_name : p100_name;
-    EXPECT_TRUE(cache
-                    ->lookup(measuring, ConvKernelType::kForward, p,
-                             table.sizes[i])
-                    .has_value())
+    EXPECT_TRUE(
+        cache->find(measuring, ConvKernelType::kForward, p, table.sizes[i])
+            .has_value())
         << "size " << table.sizes[i];
     EXPECT_FALSE(
-        cache->lookup(other, ConvKernelType::kForward, p, table.sizes[i])
+        cache->find(other, ConvKernelType::kForward, p, table.sizes[i])
             .has_value())
         << "size " << table.sizes[i];
   }
@@ -238,9 +257,10 @@ TEST(BenchmarkerTest, HeterogeneousBlacklistFiltersPerDevice) {
 
 TEST(BenchmarkerTest, FullyBlacklistedCacheHitRebenchmarks) {
   // Regression: when the blacklist filtered a cached entry down to nothing,
-  // lookup() used to return the empty vector — a "hit" claiming the problem
+  // the cache used to return the empty vector — a "hit" claiming the problem
   // supports no algorithms at all — and run() handed that empty table to the
-  // optimizer. Such a hit must degrade to a miss and re-benchmark instead.
+  // optimizer. An entry that lists only blacklisted algorithms leaves the
+  // unlisted ones unevaluated, so they must be benchmarked instead.
   const ConvProblem p = small_problem(8);
   Benchmarker fresh = make_benchmarker();
   const auto full =
@@ -251,7 +271,7 @@ TEST(BenchmarkerTest, FullyBlacklistedCacheHitRebenchmarks) {
   std::set<int> blacklisted;
   for (std::size_t i = 0; i < full.sizes.size(); ++i) {
     ASSERT_GT(full.perfs[i].size(), 1u);  // re-benchmarking must find others
-    cache->store(device, ConvKernelType::kForward, p, full.sizes[i],
+    cache->merge(device, ConvKernelType::kForward, p, full.sizes[i],
                  {full.perfs[i][0]});
     cache->blacklist(device, ConvKernelType::kForward, full.perfs[i][0].algo);
     blacklisted.insert(full.perfs[i][0].algo);
@@ -507,7 +527,7 @@ TEST(BenchmarkCacheTest, FileRoundTrip) {
   std::vector<mcudnn::AlgoPerf> perfs(2);
   perfs[0] = {3, Status::kSuccess, 1.25, 4096};
   perfs[1] = {1, Status::kSuccess, 2.5, 0};
-  cache.store("P100-SXM2", ConvKernelType::kForward, p, 8, perfs);
+  cache.merge("P100-SXM2", ConvKernelType::kForward, p, 8, perfs);
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "ucudnn_cache_test.db")
@@ -517,7 +537,7 @@ TEST(BenchmarkCacheTest, FileRoundTrip) {
   BenchmarkCache loaded;
   EXPECT_EQ(loaded.load_file(path), CacheLoadResult::kLoaded);
   EXPECT_EQ(loaded.size(), 1u);
-  const auto hit = loaded.lookup("P100-SXM2", ConvKernelType::kForward, p, 8);
+  const auto hit = loaded.find("P100-SXM2", ConvKernelType::kForward, p, 8);
   ASSERT_TRUE(hit.has_value());
   ASSERT_EQ(hit->size(), 2u);
   EXPECT_EQ((*hit)[0].algo, 3);
@@ -531,12 +551,12 @@ TEST(BenchmarkCacheTest, KeysDistinguishEverything) {
   const ConvProblem p = small_problem(8);
   const std::vector<mcudnn::AlgoPerf> perfs(1);
   cache.store("P100-SXM2", ConvKernelType::kForward, p, 8, perfs);
-  EXPECT_FALSE(cache.lookup("K80", ConvKernelType::kForward, p, 8));
-  EXPECT_FALSE(cache.lookup("P100-SXM2", ConvKernelType::kBackwardData, p, 8));
-  EXPECT_FALSE(cache.lookup("P100-SXM2", ConvKernelType::kForward, p, 4));
-  EXPECT_FALSE(cache.lookup("P100-SXM2", ConvKernelType::kForward,
-                            small_problem(16), 8));
-  EXPECT_TRUE(cache.lookup("P100-SXM2", ConvKernelType::kForward, p, 8));
+  EXPECT_FALSE(cache.find("K80", ConvKernelType::kForward, p, 8));
+  EXPECT_FALSE(cache.find("P100-SXM2", ConvKernelType::kBackwardData, p, 8));
+  EXPECT_FALSE(cache.find("P100-SXM2", ConvKernelType::kForward, p, 4));
+  EXPECT_FALSE(cache.find("P100-SXM2", ConvKernelType::kForward,
+                          small_problem(16), 8));
+  EXPECT_TRUE(cache.find("P100-SXM2", ConvKernelType::kForward, p, 8));
 }
 
 TEST(BenchmarkCacheTest, MissingFileIgnoredMalformedQuarantined) {

@@ -338,35 +338,73 @@ TEST_F(FaultInjectionTest, AtomicSaveSurvivesAnInjectedCrash) {
 }
 
 TEST_F(FaultInjectionTest, BlacklistFiltersLookupsButNotTheDatabase) {
+  constexpr ConvKernelType kFwd = ConvKernelType::kForward;
+  constexpr int kGemm = kernels::fwd_algo::kGemm;
   const kernels::ConvProblem p({8, 4, 10, 10}, {4, 4, 3, 3},
                                {.pad_h = 1, .pad_w = 1});
-  core::BenchmarkCache cache;
+  auto cpu = std::make_shared<device::Device>(device::host_cpu_spec());
+  auto cache = std::make_shared<core::BenchmarkCache>();
   std::vector<mcudnn::AlgoPerf> perfs(2);
-  perfs[0] = {2, Status::kSuccess, 1.0, 4096};
-  perfs[1] = {3, Status::kSuccess, 2.0, 0};
-  cache.store("HostCpu", ConvKernelType::kForward, p, 8, perfs);
+  perfs[0] = {kGemm, Status::kSuccess, 1.0, 4096};
+  perfs[1] = {kernels::fwd_algo::kDirect, Status::kSuccess, 2.0, 0};
+  cache->store("HostCpu", kFwd, p, 8, perfs);
 
-  cache.blacklist("HostCpu", ConvKernelType::kForward, 2);
-  EXPECT_TRUE(cache.is_blacklisted("HostCpu", ConvKernelType::kForward, 2));
-  EXPECT_FALSE(cache.is_blacklisted("HostCpu", ConvKernelType::kBackwardData, 2));
-  EXPECT_EQ(cache.blacklisted_count(), 1u);
+  cache->blacklist("HostCpu", kFwd, kGemm);
+  EXPECT_TRUE(cache->is_blacklisted("HostCpu", kFwd, kGemm));
+  EXPECT_FALSE(
+      cache->is_blacklisted("HostCpu", ConvKernelType::kBackwardData, kGemm));
+  EXPECT_EQ(cache->blacklisted_count(), 1u);
 
-  const auto hit = cache.lookup("HostCpu", ConvKernelType::kForward, p, 8);
-  ASSERT_TRUE(hit.has_value());
-  ASSERT_EQ(hit->size(), 1u);
-  EXPECT_EQ((*hit)[0].algo, 3);
+  const core::MicroBenchmark hit =
+      core::Benchmarker({mcudnn::Handle(cpu)}, cache)
+          .table(kFwd, p, core::BatchSizePolicy::kUndivided);
+  ASSERT_EQ(hit.perfs.size(), 1u);
+  ASSERT_EQ(hit.perfs[0].size(), 1u);
+  EXPECT_EQ(hit.perfs[0][0].algo, kernels::fwd_algo::kDirect);
 
   // The blacklist is in-memory only: the persisted database keeps both
-  // entries so one bad run cannot poison the shared cluster cache.
+  // results so one bad run cannot poison the shared cluster cache.
   const std::string path =
       (std::filesystem::temp_directory_path() / "ucudnn_fault_blacklist.db")
           .string();
-  cache.save_file(path);
+  cache->save_file(path);
   core::BenchmarkCache reloaded;
   EXPECT_EQ(reloaded.load_file(path), core::CacheLoadResult::kLoaded);
-  const auto fresh = reloaded.lookup("HostCpu", ConvKernelType::kForward, p, 8);
-  ASSERT_TRUE(fresh.has_value());
-  EXPECT_EQ(fresh->size(), 2u);
+  const auto entry = reloaded.find("HostCpu", kFwd, p, 8);
+  ASSERT_TRUE(entry.has_value());
+  ASSERT_GE(entry->size(), 2u);
+  EXPECT_EQ((*entry)[0].algo, kGemm);
+  EXPECT_EQ((*entry)[1].algo, kernels::fwd_algo::kDirect);
+
+  // Benchmarking under the blacklist must not persist the algorithm's
+  // absence either: a process without the blacklist lists it again, as a
+  // timing or a bound, at every size that supports it.
+  const kernels::ConvProblem fresh({4, 4, 10, 10}, {4, 4, 3, 3},
+                                   {.pad_h = 1, .pad_w = 1});
+  for (const auto& dev :
+       {cpu, std::make_shared<device::Device>(device::p100_sxm2_spec())}) {
+    auto blacklisting = std::make_shared<core::BenchmarkCache>();
+    blacklisting->blacklist(dev->spec().name, kFwd, kGemm);
+    core::Benchmarker({mcudnn::Handle(dev)}, blacklisting)
+        .run(kFwd, fresh, core::BatchSizePolicy::kPowerOfTwo);
+    blacklisting->save_file(path);
+    auto unfiltered = std::make_shared<core::BenchmarkCache>();
+    EXPECT_EQ(unfiltered->load_file(path), core::CacheLoadResult::kLoaded);
+    const core::MicroBenchmark table =
+        core::Benchmarker({mcudnn::Handle(dev)}, unfiltered)
+            .table(kFwd, fresh, core::BatchSizePolicy::kPowerOfTwo);
+    ASSERT_EQ(table.sizes.size(), 3u);
+    for (std::size_t i = 0; i < table.sizes.size(); ++i) {
+      if (!kernels::algo_supported(kFwd, kGemm,
+                                   fresh.with_batch(table.sizes[i]))) {
+        continue;
+      }
+      EXPECT_TRUE(std::any_of(
+          table.perfs[i].begin(), table.perfs[i].end(),
+          [&](const mcudnn::AlgoPerf& perf) { return perf.algo == kGemm; }))
+          << dev->spec().name << " size " << table.sizes[i];
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -248,7 +248,7 @@ std::vector<Configuration> run_handle(const Options& options,
       EXPECT_TRUE(entry.has_value()) << to_string(type) << " " << micro.batch;
       if (!entry) continue;
       const bool timed = std::any_of(
-          entry->perfs.begin(), entry->perfs.end(),
+          entry->begin(), entry->end(),
           [&](const mcudnn::AlgoPerf& perf) {
             return perf.algo == micro.algo &&
                    perf.status == Status::kSuccess &&
@@ -279,7 +279,7 @@ std::size_t cached_pairs(const std::string& path, const ConvProblem& p) {
          candidate_micro_sizes(BatchSizePolicy::kPowerOfTwo, p.batch())) {
       const std::string& device = device::host_cpu_spec().name;
       if (auto entry = cache.find(device, type, p, size)) {
-        n += entry->perfs.size();
+        n += entry->size();
       }
     }
   }
@@ -334,10 +334,7 @@ TEST(LazyBenchmarkCacheTest, PartialEntriesRoundTripAndComplete) {
   BenchmarkCache cache;
   cache.merge("HostCpu", ConvKernelType::kForward, p, 4,
               {{2, Status::kSuccess, 1.5, 4096},
-               {5, Status::kExecutionFailed, -1.0, 0}},
-              false);
-  // A partial entry is no answer for callers that need every algorithm.
-  EXPECT_FALSE(cache.lookup("HostCpu", ConvKernelType::kForward, p, 4));
+               {5, Status::kExecutionFailed, -1.0, 0}});
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "ucudnn_lazy_partial.db")
@@ -347,26 +344,40 @@ TEST(LazyBenchmarkCacheTest, PartialEntriesRoundTripAndComplete) {
   ASSERT_EQ(loaded.load_file(path), CacheLoadResult::kLoaded);
   auto entry = loaded.find("HostCpu", ConvKernelType::kForward, p, 4);
   ASSERT_TRUE(entry.has_value());
-  EXPECT_FALSE(entry->complete);
-  ASSERT_EQ(entry->perfs.size(), 2u);
-  EXPECT_EQ(entry->perfs[0].algo, 2);
-  EXPECT_DOUBLE_EQ(entry->perfs[0].time_ms, 1.5);
-  EXPECT_EQ(entry->perfs[1].status, Status::kExecutionFailed);
+  ASSERT_EQ(entry->size(), 2u);
+  EXPECT_EQ((*entry)[0].algo, 2);
+  EXPECT_DOUBLE_EQ((*entry)[0].time_ms, 1.5);
+  EXPECT_EQ((*entry)[1].status, Status::kExecutionFailed);
 
-  // The last missing algorithm completes the entry: failures drop out and
-  // the rest is sorted by time.
+  // Later results join the entry, successes sorted by time; the failure
+  // stays listed, so it is never evaluated again.
   loaded.merge("HostCpu", ConvKernelType::kForward, p, 4,
-               {{0, Status::kSuccess, 0.5, 0}}, true);
-  const auto complete =
-      loaded.lookup("HostCpu", ConvKernelType::kForward, p, 4);
-  ASSERT_TRUE(complete.has_value());
-  ASSERT_EQ(complete->size(), 2u);
-  EXPECT_EQ((*complete)[0].algo, 0);
-  EXPECT_EQ((*complete)[1].algo, 2);
+               {{0, Status::kSuccess, 0.5, 0}});
+  entry = loaded.find("HostCpu", ConvKernelType::kForward, p, 4);
+  ASSERT_TRUE(entry.has_value());
+  ASSERT_EQ(entry->size(), 3u);
+  EXPECT_EQ((*entry)[0].algo, 0);
+  EXPECT_EQ((*entry)[1].algo, 2);
+  EXPECT_EQ((*entry)[2].algo, 5);
+
+  // Files written while entries carried a completeness flag mark some lines
+  // "partial"; such a line loads as the same list.
   loaded.save_file(path);
-  BenchmarkCache reloaded;
-  ASSERT_EQ(reloaded.load_file(path), CacheLoadResult::kLoaded);
-  EXPECT_TRUE(reloaded.lookup("HostCpu", ConvKernelType::kForward, p, 4));
+  std::string text;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+      text += line + (line[0] == '#' ? "\n" : "\tpartial\n");
+    }
+  }
+  std::ofstream(path) << text;
+  BenchmarkCache legacy;
+  ASSERT_EQ(legacy.load_file(path), CacheLoadResult::kLoaded);
+  const auto legacy_entry =
+      legacy.find("HostCpu", ConvKernelType::kForward, p, 4);
+  ASSERT_TRUE(legacy_entry.has_value());
+  ASSERT_EQ(legacy_entry->size(), 3u);
+  EXPECT_EQ((*legacy_entry)[2].status, Status::kExecutionFailed);
   std::remove(path.c_str());
 }
 
@@ -380,10 +391,9 @@ TEST(LazyBenchmarkCacheTest, KeysEncodeDilationAndModeAndOldFilesMiss) {
   BenchmarkCache cache;
   cache.store("HostCpu", ConvKernelType::kForward, p, 4,
               {{1, Status::kSuccess, 1.0, 0}});
-  EXPECT_TRUE(cache.lookup("HostCpu", ConvKernelType::kForward, p, 4));
-  EXPECT_FALSE(cache.lookup("HostCpu", ConvKernelType::kForward, dilated, 4));
-  EXPECT_FALSE(
-      cache.lookup("HostCpu", ConvKernelType::kForward, convolution, 4));
+  EXPECT_TRUE(cache.find("HostCpu", ConvKernelType::kForward, p, 4));
+  EXPECT_FALSE(cache.find("HostCpu", ConvKernelType::kForward, dilated, 4));
+  EXPECT_FALSE(cache.find("HostCpu", ConvKernelType::kForward, convolution, 4));
 
   // A database keyed by the problem hash alone, as files were written
   // before, loads cleanly; its entries just never match.
