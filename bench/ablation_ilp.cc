@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   // ---- 1. Pareto pruning -------------------------------------------------
   std::printf("[1] Pareto pruning: desirable-set sizes (AlexNet conv2, "
               "batch 256, cap 120 MiB)\n");
-  core::Benchmarker benchmarker({mcudnn::Handle(dev)}, nullptr);
+  core::Benchmarker benchmarker(mcudnn::Handle(dev), nullptr);
   const auto problem = bench::alexnet_conv2(256);
   std::printf("%-12s %22s %18s\n", "policy", "unpruned candidates*",
               "Pareto front size");
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     requests = probe.recorded_kernels();
   }
   // Both solvers get the one knapsack the WD optimizer builds.
-  core::Benchmarker wd_bench({mcudnn::Handle(dev)}, benchmarker.cache());
+  core::Benchmarker wd_bench(mcudnn::Handle(dev), benchmarker.cache());
   Timer build_timer;
   const core::WdKnapsack knapsack = core::build_wd_knapsack(
       wd_bench, requests, std::size_t{120} << 20,
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   int idx = 0;
   for (const auto policy :
        {core::BatchSizePolicy::kPowerOfTwo, core::BatchSizePolicy::kAll}) {
-    core::Benchmarker fresh({mcudnn::Handle(bench::make_device("P100-SXM2"))},
+    core::Benchmarker fresh(mcudnn::Handle(bench::make_device("P100-SXM2")),
                             nullptr);
     double total = 0.0;
     for (const auto& request : requests) {

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
               "streams)\n\n");
 
   const auto kernels = inception_kernels();
-  core::Benchmarker benchmarker({mcudnn::Handle(bench::make_device("P100-SXM2"))},
+  core::Benchmarker benchmarker(mcudnn::Handle(bench::make_device("P100-SXM2")),
                                 nullptr);
 
   for (const std::size_t total_mib : {24, 96}) {

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   artifact.config("workspace_cap_mib", 120);
   artifact.paper("max_front_size", 68.0);
 
-  core::Benchmarker benchmarker({mcudnn::Handle(bench::make_device("P100-SXM2"))},
+  core::Benchmarker benchmarker(mcudnn::Handle(bench::make_device("P100-SXM2")),
                                 nullptr);
   const auto problem = bench::alexnet_conv2(256);
   const auto table = benchmarker.run(ConvKernelType::kForward, problem,

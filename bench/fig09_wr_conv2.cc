@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   artifact.paper("all_speedup", 2.33);
   artifact.paper("fft_ws_mib", 48.9);
 
-  core::Benchmarker benchmarker({mcudnn::Handle(bench::make_device("P100-SXM2"))},
+  core::Benchmarker benchmarker(mcudnn::Handle(bench::make_device("P100-SXM2")),
                                 nullptr);
   const auto problem = bench::alexnet_conv2(256);
   const std::size_t limit = std::size_t{64} << 20;

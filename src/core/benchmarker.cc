@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "analysis/workspace_audit.h"
 #include "common/status.h"
@@ -50,53 +49,6 @@ const mcudnn::AlgoPerf* find_perf(const std::vector<mcudnn::AlgoPerf>& perfs,
       std::find_if(perfs.begin(), perfs.end(),
                    [&](const mcudnn::AlgoPerf& p) { return p.algo == algo; });
   return it == perfs.end() ? nullptr : &*it;
-}
-
-// find_algorithms results of the sizes a Benchmarker evaluated: requests[i]
-// lists the algorithms wanted at size i (none: size not evaluated).
-struct Evaluation {
-  std::vector<std::optional<std::vector<mcudnn::AlgoPerf>>> results;
-  std::exception_ptr error;  // the first failing handle's, after the rest
-};
-
-// Evaluates each requested size on the handle that owns it (size index
-// modulo the handle count), one worker thread per handle with work (§III-D).
-Evaluation evaluate(const std::vector<mcudnn::Handle>& handles,
-                    ConvKernelType type, const kernels::ConvProblem& problem,
-                    const std::vector<std::int64_t>& sizes,
-                    const std::vector<std::vector<int>>& requests) {
-  Evaluation evaluation;
-  evaluation.results.resize(sizes.size());
-  std::vector<std::exception_ptr> errors(handles.size());
-  std::vector<std::thread> threads;
-  threads.reserve(handles.size());
-  for (std::size_t w = 0; w < handles.size(); ++w) {
-    bool has_work = false;
-    for (std::size_t i = w; i < sizes.size(); i += handles.size()) {
-      has_work = has_work || !requests[i].empty();
-    }
-    if (!has_work) continue;
-    threads.emplace_back([&, w] {
-      try {
-        // Workspace-audit violations during benchmarking are attributed to
-        // the benchmarker, not the WR/WD execution path.
-        const analysis::ScopedAuditContext audit_context(
-            "benchmark:dev" + std::to_string(w));
-        for (std::size_t i = w; i < sizes.size(); i += handles.size()) {
-          if (requests[i].empty()) continue;
-          evaluation.results[i] = mcudnn::find_algorithms(
-              handles[w], type, problem.with_batch(sizes[i]), requests[i]);
-        }
-      } catch (...) {
-        errors[w] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& error : errors) {
-    if (error && !evaluation.error) evaluation.error = error;
-  }
-  return evaluation;
 }
 
 // Pairs find_algorithms ran (supported ones, failed or not).
@@ -162,10 +114,9 @@ void MicroBenchmark::derive_bounds() {
 
 // --------------------------------------------------------------- Benchmarker
 
-Benchmarker::Benchmarker(std::vector<mcudnn::Handle> handles,
+Benchmarker::Benchmarker(mcudnn::Handle handle,
                          std::shared_ptr<BenchmarkCache> cache)
-    : handles_(std::move(handles)), cache_(std::move(cache)) {
-  check_param(!handles_.empty(), "benchmarker needs at least one handle");
+    : handle_(std::move(handle)), cache_(std::move(cache)) {
   if (cache_ == nullptr) cache_ = std::make_shared<BenchmarkCache>();
 }
 
@@ -185,21 +136,18 @@ MicroBenchmark Benchmarker::table(ConvKernelType type,
   result.perfs.resize(result.sizes.size());
   result.bounded.resize(result.sizes.size());
 
-  // Every candidate size belongs round-robin to the handle that measures
-  // it, and its cache lookup, blacklist filter, and merge are all keyed by
-  // that handle's device name. Keying everything by device 0 (as an earlier
-  // revision did) silently cross-pollutes the cache on heterogeneous nodes:
-  // results measured on device w land under device 0's name.
+  // Modeled timings cost nothing: on a simulated device every size is
+  // settled at once.
+  const bool simulated = handle_.device().is_simulated();
   const int algo_count = kernels::algo_count(type);
   std::vector<std::vector<int>> modeled(result.sizes.size());
   for (std::size_t i = 0; i < result.sizes.size(); ++i) {
-    const std::size_t w = i % handles_.size();
     const std::optional<std::vector<mcudnn::AlgoPerf>> entry =
-        cache_->find(device_name(w), type, problem, result.sizes[i]);
+        cache_->find(device_name(), type, problem, result.sizes[i]);
     const kernels::ConvProblem micro = problem.with_batch(result.sizes[i]);
     for (int algo = 0; algo < algo_count; ++algo) {
       if (!kernels::algo_supported(type, algo, micro) ||
-          cache_->is_blacklisted(device_name(w), type, algo)) {
+          cache_->is_blacklisted(device_name(), type, algo)) {
         continue;
       }
       if (const mcudnn::AlgoPerf* cached =
@@ -214,8 +162,7 @@ MicroBenchmark Benchmarker::table(ConvKernelType type,
                                  kernels::algo_workspace(type, algo, micro)});
       result.bounded[i].push_back(algo);
     }
-    // Modeled timings cost nothing: a simulated size is settled at once.
-    if (handles_[w].device().is_simulated()) modeled[i] = result.bounded[i];
+    if (simulated) modeled[i] = result.bounded[i];
   }
   evaluate_and_settle(type, problem, result, modeled);
 
@@ -247,28 +194,26 @@ void Benchmarker::measure(ConvKernelType type,
 void Benchmarker::evaluate_and_settle(
     ConvKernelType type, const kernels::ConvProblem& problem,
     MicroBenchmark& bench, const std::vector<std::vector<int>>& requests) {
-  const Evaluation evaluation =
-      evaluate(handles_, type, problem, bench.sizes, requests);
-  // Merge whatever the workers finished before surfacing any error, so a
-  // single failing device does not discard the benchmarking the others
-  // already paid for — the retried call resolves those as cache hits.
+  // Workspace-audit violations during benchmarking are attributed to the
+  // benchmarker, not the WR/WD execution path.
+  const analysis::ScopedAuditContext audit_context("benchmark");
+  const bool simulated = handle_.device().is_simulated();
   for (std::size_t i = 0; i < bench.sizes.size(); ++i) {
-    if (!evaluation.results[i]) continue;
-    const std::vector<mcudnn::AlgoPerf>& results = *evaluation.results[i];
-    const std::size_t w = i % handles_.size();
-    if (!handles_[w].device().is_simulated()) {
-      measured_metric().add(timed_count(results));
-    }
-    const std::string& device = device_name(w);
+    if (requests[i].empty()) continue;
+    const std::vector<mcudnn::AlgoPerf> results = mcudnn::find_algorithms(
+        handle_, type, problem.with_batch(bench.sizes[i]), requests[i]);
+    if (!simulated) measured_metric().add(timed_count(results));
     for (const mcudnn::AlgoPerf& perf : results) {
-      const bool usable = perf.status == Status::kSuccess &&
-                          !cache_->is_blacklisted(device, type, perf.algo);
+      const bool usable =
+          perf.status == Status::kSuccess &&
+          !cache_->is_blacklisted(device_name(), type, perf.algo);
       bench.settle(i, perf.algo,
                    usable ? std::optional<double>(perf.time_ms) : std::nullopt);
     }
-    cache_->merge(device, type, problem, bench.sizes[i], results);
+    // Merged before the next size runs, so a throw keeps the sizes already
+    // paid for: the retried call resolves them as cache hits.
+    cache_->merge(device_name(), type, problem, bench.sizes[i], results);
   }
-  if (evaluation.error) std::rethrow_exception(evaluation.error);
   bench.derive_bounds();
 }
 

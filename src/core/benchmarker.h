@@ -1,8 +1,7 @@
 // Micro-batch benchmarking (step 1 of the WR algorithm, §III-B): for every
 // candidate micro-batch size b', evaluate the convolution algorithms with
 // cudnnFindConvolution*Algorithm-style benchmarking, through the cache.
-// Candidate sizes can be distributed over several homogeneous devices and
-// evaluated concurrently (§III-D "parallel micro-configuration evaluation").
+// Sizes are evaluated in order on one handle's device, in the calling thread.
 //
 // Timing is the expensive part on real kernels, so a table can be built
 // lazily: every (size, algorithm) pair that is not cached gets a lower bound
@@ -67,12 +66,9 @@ struct MicroBenchmark {
 
 class Benchmarker {
  public:
-  /// Handle 0 is the primary. Handles are normally homogeneous (one
-  /// mini-batch's candidates only make sense on one device model), but each
-  /// measurement is keyed by its measuring handle's device name, so a
-  /// heterogeneous set cannot cross-pollute the cache.
-  Benchmarker(std::vector<mcudnn::Handle> handles,
-              std::shared_ptr<BenchmarkCache> cache);
+  /// Every measurement is keyed by `handle`'s device name, so one cache can
+  /// serve Benchmarkers on different devices without cross-pollution.
+  Benchmarker(mcudnn::Handle handle, std::shared_ptr<BenchmarkCache> cache);
 
   /// The table of every candidate micro size of `problem`'s batch under
   /// `policy`, built lazily. For each supported, non-blacklisted algorithm
@@ -85,7 +81,7 @@ class Benchmarker {
 
   /// Times the given bounded pairs of `bench` (built by table() for the same
   /// kernel), caches them, and re-derives the remaining bounds. Each size's
-  /// pairs are one find_algorithms call, on the handle that owns the size.
+  /// pairs are one find_algorithms call.
   void measure(ConvKernelType type, const kernels::ConvProblem& problem,
                MicroBenchmark& bench, const std::vector<BenchPair>& pairs);
 
@@ -110,18 +106,18 @@ class Benchmarker {
   }
 
  private:
-  const std::string& device_name(std::size_t w) const {
-    return handles_[w].device().spec().name;
+  const std::string& device_name() const {
+    return handle_.device().spec().name;
   }
   void add_benchmark_ms(double ms);
-  /// Evaluates requests[i] at size i, settles the results in `bench`,
-  /// merges them into the cache, and re-derives the bounds.
+  /// Evaluates requests[i] at size i, settles the results in `bench` and
+  /// merges them into the cache size by size, then re-derives the bounds.
   void evaluate_and_settle(ConvKernelType type,
                            const kernels::ConvProblem& problem,
                            MicroBenchmark& bench,
                            const std::vector<std::vector<int>>& requests);
 
-  std::vector<mcudnn::Handle> handles_;
+  mcudnn::Handle handle_;
   std::shared_ptr<BenchmarkCache> cache_;
   telemetry::InstanceDoubleCounter total_benchmark_ms_{
       "ucudnn.benchmark.total_ms"};

@@ -20,8 +20,6 @@ Options Options::from_env() {
   opts.share_wr_workspace = env_bool("UCUDNN_SHARED_WORKSPACE", false);
   opts.cache_path = env_string("UCUDNN_CACHE_PATH", "");
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-  opts.benchmark_devices =
-      static_cast<int>(env_int("UCUDNN_BENCHMARK_DEVICES", 1, 1, kIntMax));
   opts.max_retries =
       static_cast<int>(env_int("UCUDNN_MAX_RETRIES", 3, 0, kIntMax));
   opts.fail_fast = env_bool("UCUDNN_FAIL_FAST", false);

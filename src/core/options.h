@@ -11,7 +11,6 @@
 //   UCUDNN_SHARED_WORKSPACE      1 = one WR workspace buffer shared by all
 //                                kernels (sequential execution) (0)
 //   UCUDNN_CACHE_PATH            benchmark-cache database file  (unset = off)
-//   UCUDNN_BENCHMARK_DEVICES     parallel benchmarking fan-out  (1)
 //   UCUDNN_MAX_RETRIES           transient-kernel-failure retries before the
 //                                algorithm is blacklisted       (3)
 //   UCUDNN_FAIL_FAST             1 = disable graceful degradation; resource
@@ -95,8 +94,6 @@ struct Options {
   bool share_wr_workspace = false;
   /// File-backed benchmark cache (empty = in-memory only).
   std::string cache_path;
-  /// Number of devices used for parallel micro-benchmark evaluation.
-  int benchmark_devices = 1;
   /// Retries for a transient kExecutionFailed from a kernel before the
   /// algorithm is blacklisted and the remaining mini-batch re-planned.
   int max_retries = 3;

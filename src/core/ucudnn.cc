@@ -12,36 +12,7 @@ namespace ucudnn::core {
 
 namespace {
 
-std::vector<mcudnn::Handle> make_bench_handles(
-    const std::shared_ptr<device::Device>& primary) {
-  return {mcudnn::Handle(primary)};
-}
-
-std::vector<mcudnn::Handle> make_bench_handles(const device::Node& node,
-                                               int count) {
-  std::vector<mcudnn::Handle> handles;
-  const std::size_t n =
-      std::min<std::size_t>(static_cast<std::size_t>(count), node.device_count());
-  handles.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    handles.emplace_back(node.device(i));
-  }
-  return handles;
-}
-
-// Member-initializer-list validation: `node.device(0)` on an empty node
-// would die with a bare std::out_of_range before any constructor body runs.
-const std::shared_ptr<device::Device>& primary_device(
-    const device::Node& node) {
-  check(node.device_count() > 0, Status::kBadParam,
-        "UcudnnHandle requires a node with at least one device");
-  return node.device(0);
-}
-
 Options validated(Options options) {
-  check(options.benchmark_devices >= 1, Status::kBadParam,
-        "Options::benchmark_devices must be >= 1 (got " +
-            std::to_string(options.benchmark_devices) + ")");
   check(options.max_retries >= 0, Status::kBadParam,
         "Options::max_retries must be >= 0 (got " +
             std::to_string(options.max_retries) + ")");
@@ -72,22 +43,10 @@ UcudnnHandle::UcudnnHandle(std::shared_ptr<device::Device> dev)
     : UcudnnHandle(std::move(dev), Options::from_env()) {}
 
 UcudnnHandle::UcudnnHandle(std::shared_ptr<device::Device> dev, Options options)
-    : handle_(dev),
+    : handle_(std::move(dev)),
       options_(validated(std::move(options))),
       planner_(handle_, options_,
-               Benchmarker(make_bench_handles(dev),
-                           std::make_shared<BenchmarkCache>()),
-               stats_),
-      executor_(handle_, options_, stats_) {
-  init_cache_from_file();
-}
-
-UcudnnHandle::UcudnnHandle(const device::Node& node, Options options)
-    : handle_(primary_device(node)),
-      options_(validated(std::move(options))),
-      planner_(handle_, options_,
-               Benchmarker(make_bench_handles(node, options_.benchmark_devices),
-                           std::make_shared<BenchmarkCache>()),
+               Benchmarker(handle_, std::make_shared<BenchmarkCache>()),
                stats_),
       executor_(handle_, options_, stats_) {
   init_cache_from_file();

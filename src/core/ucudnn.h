@@ -8,7 +8,8 @@
 //  * records every kernel the framework asks about (the WD pipeline needs
 //    all layer parameters before the first real convolution, §III-E);
 //  * on Convolution* calls, fetches an ExecutionPlan from the Planner
-//    (optimizing lazily on the first call, from the PlanCache afterwards)
+//    (optimizing lazily on the first call, from the PlanCache afterwards;
+//    micro-benchmarks run on the wrapped device, in the calling thread)
 //    and hands it to the Executor — using beta-accumulation for
 //    BackwardFilter so semantics are unchanged;
 //  * delegates everything else to mcudnn via a cast operator to the wrapped
@@ -46,10 +47,9 @@ class UcudnnHandle {
   /// Host-CPU device, options from the environment.
   UcudnnHandle();
   explicit UcudnnHandle(std::shared_ptr<device::Device> dev);
+  /// Executes and micro-benchmarks on `dev`, in the calling thread. Throws
+  /// kBadParam for a null device or invalid options.
   UcudnnHandle(std::shared_ptr<device::Device> dev, Options options);
-  /// Multi-device node: device 0 executes; up to options.benchmark_devices
-  /// devices evaluate micro-benchmarks in parallel (§III-D).
-  UcudnnHandle(const device::Node& node, Options options);
   ~UcudnnHandle();
 
   UcudnnHandle(const UcudnnHandle&) = delete;

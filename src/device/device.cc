@@ -48,8 +48,7 @@ DeviceSpec host_cpu_spec() {
                     .measured = true};
 }
 
-Device::Device(DeviceSpec spec, int ordinal)
-    : spec_(std::move(spec)), ordinal_(ordinal) {}
+Device::Device(DeviceSpec spec) : spec_(std::move(spec)) {}
 
 double Device::model_time_ms(ConvKernelType type, int algo,
                              const kernels::ConvProblem& p) const {
@@ -152,14 +151,6 @@ void Device::sync_streams() {
 void Device::reset_clock() {
   MutexLock lock(mutex_);
   stream_clocks_.clear();
-}
-
-Node::Node(const DeviceSpec& spec, int device_count) {
-  check_param(device_count >= 1, "node needs at least one device");
-  devices_.reserve(static_cast<std::size_t>(device_count));
-  for (int i = 0; i < device_count; ++i) {
-    devices_.push_back(std::make_shared<Device>(spec, i));
-  }
 }
 
 }  // namespace ucudnn::device

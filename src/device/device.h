@@ -10,16 +10,11 @@
 //    breakdowns),
 //  * a virtual clock advanced by modeled kernel times when executing in
 //    Virtual mode (network-scale benchmarks finish in milliseconds).
-//
-// A Node groups several homogeneous devices (μ-cuDNN's parallel
-// micro-benchmarking distributes work across the node, §III-D).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/thread_annotations.h"
 #include "kernels/conv_problem.h"
@@ -46,10 +41,9 @@ DeviceSpec host_cpu_spec();
 
 class Device {
  public:
-  explicit Device(DeviceSpec spec, int ordinal = 0);
+  explicit Device(DeviceSpec spec);
 
   const DeviceSpec& spec() const noexcept { return spec_; }
-  int ordinal() const noexcept { return ordinal_; }
   bool is_simulated() const noexcept { return !spec_.measured; }
 
   /// Analytic kernel time: overhead + max(compute-time, memory-time), with
@@ -91,7 +85,6 @@ class Device {
   };
 
   DeviceSpec spec_;
-  int ordinal_;
   mutable Mutex mutex_{"Device"};
   std::map<void*, Allocation> allocations_ GUARDED_BY(mutex_);
   std::map<std::string, std::size_t> tag_usage_ GUARDED_BY(mutex_);
@@ -99,23 +92,6 @@ class Device {
   std::size_t in_use_ GUARDED_BY(mutex_) = 0;
   std::size_t peak_ GUARDED_BY(mutex_) = 0;
   std::map<int, double> stream_clocks_ GUARDED_BY(mutex_);
-};
-
-/// A compute node with one or more homogeneous devices.
-class Node {
- public:
-  Node(const DeviceSpec& spec, int device_count);
-
-  std::size_t device_count() const noexcept { return devices_.size(); }
-  const std::shared_ptr<Device>& device(std::size_t i) const {
-    return devices_.at(i);
-  }
-  const std::vector<std::shared_ptr<Device>>& devices() const noexcept {
-    return devices_;
-  }
-
- private:
-  std::vector<std::shared_ptr<Device>> devices_;
 };
 
 }  // namespace ucudnn::device

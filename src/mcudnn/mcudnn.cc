@@ -13,17 +13,28 @@
 
 namespace ucudnn::mcudnn {
 
+namespace {
+
+// Member-initializer validation: the mode is read off the device before any
+// constructor body runs.
+std::shared_ptr<device::Device> non_null(std::shared_ptr<device::Device> dev) {
+  check_param(dev != nullptr, "mcudnn::Handle needs a device (got null)");
+  return dev;
+}
+
+}  // namespace
+
 Handle::Handle()
     : device_(std::make_shared<device::Device>(device::host_cpu_spec())),
       mode_(ExecMode::kNumeric) {}
 
 Handle::Handle(std::shared_ptr<device::Device> dev)
-    : device_(std::move(dev)),
+    : device_(non_null(std::move(dev))),
       mode_(device_->is_simulated() ? ExecMode::kVirtual : ExecMode::kNumeric) {
 }
 
 Handle::Handle(std::shared_ptr<device::Device> dev, ExecMode mode)
-    : device_(std::move(dev)), mode_(mode) {}
+    : device_(non_null(std::move(dev))), mode_(mode) {}
 
 kernels::ConvProblem make_problem(ConvKernelType type, const TensorDesc& in,
                                   const FilterDesc& w, const ConvGeometry& conv,

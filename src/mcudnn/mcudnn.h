@@ -59,6 +59,7 @@ class Handle {
  public:
   /// Defaults to a fresh host-CPU device in numeric mode.
   Handle();
+  /// Throws kBadParam for a null device.
   explicit Handle(std::shared_ptr<device::Device> dev);
   Handle(std::shared_ptr<device::Device> dev, ExecMode mode);
 

@@ -45,7 +45,7 @@ ConvProblem small_problem(std::int64_t batch) {
 }
 
 Benchmarker make_benchmarker() {
-  return Benchmarker({mcudnn::Handle(p100())},
+  return Benchmarker(mcudnn::Handle(p100()),
                      std::make_shared<BenchmarkCache>());
 }
 
@@ -130,86 +130,61 @@ TEST(BenchmarkerTest, SimulatedTableSettlesAtOnceAndCountsOneRun) {
   }
 }
 
-TEST(BenchmarkerTest, ParallelDevicesAgreeWithSingle) {
-  device::Node node(device::p100_sxm2_spec(), 4);
-  std::vector<mcudnn::Handle> handles;
-  for (const auto& dev : node.devices()) handles.emplace_back(dev);
-  Benchmarker multi(handles, std::make_shared<BenchmarkCache>());
-  Benchmarker single = make_benchmarker();
-  const auto a = multi.run(ConvKernelType::kForward, small_problem(16),
-                           BatchSizePolicy::kAll);
-  const auto b = single.run(ConvKernelType::kForward, small_problem(16),
-                            BatchSizePolicy::kAll);
-  ASSERT_EQ(a.sizes, b.sizes);
-  for (std::size_t i = 0; i < a.perfs.size(); ++i) {
-    ASSERT_EQ(a.perfs[i].size(), b.perfs[i].size());
-    for (std::size_t j = 0; j < a.perfs[i].size(); ++j) {
-      EXPECT_EQ(a.perfs[i][j].algo, b.perfs[i][j].algo);
-      EXPECT_DOUBLE_EQ(a.perfs[i][j].time_ms, b.perfs[i][j].time_ms);
-    }
-  }
-}
-
 TEST(BenchmarkerTest, HeterogeneousDevicesKeyResultsByMeasuringDevice) {
-  // Regression: all cache traffic used to be keyed by handles_[0]'s device
-  // name, so with a heterogeneous handle set the results measured on device
-  // w landed under device 0's name — and later runs on either model silently
-  // reused the other model's timings.
-  auto k80 = std::make_shared<device::Device>(device::k80_spec());
-  std::vector<mcudnn::Handle> handles;
-  handles.emplace_back(p100());
-  handles.emplace_back(k80);
-  auto cache = std::make_shared<BenchmarkCache>();
-  Benchmarker hetero(std::move(handles), cache);
+  // Two Benchmarkers on different device models share one cache. Each
+  // measurement must land under its measuring device's name only: keyed any
+  // other way, a run on one model silently reuses the other model's timings.
   const ConvProblem p = small_problem(8);
-  const auto table =
-      hetero.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
-  ASSERT_EQ(table.sizes.size(), 4u);  // 1, 2, 4, 8
+  auto k80 = std::make_shared<device::Device>(device::k80_spec());
+  auto cache = std::make_shared<BenchmarkCache>();
+  Benchmarker p100_bench(mcudnn::Handle(p100()), cache);
+  Benchmarker k80_bench(mcudnn::Handle(k80), cache);
 
   const std::string p100_name = device::p100_sxm2_spec().name;
   const std::string k80_name = device::k80_spec().name;
-  // Candidate i is measured (round-robin) on handle i % 2 and must be cached
-  // under that handle's device name only.
-  for (std::size_t i = 0; i < table.sizes.size(); ++i) {
-    const std::string& measuring = i % 2 == 0 ? p100_name : k80_name;
-    const std::string& other = i % 2 == 0 ? k80_name : p100_name;
-    EXPECT_TRUE(
-        cache->find(measuring, ConvKernelType::kForward, p, table.sizes[i])
-            .has_value())
-        << "size " << table.sizes[i];
+  const auto p100_table =
+      p100_bench.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
+  ASSERT_EQ(p100_table.sizes.size(), 4u);  // 1, 2, 4, 8
+  for (const std::int64_t size : p100_table.sizes) {
+    EXPECT_TRUE(cache->find(p100_name, ConvKernelType::kForward, p, size)
+                    .has_value())
+        << "size " << size;
     EXPECT_FALSE(
-        cache->find(other, ConvKernelType::kForward, p, table.sizes[i])
-            .has_value())
-        << "size " << table.sizes[i];
+        cache->find(k80_name, ConvKernelType::kForward, p, size).has_value())
+        << "size " << size;
   }
 
-  // The K80-measured candidates must carry genuine K80 timings.
-  Benchmarker k80_only({mcudnn::Handle(k80)},
-                       std::make_shared<BenchmarkCache>());
+  // The K80 run must measure afresh and carry genuine K80 timings.
+  const auto k80_table =
+      k80_bench.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
+  Benchmarker k80_only(mcudnn::Handle(k80), std::make_shared<BenchmarkCache>());
   const auto reference =
       k80_only.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
-  for (std::size_t i = 1; i < table.sizes.size(); i += 2) {
-    ASSERT_EQ(table.perfs[i].size(), reference.perfs[i].size());
-    for (std::size_t j = 0; j < table.perfs[i].size(); ++j) {
-      EXPECT_EQ(table.perfs[i][j].algo, reference.perfs[i][j].algo);
-      EXPECT_DOUBLE_EQ(table.perfs[i][j].time_ms,
+  ASSERT_EQ(k80_table.sizes, reference.sizes);
+  for (std::size_t i = 0; i < k80_table.sizes.size(); ++i) {
+    ASSERT_EQ(k80_table.perfs[i].size(), reference.perfs[i].size());
+    for (std::size_t j = 0; j < k80_table.perfs[i].size(); ++j) {
+      EXPECT_EQ(k80_table.perfs[i][j].algo, reference.perfs[i][j].algo);
+      EXPECT_DOUBLE_EQ(k80_table.perfs[i][j].time_ms,
                        reference.perfs[i][j].time_ms);
     }
+    EXPECT_NE(k80_table.perfs[i][0].time_ms, p100_table.perfs[i][0].time_ms)
+        << "size " << k80_table.sizes[i];
   }
 }
 
 TEST(BenchmarkerTest, HeterogeneousBlacklistFiltersPerDevice) {
-  // Companion regression: the blacklist filter must also be keyed by the
-  // measuring device. A blacklist entry for the K80 must drop the algorithm
-  // from K80-measured candidates only, never from the P100-measured ones.
+  // Companion: the blacklist filter is keyed by the measuring device too. A
+  // K80 blacklist entry in a shared cache must drop the algorithm from the
+  // K80's table only, never from the P100's.
   const ConvProblem p = small_problem(8);
   auto p100_dev = p100();
   auto k80_dev = std::make_shared<device::Device>(device::k80_spec());
 
   // Pick an algorithm supported at every candidate size on both models.
-  Benchmarker p100_ref({mcudnn::Handle(p100_dev)},
+  Benchmarker p100_ref(mcudnn::Handle(p100_dev),
                        std::make_shared<BenchmarkCache>());
-  Benchmarker k80_ref({mcudnn::Handle(k80_dev)},
+  Benchmarker k80_ref(mcudnn::Handle(k80_dev),
                       std::make_shared<BenchmarkCache>());
   const auto ref_a =
       p100_ref.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
@@ -237,21 +212,22 @@ TEST(BenchmarkerTest, HeterogeneousBlacklistFiltersPerDevice) {
 
   auto cache = std::make_shared<BenchmarkCache>();
   cache->blacklist(device::k80_spec().name, ConvKernelType::kForward, victim);
-  std::vector<mcudnn::Handle> handles;
-  handles.emplace_back(p100_dev);
-  handles.emplace_back(k80_dev);
-  Benchmarker hetero(std::move(handles), cache);
-  const auto table =
-      hetero.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
-  for (std::size_t i = 0; i < table.sizes.size(); ++i) {
-    const bool has_victim = std::any_of(
-        table.perfs[i].begin(), table.perfs[i].end(),
+  Benchmarker p100_bench(mcudnn::Handle(p100_dev), cache);
+  Benchmarker k80_bench(mcudnn::Handle(k80_dev), cache);
+  const auto has_victim = [&](const std::vector<mcudnn::AlgoPerf>& perfs) {
+    return std::any_of(
+        perfs.begin(), perfs.end(),
         [&](const mcudnn::AlgoPerf& perf) { return perf.algo == victim; });
-    if (i % 2 == 0) {
-      EXPECT_TRUE(has_victim) << "P100-measured size " << table.sizes[i];
-    } else {
-      EXPECT_FALSE(has_victim) << "K80-measured size " << table.sizes[i];
-    }
+  };
+  const auto p100_table =
+      p100_bench.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
+  const auto k80_table =
+      k80_bench.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
+  for (std::size_t i = 0; i < p100_table.sizes.size(); ++i) {
+    EXPECT_TRUE(has_victim(p100_table.perfs[i]))
+        << "P100 size " << p100_table.sizes[i];
+    EXPECT_FALSE(has_victim(k80_table.perfs[i]))
+        << "K80 size " << k80_table.sizes[i];
   }
 }
 
@@ -277,7 +253,7 @@ TEST(BenchmarkerTest, FullyBlacklistedCacheHitRebenchmarks) {
     blacklisted.insert(full.perfs[i][0].algo);
   }
 
-  Benchmarker bench({mcudnn::Handle(p100())}, cache);
+  Benchmarker bench(mcudnn::Handle(p100()), cache);
   const auto table =
       bench.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
   for (std::size_t i = 0; i < table.sizes.size(); ++i) {
@@ -614,18 +590,15 @@ TEST(OptionsTest, EnvRoundTrip) {
   ::setenv("UCUDNN_WORKSPACE_POLICY", "wd", 1);
   ::setenv("UCUDNN_WORKSPACE_LIMIT", "64M", 1);
   ::setenv("UCUDNN_TOTAL_WORKSPACE_SIZE", "120M", 1);
-  ::setenv("UCUDNN_BENCHMARK_DEVICES", "4", 1);
   const Options opts = Options::from_env();
   EXPECT_EQ(opts.batch_size_policy, BatchSizePolicy::kAll);
   EXPECT_EQ(opts.workspace_policy, WorkspacePolicy::kWD);
   ASSERT_TRUE(opts.workspace_limit.has_value());
   EXPECT_EQ(*opts.workspace_limit, std::size_t{64} << 20);
   EXPECT_EQ(opts.total_workspace_size, std::size_t{120} << 20);
-  EXPECT_EQ(opts.benchmark_devices, 4);
   for (const char* name :
        {"UCUDNN_BATCH_SIZE_POLICY", "UCUDNN_WORKSPACE_POLICY",
-        "UCUDNN_WORKSPACE_LIMIT", "UCUDNN_TOTAL_WORKSPACE_SIZE",
-        "UCUDNN_BENCHMARK_DEVICES"}) {
+        "UCUDNN_WORKSPACE_LIMIT", "UCUDNN_TOTAL_WORKSPACE_SIZE"}) {
     ::unsetenv(name);
   }
   const Options defaults = Options::from_env();
@@ -638,8 +611,7 @@ TEST(OptionsTest, OutOfRangeValuesAreRejectedNotNarrowed) {
   // Cast to int, 2^32 reads as 0 and 2^32 + 2 as 2; as a size, -1 reads as
   // 2^64 - 1. Each must be rejected instead.
   const std::pair<const char*, const char*> bad[] = {
-      {"UCUDNN_BENCHMARK_DEVICES", "4294967298"},
-      {"UCUDNN_BENCHMARK_DEVICES", "4294967296"},
+      {"UCUDNN_MAX_RETRIES", "4294967296"},
       {"UCUDNN_MAX_RETRIES", "4294967298"},
       {"UCUDNN_WORKSPACE_LIMIT", "-1"},
       {"UCUDNN_TOTAL_WORKSPACE_SIZE", "-1"},

@@ -256,16 +256,6 @@ TEST(DeviceStreamTest, DefaultClockIsStreamZero) {
   EXPECT_DOUBLE_EQ(dev.clock_ms(), 2.5);
 }
 
-TEST(NodeTest, HomogeneousDevices) {
-  Node node(p100_sxm2_spec(), 4);
-  EXPECT_EQ(node.device_count(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(node.device(i)->spec().name, "P100-SXM2");
-    EXPECT_EQ(node.device(i)->ordinal(), static_cast<int>(i));
-  }
-  EXPECT_THROW(Node(p100_sxm2_spec(), 0), Error);
-}
-
 TEST(EfficiencyTableTest, StagedAlgosBeatNaiveOnes) {
   using namespace kernels;
   EXPECT_GT(algo_efficiency(ConvKernelType::kForward, fwd_algo::kGemm),

@@ -250,15 +250,6 @@ TEST_F(FaultInjectionTest, WrEntryIsNotCachedWhenAllocationThrows) {
 TEST_F(FaultInjectionTest, ConstructorValidatesOptionsAndNode) {
   try {
     core::Options opts;
-    opts.benchmark_devices = 0;
-    core::UcudnnHandle handle(
-        std::make_shared<device::Device>(device::host_cpu_spec()), opts);
-    FAIL() << "expected kBadParam for benchmark_devices = 0";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.status(), Status::kBadParam);
-  }
-  try {
-    core::Options opts;
     opts.max_retries = -1;
     core::UcudnnHandle handle(
         std::make_shared<device::Device>(device::host_cpu_spec()), opts);
@@ -266,10 +257,10 @@ TEST_F(FaultInjectionTest, ConstructorValidatesOptionsAndNode) {
   } catch (const Error& e) {
     EXPECT_EQ(e.status(), Status::kBadParam);
   }
-  // An empty node is rejected with a clear kBadParam, not std::out_of_range.
+  // A null device is rejected with a clear kBadParam, not dereferenced.
   try {
-    device::Node node(device::p100_sxm2_spec(), 0);
-    FAIL() << "expected kBadParam for an empty node";
+    core::UcudnnHandle handle(nullptr, core::Options{});
+    FAIL() << "expected kBadParam for a null device";
   } catch (const Error& e) {
     EXPECT_EQ(e.status(), Status::kBadParam);
   }
@@ -356,7 +347,7 @@ TEST_F(FaultInjectionTest, BlacklistFiltersLookupsButNotTheDatabase) {
   EXPECT_EQ(cache->blacklisted_count(), 1u);
 
   const core::MicroBenchmark hit =
-      core::Benchmarker({mcudnn::Handle(cpu)}, cache)
+      core::Benchmarker(mcudnn::Handle(cpu), cache)
           .table(kFwd, p, core::BatchSizePolicy::kUndivided);
   ASSERT_EQ(hit.perfs.size(), 1u);
   ASSERT_EQ(hit.perfs[0].size(), 1u);
@@ -385,13 +376,13 @@ TEST_F(FaultInjectionTest, BlacklistFiltersLookupsButNotTheDatabase) {
        {cpu, std::make_shared<device::Device>(device::p100_sxm2_spec())}) {
     auto blacklisting = std::make_shared<core::BenchmarkCache>();
     blacklisting->blacklist(dev->spec().name, kFwd, kGemm);
-    core::Benchmarker({mcudnn::Handle(dev)}, blacklisting)
+    core::Benchmarker(mcudnn::Handle(dev), blacklisting)
         .run(kFwd, fresh, core::BatchSizePolicy::kPowerOfTwo);
     blacklisting->save_file(path);
     auto unfiltered = std::make_shared<core::BenchmarkCache>();
     EXPECT_EQ(unfiltered->load_file(path), core::CacheLoadResult::kLoaded);
     const core::MicroBenchmark table =
-        core::Benchmarker({mcudnn::Handle(dev)}, unfiltered)
+        core::Benchmarker(mcudnn::Handle(dev), unfiltered)
             .table(kFwd, fresh, core::BatchSizePolicy::kPowerOfTwo);
     ASSERT_EQ(table.sizes.size(), 3u);
     for (std::size_t i = 0; i < table.sizes.size(); ++i) {

@@ -194,30 +194,6 @@ TEST(CachePersistenceTest, SecondHandleReusesTheDatabase) {
   std::remove(path.c_str());
 }
 
-TEST(MultiDeviceBenchmarkTest, NodeHandleMatchesSingleDeviceDecisions) {
-  const kernels::ConvProblem problem({32, 16, 14, 14}, {16, 16, 3, 3},
-                                     {.pad_h = 1, .pad_w = 1});
-  core::Options opts = wr(std::size_t{16} << 20, core::BatchSizePolicy::kAll);
-
-  core::UcudnnHandle single(
-      std::make_shared<device::Device>(device::p100_sxm2_spec()), opts);
-  single.convolution(ConvKernelType::kForward, problem, 1.0f, nullptr, nullptr,
-                     0.0f, nullptr);
-
-  opts.benchmark_devices = 4;
-  device::Node node(device::p100_sxm2_spec(), 4);
-  core::UcudnnHandle multi(node, opts);
-  multi.convolution(ConvKernelType::kForward, problem, 1.0f, nullptr, nullptr,
-                    0.0f, nullptr);
-
-  const auto* a = single.configuration_for(ConvKernelType::kForward, problem);
-  const auto* b = multi.configuration_for(ConvKernelType::kForward, problem);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_DOUBLE_EQ(a->time_ms, b->time_ms);
-  EXPECT_EQ(a->workspace, b->workspace);
-}
-
 TEST(FailureInjectionTest, DeviceOomDegradesToSmallerWorkspace) {
   device::DeviceSpec tiny = device::p100_sxm2_spec();
   tiny.memory_bytes = 4 << 20;  // 4 MiB device

@@ -1,9 +1,11 @@
 // End-to-end telemetry tests: run a small caffepp net with tracing on,
 // validate that the exported Chrome trace is well-formed JSON carrying the
 // expected span catalog, that the process-wide metrics registry agrees with
-// every per-handle accessor, and that it sums live and destroyed instances.
+// every per-handle accessor, that it sums live and destroyed instances, and
+// that micro-benchmarks run (and trace) on the calling thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +19,7 @@
 #include "frameworks/caffepp/net.h"
 #include "serve/server.h"
 #include "json_validator.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -161,6 +164,63 @@ TEST(TelemetryIntegrationTest, RegistryMirrorsLegacyAccessors) {
   EXPECT_GT(counter_or_zero(snap, "ucudnn.benchmark.runs"), 0u);
   EXPECT_GT(counter_or_zero(snap, "ucudnn.executor.segments"), 0u);
   EXPECT_GT(handle.total_benchmark_ms(), 0.0);
+}
+
+TEST(TelemetryIntegrationTest, BenchmarkingRunsOnTheCallingThread) {
+  // Micro-benchmarks run in the thread that asks for them. A thread per
+  // call would leave one flight-recorder ring behind per call, and its
+  // find_algorithms spans would sit at depth 0 on a new tid, outside the
+  // caller's trace id.
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  telemetry::FlightRecorder& flight = telemetry::FlightRecorder::instance();
+  telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::instance();
+  const auto writer_count = [&flight] {
+    std::set<std::uint32_t> tids;
+    for (const telemetry::FlightEvent& event : flight.snapshot()) {
+      tids.insert(event.tid);
+    }
+    return tids.size();
+  };
+  const kernels::ConvProblem problem({4, 4, 8, 8}, {4, 4, 3, 3},
+                                     {.pad_h = 1, .pad_w = 1});
+  flight.set_armed(true);
+  recorder.set_enabled(true);
+  recorder.clear();
+  const std::size_t writers_before = writer_count();
+  const std::uint64_t trace_id = telemetry::next_trace_id();
+  {
+    const telemetry::TraceContext context(trace_id);
+    for (int i = 0; i < 20; ++i) {
+      core::UcudnnHandle handle(cpu(), wr(1 << 20));
+      handle.benchmark(ConvKernelType::kForward, problem,
+                       core::BatchSizePolicy::kPowerOfTwo);
+    }
+  }
+  const std::size_t writers_after = writer_count();
+  recorder.set_enabled(false);
+  flight.set_armed(false);
+  flight.clear();
+
+  EXPECT_LE(writers_after, writers_before + 1);
+  const std::vector<telemetry::SpanEvent> events = recorder.events();
+  std::size_t finds = 0;
+  for (const telemetry::SpanEvent& find : events) {
+    if (find.name != "find_algorithms") continue;
+    ++finds;
+    EXPECT_EQ(find.trace_id, trace_id);
+    const bool nested = std::any_of(
+        events.begin(), events.end(), [&](const telemetry::SpanEvent& outer) {
+          return (outer.name == "benchmark" ||
+                  outer.name == "benchmark_measure") &&
+                 outer.tid == find.tid && outer.depth + 1 == find.depth &&
+                 outer.ts_us <= find.ts_us &&
+                 find.ts_us + find.dur_us <= outer.ts_us + outer.dur_us + 1e-3;
+        });
+    EXPECT_TRUE(nested) << "find_algorithms at tid " << find.tid << " depth "
+                        << find.depth << " has no enclosing benchmark span";
+  }
+  EXPECT_GE(finds, 20u);
+  recorder.clear();
 }
 
 // Two live instances of one counting object, read the way perfbench reads
