@@ -5,11 +5,12 @@
 //   min  Σ_k Σ_{c ∈ D_k} t_{k,c} · x_{k,c}
 //   s.t. Σ_k Σ_c m_{k,c} · x_{k,c} ≤ W_total,   Σ_c x_{k,c} = 1  ∀k,
 //
-// which is a multiple-choice knapsack, solved by the MCKP DP (the
-// GLPK-replacement path). The DP rounds weights up to buckets of
-// ceil(W_total / 65536) bytes, 1 KiB for a 64 MiB arena, so it is exact
-// only when W_total <= 65536 bytes; otherwise it is exact on the rounded
-// weights and may pass over a selection that fits by less than that. The
+// which is a multiple-choice knapsack, solved exactly by the MCKP DP (the
+// GLPK-replacement path, ilp::solve_mckp). The DP keeps the (workspace,
+// time) Pareto front of partial sums kernel by kernel, merging the previous
+// front shifted by each configuration. Weights are multiples of
+// kWdAlignment, so a front has at most W_total / 256 + 1 entries; the
+// largest on the committed benches is 3,734 (sim_resnet50, 2 GiB arena). The
 // branch-and-bound ILP solver in src/ilp stays a cross-validation and
 // ablation tool over the same WdKnapsack.
 #pragma once
@@ -35,7 +36,7 @@ struct WdPlan {
   double total_time_ms = 0.0;             // Σ configured kernel times
   std::size_t num_variables = 0;          // ILP size after Pareto pruning
   std::size_t num_variables_unpruned = 0; // |A|-per-division upper bound proxy
-  double solve_ms = 0.0;                  // MCKP DP solve wall time
+  double solve_ms = 0.0;                  // ilp::solve_mckp wall time
 };
 
 /// The WD problem before solving: each request's desirable set and the

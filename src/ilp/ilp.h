@@ -5,9 +5,12 @@
 //                       min cᵀx, Ax {<=,=,>=} b, x >= 0.
 //  * solve_binary_ilp — depth-first branch-and-bound on the LP relaxation
 //                       for x ∈ {0,1}ⁿ problems.
-//  * solve_mckp       — bucketed-weight dynamic program for the
-//                       multiple-choice knapsack form the WD optimizer emits:
-//                       min Σ cost, one item per group, Σ weight ≤ capacity.
+//  * solve_mckp       — exact dynamic program for the multiple-choice
+//                       knapsack form the WD optimizer emits: min Σ cost,
+//                       one item per group, Σ weight ≤ capacity. It keeps
+//                       the (weight, cost) Pareto front of partial sums,
+//                       group by group, and builds each front by merging
+//                       the previous one shifted by every item.
 #pragma once
 
 #include <cstdint>
@@ -74,11 +77,14 @@ struct MckpResult {
   std::vector<int> selection;  // chosen item index per group
 };
 
-/// Exact DP over a weight grid. `buckets` bounds the DP table width; weights
-/// are rounded UP to bucket granularity, so the returned selection is always
-/// feasible for the true capacity (and optimal when the grid resolves all
-/// weights exactly, e.g. whenever capacity <= buckets).
-MckpResult solve_mckp(const MckpProblem& problem, std::int64_t buckets = 1 << 16);
+/// Exact DP over Pareto fronts. After each group it keeps the partial sums
+/// that fit the capacity, sorted by weight, each strictly cheaper than the
+/// last one kept; the next front is a k-way merge of the previous one
+/// shifted by each item's (weight, cost). Weights count in whole bytes, so
+/// the optimum is exact at any capacity. A front has at most
+/// min(capacity + 1, Π group sizes) entries. Ties on (weight, cost) go to
+/// the lower item index, so the selection is the same on every run.
+MckpResult solve_mckp(const MckpProblem& problem);
 
 /// Builds the equivalent 0-1 ILP (used for cross-validation and as the
 /// GLPK-style solve path): variables are the flattened group items.

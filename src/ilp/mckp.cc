@@ -1,97 +1,92 @@
-// Multiple-choice knapsack DP over a bucketed weight grid: the default WD
-// solve path.
+// Exact multiple-choice knapsack: a dynamic program over Pareto fronts of
+// partial sums, the WD solve path.
 //
-// Weights are rounded UP to buckets of ceil(capacity / buckets) units, so a
-// returned selection is always feasible for the true capacity. The optimum
-// is exact only when capacity <= buckets (one unit per bucket). Otherwise
-// it is exact on the rounded weights and may miss a selection that fits
-// only by less than one bucket per kernel: for the default 64 MiB WD arena
-// and 65536 buckets a bucket is 1 KiB, coarser than the 256 B segment
-// alignment of the weights.
+// After group g the front holds the (total weight, total cost) sums of one
+// item from each of groups 0..g that fit the capacity, sorted by weight,
+// each strictly cheaper than the one before it. Each item of the next group
+// shifts the front by its (weight, cost), which gives one sorted copy per
+// item; a k-way merge over those copies, with a heap of one cursor per
+// item, builds the next front in one pass and needs no sort. Every entry
+// keeps (parent index, item), so the optimum, the last entry of the last
+// front, unwinds to a selection. Weights count in whole bytes: the result
+// is exact at any capacity.
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <tuple>
 
-#include "common/mathutil.h"
 #include "common/status.h"
 #include "ilp/ilp.h"
 
 namespace ucudnn::ilp {
+namespace {
 
-MckpResult solve_mckp(const MckpProblem& problem, std::int64_t buckets) {
-  MckpResult result;
+// A front entry, and also a merge cursor: the entry that `item` shifted onto
+// the previous front's entry `parent` produces.
+struct Entry {
+  std::int64_t weight = 0;
+  double cost = 0.0;
+  std::size_t parent = 0;
+  int item = -1;
+};
+
+// Heap order (std heaps pop the largest): lightest first, then cheapest,
+// then the lowest item index, so ties resolve the same way on every run.
+bool pops_after(const Entry& a, const Entry& b) {
+  return std::tie(a.weight, a.cost, a.item) >
+         std::tie(b.weight, b.cost, b.item);
+}
+
+}  // namespace
+
+MckpResult solve_mckp(const MckpProblem& problem) {
   const std::size_t groups = problem.groups.size();
-  if (groups == 0) {
-    result.feasible = true;
-    return result;
-  }
+  if (groups == 0) return MckpResult{true, 0.0, {}};
   check_param(problem.capacity >= 0, "negative knapsack capacity");
-  check_param(buckets >= 1, "need at least one weight bucket");
 
-  // Bucket scale: ceil so that bucketed feasibility implies true feasibility.
-  const std::int64_t scale =
-      problem.capacity <= buckets ? 1 : ceil_div(problem.capacity, buckets);
-  const std::int64_t cap_b = problem.capacity / scale;
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::size_t width = static_cast<std::size_t>(cap_b) + 1;
-
-  std::vector<double> dp(width, kInf);
-  std::vector<double> next(width, kInf);
-  dp[0] = 0.0;
-
-  // choice[g][w]: item index used to reach exact bucketed weight w after
-  // group g (-1 = unreachable).
-  std::vector<std::vector<std::int16_t>> choice(
-      groups, std::vector<std::int16_t>(width, -1));
-
+  const std::vector<Entry> empty_sum(1);
+  std::vector<std::vector<Entry>> fronts(groups);
+  std::vector<Entry> heap;
   for (std::size_t g = 0; g < groups; ++g) {
     const auto& group = problem.groups[g];
+    const std::vector<Entry>& prev = g == 0 ? empty_sum : fronts[g - 1];
+    std::vector<Entry>& front = fronts[g];
     check_param(!group.empty(), "empty MCKP group");
-    check_param(group.size() <= 32767, "MCKP group too large");
-    std::fill(next.begin(), next.end(), kInf);
+    // Pushes item's cursor at prev[parent] or later. Entries no cheaper than
+    // the last one kept stay dominated (that cost only falls), so the cursor
+    // skips them; past the capacity or the end of prev, the copy is done.
+    const auto push = [&](std::size_t parent, int item) {
+      const MckpItem& it = group[static_cast<std::size_t>(item)];
+      while (!front.empty() && parent < prev.size() &&
+             prev[parent].cost + it.cost >= front.back().cost) {
+        ++parent;
+      }
+      if (parent >= prev.size()) return;
+      if (it.weight > problem.capacity - prev[parent].weight) return;
+      heap.push_back({prev[parent].weight + it.weight,
+                      prev[parent].cost + it.cost, parent, item});
+      std::push_heap(heap.begin(), heap.end(), pops_after);
+    };
     for (std::size_t item = 0; item < group.size(); ++item) {
       check_param(group[item].weight >= 0, "negative item weight");
-      const std::int64_t wb = ceil_div(group[item].weight, scale);
-      if (wb > cap_b) continue;
-      const double cost = group[item].cost;
-      for (std::int64_t w = 0; w + wb <= cap_b; ++w) {
-        const double base = dp[static_cast<std::size_t>(w)];
-        if (base == kInf) continue;
-        const std::size_t dest = static_cast<std::size_t>(w + wb);
-        if (base + cost < next[dest]) {
-          next[dest] = base + cost;
-          choice[g][dest] = static_cast<std::int16_t>(item);
-        }
+      push(0, static_cast<int>(item));
+    }
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), pops_after);
+      const Entry next = heap.back();
+      heap.pop_back();
+      if (front.empty() || next.cost < front.back().cost) {
+        front.push_back(next);
       }
-    }
-    dp.swap(next);
-  }
-
-  // Best reachable final weight.
-  std::size_t best_w = width;
-  double best_cost = kInf;
-  for (std::size_t w = 0; w < width; ++w) {
-    if (dp[w] < best_cost) {
-      best_cost = dp[w];
-      best_w = w;
+      push(next.parent + 1, next.item);
     }
   }
-  if (best_w == width) return result;  // infeasible
+  if (fronts.back().empty()) return {};  // infeasible
 
-  // Reconstruct the selection by walking groups backwards.
-  result.feasible = true;
-  result.cost = best_cost;
-  result.selection.assign(groups, -1);
-  std::size_t w = best_w;
+  MckpResult result{true, fronts.back().back().cost,
+                    std::vector<int>(groups)};
+  std::size_t index = fronts.back().size() - 1;
   for (std::size_t g = groups; g-- > 0;) {
-    const int item = choice[g][w];
-    check(item >= 0, Status::kInternalError, "MCKP reconstruction failed");
-    result.selection[g] = item;
-    const std::int64_t wb =
-        ceil_div(problem.groups[g][static_cast<std::size_t>(item)].weight,
-                 scale);
-    w -= static_cast<std::size_t>(wb);
+    result.selection[g] = fronts[g][index].item;
+    index = fronts[g][index].parent;
   }
   return result;
 }

@@ -170,10 +170,10 @@ TEST(BranchBoundTest, MatchesBruteForceOnRandomInstances) {
 }
 
 MckpProblem random_mckp(unsigned seed, std::size_t groups, std::size_t items,
-                        std::int64_t capacity) {
+                        std::int64_t capacity, std::int64_t max_weight = 40) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> cost(0.5, 20.0);
-  std::uniform_int_distribution<std::int64_t> weight(0, 40);
+  std::uniform_int_distribution<std::int64_t> weight(0, max_weight);
   MckpProblem p;
   p.capacity = capacity;
   p.groups.resize(groups);
@@ -220,8 +220,21 @@ TEST(MckpTest, ZeroCapacityNeedsZeroWeightItems) {
 }
 
 TEST(MckpTest, MatchesBranchAndBoundOnRandomInstances) {
+  std::vector<MckpProblem> problems;
   for (unsigned seed = 0; seed < 12; ++seed) {
-    const MckpProblem p = random_mckp(seed, 4, 3, 60);
+    problems.push_back(random_mckp(seed, 4, 3, 60));
+  }
+  // Capacities above 65,536 B, where a grid of 65,536 weight buckets would
+  // round weights up; odd weights sit off every even grid.
+  for (unsigned seed = 12; seed < 24; ++seed) {
+    MckpProblem p = random_mckp(seed, 4, 3, 150'001, 75'000);
+    for (auto& group : p.groups) {
+      for (auto& item : group) item.weight |= 1;
+    }
+    problems.push_back(p);
+  }
+  for (std::size_t seed = 0; seed < problems.size(); ++seed) {
+    const MckpProblem& p = problems[seed];
     const MckpResult dp = solve_mckp(p);
     const IlpResult bb = solve_binary_ilp(mckp_to_ilp(p));
     ASSERT_EQ(dp.feasible, bb.feasible) << "seed " << seed;
@@ -250,20 +263,22 @@ TEST(MckpTest, SelectionIsConsistentWithCostAndCapacity) {
   }
 }
 
-TEST(MckpTest, BucketedWeightsStayFeasible) {
-  // Force coarse bucketing; the DP must still return a capacity-respecting
-  // selection (possibly slightly suboptimal).
-  const MckpProblem p = random_mckp(42, 8, 4, 1'000'000);
-  const MckpResult coarse = solve_mckp(p, /*buckets=*/64);
-  const MckpResult fine = solve_mckp(p, /*buckets=*/1 << 20);
-  ASSERT_TRUE(coarse.feasible);
-  ASSERT_TRUE(fine.feasible);
-  std::int64_t weight = 0;
-  for (std::size_t g = 0; g < p.groups.size(); ++g) {
-    weight += p.groups[g][static_cast<std::size_t>(coarse.selection[g])].weight;
-  }
-  EXPECT_LE(weight, p.capacity);
-  EXPECT_GE(coarse.cost + 1e-9, fine.cost);  // coarse can't beat fine
+TEST(MckpTest, ExactAtByteGranularity) {
+  // The two heavy items fill the capacity exactly. Rounded up to a 16 B grid
+  // (1 MiB / 65,536 buckets) they would need 32,769 + 32,768 > 65,536 units,
+  // and the solve would settle for cost 6.
+  constexpr std::int64_t kCapacity = 1 << 20;
+  MckpProblem p;
+  p.capacity = kCapacity;
+  p.groups = {{{1.0, kCapacity / 2 + 8}, {5.0, 0}},
+              {{1.0, kCapacity / 2 - 8}, {5.0, 0}}};
+  const MckpResult r = solve_mckp(p);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_DOUBLE_EQ(r.cost, 2.0);
+  EXPECT_EQ(r.selection, (std::vector<int>{0, 0}));
+  const IlpResult bb = solve_binary_ilp(mckp_to_ilp(p));
+  ASSERT_TRUE(bb.feasible);
+  EXPECT_NEAR(bb.objective, 2.0, 1e-9);
 }
 
 TEST(MckpTest, LargerCapacityNeverHurts) {
