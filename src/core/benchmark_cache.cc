@@ -1,6 +1,9 @@
 #include "core/benchmark_cache.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,51 +31,8 @@ telemetry::Counter& cache_misses_metric() {
   return c;
 }
 
-}  // namespace
-
-std::string BenchmarkCache::make_key(const std::string& device,
-                                     ConvKernelType type,
-                                     const kernels::ConvProblem& problem,
-                                     std::int64_t micro_batch) {
-  const TensorShape& x = problem.x;
-  const FilterDesc& w = problem.w;
-  const ConvGeometry& g = problem.geom;
-  std::ostringstream os;
-  os << device << "|" << to_string(type) << "|x" << x.n << "," << x.c << ","
-     << x.h << "," << x.w << "|w" << w.k << "," << w.c << "," << w.r << ","
-     << w.s << "|p" << g.pad_h << "," << g.pad_w << "|s" << g.stride_h << ","
-     << g.stride_w << "|d" << g.dilation_h << "," << g.dilation_w << "|g"
-     << g.groups << "|m" << static_cast<int>(g.mode) << "|" << micro_batch;
-  return os.str();
-}
-
-std::string BenchmarkCache::blacklist_key(const std::string& device,
-                                          ConvKernelType type, int algo) {
-  std::ostringstream os;
-  os << device << "|" << to_string(type) << "|" << algo;
-  return os.str();
-}
-
-std::optional<std::vector<mcudnn::AlgoPerf>> BenchmarkCache::find(
-    const std::string& device, ConvKernelType type,
-    const kernels::ConvProblem& problem, std::int64_t micro_batch) const {
-  MutexLock lock(mutex_);
-  const auto it = entries_.find(make_key(device, type, problem, micro_batch));
-  if (it == entries_.end()) {
-    cache_misses_metric().add(1);
-    return std::nullopt;
-  }
-  cache_hits_metric().add(1);
-  return it->second;
-}
-
-void BenchmarkCache::merge(const std::string& device, ConvKernelType type,
-                           const kernels::ConvProblem& problem,
-                           std::int64_t micro_batch,
-                           const std::vector<mcudnn::AlgoPerf>& evaluated) {
-  MutexLock lock(mutex_);
-  std::vector<mcudnn::AlgoPerf>& entry =
-      entries_[make_key(device, type, problem, micro_batch)];
+void merge_perfs(std::vector<mcudnn::AlgoPerf>& entry,
+                 const std::vector<mcudnn::AlgoPerf>& evaluated) {
   for (const mcudnn::AlgoPerf& perf : evaluated) {
     const auto same = std::find_if(
         entry.begin(), entry.end(),
@@ -93,9 +53,60 @@ void BenchmarkCache::merge(const std::string& device, ConvKernelType type,
                    });
 }
 
+// An old key, "...|x<n>,...|m<mode>|<micro>", becomes its micro problem's.
+std::string micro_problem_key(std::string key) {
+  const auto mode = key.rfind("|m");
+  const auto micro = mode == std::string::npos ? mode : key.find('|', mode + 1);
+  if (micro == std::string::npos) return key;
+  const char* last = key.data() + key.size();
+  std::int64_t n = 0;
+  const auto [end, ec] = std::from_chars(key.data() + micro + 1, last, n);
+  const auto x = key.find("|x");
+  check(ec == std::errc() && end == last && n > 0 && x < micro,
+        Status::kInternalError, "malformed benchmark cache key: " + key);
+  key.erase(micro);
+  return key.replace(x + 2, key.find(',', x) - x - 2, std::to_string(n));
+}
+
+}  // namespace
+
+std::string BenchmarkCache::make_key(const std::string& device,
+                                     ConvKernelType type,
+                                     const kernels::ConvProblem& problem) {
+  const TensorShape& x = problem.x;
+  const FilterDesc& w = problem.w;
+  const ConvGeometry& g = problem.geom;
+  std::ostringstream os;
+  os << device << "|" << to_string(type) << "|x" << x.n << "," << x.c << ","
+     << x.h << "," << x.w << "|w" << w.k << "," << w.c << "," << w.r << ","
+     << w.s << "|p" << g.pad_h << "," << g.pad_w << "|s" << g.stride_h << ","
+     << g.stride_w << "|d" << g.dilation_h << "," << g.dilation_w << "|g"
+     << g.groups << "|m" << static_cast<int>(g.mode);
+  return os.str();
+}
+
+std::optional<std::vector<mcudnn::AlgoPerf>> BenchmarkCache::find(
+    const std::string& device, ConvKernelType type,
+    const kernels::ConvProblem& problem) const {
+  MutexLock lock(mutex_);
+  const auto it = entries_.find(make_key(device, type, problem));
+  if (it == entries_.end()) {
+    cache_misses_metric().add(1);
+    return std::nullopt;
+  }
+  cache_hits_metric().add(1);
+  return it->second;
+}
+
+void BenchmarkCache::merge(const std::string& device, ConvKernelType type,
+                           const kernels::ConvProblem& problem,
+                           const std::vector<mcudnn::AlgoPerf>& evaluated) {
+  MutexLock lock(mutex_);
+  merge_perfs(entries_[make_key(device, type, problem)], evaluated);
+}
+
 void BenchmarkCache::store(const std::string& device, ConvKernelType type,
                            const kernels::ConvProblem& problem,
-                           std::int64_t micro_batch,
                            const std::vector<mcudnn::AlgoPerf>& perfs) {
   std::vector<mcudnn::AlgoPerf> all = perfs;
   for (int algo = 0; algo < kernels::algo_count(type); ++algo) {
@@ -104,7 +115,7 @@ void BenchmarkCache::store(const std::string& device, ConvKernelType type,
       all.push_back({.algo = algo});  // status kNotSupported
     }
   }
-  merge(device, type, problem, micro_batch, all);
+  merge(device, type, problem, all);
 }
 
 std::size_t BenchmarkCache::size() const {
@@ -112,25 +123,16 @@ std::size_t BenchmarkCache::size() const {
   return entries_.size();
 }
 
-void BenchmarkCache::clear() {
-  MutexLock lock(mutex_);
-  entries_.clear();
-  blacklist_.clear();
-}
-
 void BenchmarkCache::blacklist(const std::string& device, ConvKernelType type,
                                int algo) {
   MutexLock lock(mutex_);
-  blacklist_.insert(blacklist_key(device, type, algo));
+  blacklist_.emplace(device, type, algo);
 }
 
 bool BenchmarkCache::is_blacklisted(const std::string& device,
                                     ConvKernelType type, int algo) const {
   MutexLock lock(mutex_);
-  // The benchmarker asks once per (size, algorithm); skip building the key
-  // in the common case of an empty blacklist.
-  return !blacklist_.empty() &&
-         blacklist_.count(blacklist_key(device, type, algo)) != 0;
+  return blacklist_.contains(std::tie(device, type, algo));
 }
 
 std::size_t BenchmarkCache::blacklisted_count() const {
@@ -161,8 +163,10 @@ std::vector<mcudnn::AlgoPerf> BenchmarkCache::decode_perfs(
     int status = 0;
     char sep1 = 0, sep2 = 0, sep3 = 0;
     std::istringstream is(item);
-    is >> perf.algo >> sep1 >> status >> sep2 >> perf.time_ms >> sep3 >>
-        perf.memory;
+    is >> perf.algo >> sep1 >> status >> sep2 >> perf.time_ms >> sep3;
+    // operator>> would wrap "-1" into a huge std::size_t.
+    const bool unsigned_memory = std::isdigit(is.peek()) != 0;
+    is >> perf.memory;
     // `is.peek() == EOF` rejects trailing bytes: the format has exactly four
     // fields and no whitespace, so "0:0:1.5:64junk" is corruption, not a
     // value — accepting it silently would load a truncated/damaged entry.
@@ -170,6 +174,13 @@ std::vector<mcudnn::AlgoPerf> BenchmarkCache::decode_perfs(
               is.peek() == std::istringstream::traits_type::eof(),
           Status::kInternalError, "malformed benchmark cache entry: " + item);
     perf.status = static_cast<Status>(status);
+    // A success the WR DP could pick needs a real timing; failures carry
+    // AlgoPerf's -1.
+    check(unsigned_memory && status >= 0 &&
+              status <= static_cast<int>(Status::kShuttingDown) &&
+              std::isfinite(perf.time_ms) &&
+              (perf.time_ms >= 0.0 || perf.status != Status::kSuccess),
+          Status::kInternalError, "invalid benchmark cache entry: " + item);
     perfs.push_back(perf);
   }
   return perfs;
@@ -204,8 +215,8 @@ CacheLoadResult BenchmarkCache::load_file(const std::string& path) {
                   line.compare(marker + 1, std::string::npos, "partial") == 0,
               Status::kInternalError,
               "malformed benchmark cache line: " + line);
-        parsed[line.substr(0, tab)] =
-            decode_perfs(line.substr(tab + 1, marker - tab - 1));
+        merge_perfs(parsed[micro_problem_key(line.substr(0, tab))],
+                    decode_perfs(line.substr(tab + 1, marker - tab - 1)));
       }
       // status-discipline: allow (recorded in `why`; quarantined + logged below)
     } catch (const Error& e) {
@@ -228,7 +239,7 @@ CacheLoadResult BenchmarkCache::load_file(const std::string& path) {
   }
 
   MutexLock lock(mutex_);
-  for (auto& [key, entry] : parsed) entries_[key] = std::move(entry);
+  for (const auto& [key, perfs] : parsed) merge_perfs(entries_[key], perfs);
   return CacheLoadResult::kLoaded;
 }
 

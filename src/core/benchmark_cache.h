@@ -1,5 +1,5 @@
-// Benchmark-result cache (§III-D): μ-cuDNN memoizes per-(device, kernel,
-// problem, micro-batch) algorithm benchmarks in memory, and optionally in a
+// Benchmark-result cache (§III-D): μ-cuDNN memoizes algorithm benchmarks per
+// (device, kernel type, micro problem timed) in memory, and optionally in a
 // file-based database so results survive across processes and can be shared
 // over a network filesystem by a homogeneous cluster (offline benchmarking).
 #pragma once
@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -22,7 +23,7 @@ enum class CacheLoadResult {
   kQuarantined,  // file was corrupt; renamed to <path>.corrupt, nothing loaded
 };
 
-/// A cached (device, kernel, problem, micro size) entry lists every
+/// A cached (device, kernel type, micro problem) entry lists every
 /// algorithm evaluated so far with its status, successes first by time. An
 /// algorithm it does not list has not been evaluated yet; the benchmarker
 /// times it when a plan needs it (§III-D, like cudnnFind*'s per-algorithm
@@ -33,22 +34,21 @@ class BenchmarkCache {
   /// cache hit or miss.
   std::optional<std::vector<mcudnn::AlgoPerf>> find(
       const std::string& device, ConvKernelType type,
-      const kernels::ConvProblem& problem, std::int64_t micro_batch) const;
+      const kernels::ConvProblem& problem) const;
 
   /// Adds newly evaluated algorithms to the entry (creating it if there is
   /// none), replacing earlier results for the same algorithms.
   void merge(const std::string& device, ConvKernelType type,
-             const kernels::ConvProblem& problem, std::int64_t micro_batch,
+             const kernels::ConvProblem& problem,
              const std::vector<mcudnn::AlgoPerf>& evaluated);
 
   /// Test shorthand for a synthetic table: merges `perfs` and lists every
   /// other algorithm as kNotSupported, so nothing is left to evaluate.
   void store(const std::string& device, ConvKernelType type,
-             const kernels::ConvProblem& problem, std::int64_t micro_batch,
+             const kernels::ConvProblem& problem,
              const std::vector<mcudnn::AlgoPerf>& perfs);
 
   std::size_t size() const;
-  void clear();
 
   /// Marks an algorithm as persistently failing on a device; the
   /// benchmarker leaves it out of every table until the process exits.
@@ -60,8 +60,10 @@ class BenchmarkCache {
                       int algo) const;
   std::size_t blacklisted_count() const;
 
-  /// Merges entries from a database file. A missing file is fine
-  /// (kMissing); a malformed file is quarantined — renamed to
+  /// Merges a database file's lines by merge()'s rule. A key that ends in
+  /// a micro size after the mode field (keys once spelled the parent
+  /// problem) is rewritten to that micro problem first. A missing file is
+  /// fine (kMissing); a malformed file is quarantined — renamed to
   /// `<path>.corrupt` and logged — instead of throwing, so stale or
   /// damaged caches can never abort a run (kQuarantined). The cache is
   /// left unchanged unless the whole file parses (kLoaded).
@@ -79,17 +81,15 @@ class BenchmarkCache {
 
  private:
   /// Every field of the problem by value (ConvProblem::to_string() omits
-  /// dilation and mode; a hash alone may collide), plus the micro size.
+  /// dilation and mode; a hash alone may collide).
   static std::string make_key(const std::string& device, ConvKernelType type,
-                              const kernels::ConvProblem& problem,
-                              std::int64_t micro_batch);
-  static std::string blacklist_key(const std::string& device,
-                                   ConvKernelType type, int algo);
+                              const kernels::ConvProblem& problem);
 
   mutable Mutex mutex_{"BenchmarkCache"};
   std::map<std::string, std::vector<mcudnn::AlgoPerf>> entries_
       GUARDED_BY(mutex_);
-  std::set<std::string> blacklist_ GUARDED_BY(mutex_);
+  std::set<std::tuple<std::string, ConvKernelType, int>, std::less<>>
+      blacklist_ GUARDED_BY(mutex_);
 };
 
 }  // namespace ucudnn::core

@@ -142,9 +142,8 @@ MicroBenchmark Benchmarker::table(ConvKernelType type,
   const int algo_count = kernels::algo_count(type);
   std::vector<std::vector<int>> modeled(result.sizes.size());
   for (std::size_t i = 0; i < result.sizes.size(); ++i) {
-    const std::optional<std::vector<mcudnn::AlgoPerf>> entry =
-        cache_->find(device_name(), type, problem, result.sizes[i]);
     const kernels::ConvProblem micro = problem.with_batch(result.sizes[i]);
+    const auto entry = cache_->find(device_name(), type, micro);
     for (int algo = 0; algo < algo_count; ++algo) {
       if (!kernels::algo_supported(type, algo, micro) ||
           cache_->is_blacklisted(device_name(), type, algo)) {
@@ -200,8 +199,9 @@ void Benchmarker::evaluate_and_settle(
   const bool simulated = handle_.device().is_simulated();
   for (std::size_t i = 0; i < bench.sizes.size(); ++i) {
     if (requests[i].empty()) continue;
+    const kernels::ConvProblem micro = problem.with_batch(bench.sizes[i]);
     const std::vector<mcudnn::AlgoPerf> results = mcudnn::find_algorithms(
-        handle_, type, problem.with_batch(bench.sizes[i]), requests[i]);
+        handle_, type, micro, requests[i]);
     if (!simulated) measured_metric().add(timed_count(results));
     for (const mcudnn::AlgoPerf& perf : results) {
       const bool usable =
@@ -212,7 +212,7 @@ void Benchmarker::evaluate_and_settle(
     }
     // Merged before the next size runs, so a throw keeps the sizes already
     // paid for: the retried call resolves them as cache hits.
-    cache_->merge(device_name(), type, problem, bench.sizes[i], results);
+    cache_->merge(device_name(), type, micro, results);
   }
   bench.derive_bounds();
 }

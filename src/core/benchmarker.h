@@ -2,6 +2,9 @@
 // candidate micro-batch size b', evaluate the convolution algorithms with
 // cudnnFindConvolution*Algorithm-style benchmarking, through the cache.
 // Sizes are evaluated in order on one handle's device, in the calling thread.
+// Each size's micro problem, `problem.with_batch(b')`, is built once and is
+// what the cache is asked for and what gets timed, so its entry serves every
+// kernel and batch that cuts the same micro problem.
 //
 // Timing is the expensive part on real kernels, so a table can be built
 // lazily: every (size, algorithm) pair that is not cached gets a lower bound
@@ -86,7 +89,7 @@ class Benchmarker {
                MicroBenchmark& bench, const std::vector<BenchPair>& pairs);
 
   /// The complete table: table() with every bound measured. Results are
-  /// cached by (device, kernel, problem, micro size).
+  /// cached by (device, kernel type, micro problem).
   MicroBenchmark run(ConvKernelType type, const kernels::ConvProblem& problem,
                      BatchSizePolicy policy);
 

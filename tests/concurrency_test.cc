@@ -60,16 +60,14 @@ TEST(BenchmarkCacheConcurrencyTest, ParallelLookupStoreBlacklist) {
       const std::string device = "dev" + std::to_string(t % 2);
       for (int i = 0; i < kIters; ++i) {
         const ConvProblem problem = problem_for(i % kVariants);
-        cache.store(device, ConvKernelType::kForward, problem, 4,
-                    sample_perfs());
+        cache.store(device, ConvKernelType::kForward, problem, sample_perfs());
         // is_blacklisted is sampled BEFORE the find: the blacklist only
         // grows, so an algorithm observed blacklisted must stay so. The
         // blacklist never edits an entry: algorithm 2 stays listed as a
         // success either way.
         const bool blacklisted_before =
             cache.is_blacklisted(device, ConvKernelType::kForward, 2);
-        const auto hit =
-            cache.find(device, ConvKernelType::kForward, problem, 4);
+        const auto hit = cache.find(device, ConvKernelType::kForward, problem);
         if (!hit.has_value() ||
             std::none_of(hit->begin(), hit->end(),
                          [](const mcudnn::AlgoPerf& perf) {
@@ -93,12 +91,12 @@ TEST(BenchmarkCacheConcurrencyTest, ParallelLookupStoreBlacklist) {
   for (std::thread& thread : threads) thread.join();
 
   EXPECT_EQ(mismatches.load(), 0);
-  // 2 devices x 1 kernel type x kVariants problems x 1 micro-batch.
+  // 2 devices x 1 kernel type x kVariants problems.
   EXPECT_EQ(cache.size(), 2u * kVariants);
   EXPECT_EQ(cache.blacklisted_count(), 1u);
   EXPECT_TRUE(cache.is_blacklisted("dev0", ConvKernelType::kForward, 2));
   const auto entry =
-      cache.find("dev0", ConvKernelType::kForward, problem_for(0), 4);
+      cache.find("dev0", ConvKernelType::kForward, problem_for(0));
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->front().algo, 0);
   EXPECT_TRUE(std::any_of(entry->begin(), entry->end(),

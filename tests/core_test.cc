@@ -146,11 +146,10 @@ TEST(BenchmarkerTest, HeterogeneousDevicesKeyResultsByMeasuringDevice) {
       p100_bench.run(ConvKernelType::kForward, p, BatchSizePolicy::kPowerOfTwo);
   ASSERT_EQ(p100_table.sizes.size(), 4u);  // 1, 2, 4, 8
   for (const std::int64_t size : p100_table.sizes) {
-    EXPECT_TRUE(cache->find(p100_name, ConvKernelType::kForward, p, size)
-                    .has_value())
+    const ConvProblem micro = p.with_batch(size);
+    EXPECT_TRUE(cache->find(p100_name, ConvKernelType::kForward, micro))
         << "size " << size;
-    EXPECT_FALSE(
-        cache->find(k80_name, ConvKernelType::kForward, p, size).has_value())
+    EXPECT_FALSE(cache->find(k80_name, ConvKernelType::kForward, micro))
         << "size " << size;
   }
 
@@ -247,7 +246,7 @@ TEST(BenchmarkerTest, FullyBlacklistedCacheHitRebenchmarks) {
   std::set<int> blacklisted;
   for (std::size_t i = 0; i < full.sizes.size(); ++i) {
     ASSERT_GT(full.perfs[i].size(), 1u);  // re-benchmarking must find others
-    cache->merge(device, ConvKernelType::kForward, p, full.sizes[i],
+    cache->merge(device, ConvKernelType::kForward, p.with_batch(full.sizes[i]),
                  {full.perfs[i][0]});
     cache->blacklist(device, ConvKernelType::kForward, full.perfs[i][0].algo);
     blacklisted.insert(full.perfs[i][0].algo);
@@ -503,7 +502,7 @@ TEST(BenchmarkCacheTest, FileRoundTrip) {
   std::vector<mcudnn::AlgoPerf> perfs(2);
   perfs[0] = {3, Status::kSuccess, 1.25, 4096};
   perfs[1] = {1, Status::kSuccess, 2.5, 0};
-  cache.merge("P100-SXM2", ConvKernelType::kForward, p, 8, perfs);
+  cache.merge("P100-SXM2", ConvKernelType::kForward, p, perfs);
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "ucudnn_cache_test.db")
@@ -513,7 +512,7 @@ TEST(BenchmarkCacheTest, FileRoundTrip) {
   BenchmarkCache loaded;
   EXPECT_EQ(loaded.load_file(path), CacheLoadResult::kLoaded);
   EXPECT_EQ(loaded.size(), 1u);
-  const auto hit = loaded.find("P100-SXM2", ConvKernelType::kForward, p, 8);
+  const auto hit = loaded.find("P100-SXM2", ConvKernelType::kForward, p);
   ASSERT_TRUE(hit.has_value());
   ASSERT_EQ(hit->size(), 2u);
   EXPECT_EQ((*hit)[0].algo, 3);
@@ -523,16 +522,72 @@ TEST(BenchmarkCacheTest, FileRoundTrip) {
 }
 
 TEST(BenchmarkCacheTest, KeysDistinguishEverything) {
+  // An entry is the micro problem it timed: the batch it was cut from is not
+  // part of the key, and every other field of the problem is.
+  constexpr ConvKernelType kFwd = ConvKernelType::kForward;
   BenchmarkCache cache;
   const ConvProblem p = small_problem(8);
   const std::vector<mcudnn::AlgoPerf> perfs(1);
-  cache.store("P100-SXM2", ConvKernelType::kForward, p, 8, perfs);
-  EXPECT_FALSE(cache.find("K80", ConvKernelType::kForward, p, 8));
-  EXPECT_FALSE(cache.find("P100-SXM2", ConvKernelType::kBackwardData, p, 8));
-  EXPECT_FALSE(cache.find("P100-SXM2", ConvKernelType::kForward, p, 4));
-  EXPECT_FALSE(cache.find("P100-SXM2", ConvKernelType::kForward,
-                          small_problem(16), 8));
-  EXPECT_TRUE(cache.find("P100-SXM2", ConvKernelType::kForward, p, 8));
+  cache.store("P100-SXM2", kFwd, p, perfs);
+  EXPECT_TRUE(cache.find("P100-SXM2", kFwd, p));
+  EXPECT_TRUE(cache.find("P100-SXM2", kFwd, small_problem(16).with_batch(8)));
+  EXPECT_FALSE(cache.find("K80", kFwd, p));
+  EXPECT_FALSE(cache.find("P100-SXM2", ConvKernelType::kBackwardData, p));
+  EXPECT_FALSE(cache.find("P100-SXM2", kFwd, p.with_batch(4)));
+  // Copies that differ in one geometry field each (the grouped one is not
+  // a valid problem; the key is read field by field all the same).
+  ConvProblem dilated = p, grouped = p, convolution = p;
+  dilated.geom.dilation_w = 2;
+  grouped.geom.groups = 2;
+  convolution.geom.mode = ConvMode::kConvolution;
+  for (const ConvProblem& q : {dilated, grouped, convolution}) {
+    EXPECT_FALSE(cache.find("P100-SXM2", kFwd, q));
+  }
+}
+
+TEST(BenchmarkCacheTest, OldFormatKeysLoadAsMicroProblems) {
+  // Keys used to spell the parent problem and end in the micro size. Two
+  // such lines for one micro problem (size 4 cut from batch 16 and from
+  // batch 4) load as one entry, combined by merge()'s rule.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ucudnn_old_keys.db").string();
+  {
+    std::ofstream out(path);
+    out << "# ucudnn benchmark cache v1\n"
+        << "P100-SXM2|Forward|x16,8,12,12|w8,8,3,3|p1,1|s1,1|d1,1|g1|m0|4"
+        << "\t3:0:1.25:4096,0:0:2.5:0\n"
+        << "P100-SXM2|Forward|x4,8,12,12|w8,8,3,3|p1,1|s1,1|d1,1|g1|m0|4"
+        << "\t1:0:2:0,0:0:2.25:0\n";
+  }
+  BenchmarkCache cache;
+  ASSERT_EQ(cache.load_file(path), CacheLoadResult::kLoaded);
+  EXPECT_EQ(cache.size(), 1u);
+  const auto entry =
+      cache.find("P100-SXM2", ConvKernelType::kForward, small_problem(4));
+  ASSERT_TRUE(entry.has_value());
+  ASSERT_EQ(entry->size(), 3u);
+  EXPECT_EQ((*entry)[0].algo, 3);
+  EXPECT_EQ((*entry)[1].algo, 1);
+  EXPECT_EQ((*entry)[2].algo, 0);  // the later line's timing replaced 2.5
+  EXPECT_DOUBLE_EQ((*entry)[2].time_ms, 2.25);
+
+  cache.save_file(path);
+  std::ifstream in(path);
+  std::string header, line, rest;
+  std::getline(in, header);
+  std::getline(in, line);
+  EXPECT_EQ(line.substr(0, line.find('\t')),
+            "P100-SXM2|Forward|x4,8,12,12|w8,8,3,3|p1,1|s1,1|d1,1|g1|m0");
+  EXPECT_FALSE(std::getline(in, rest));
+  in.close();
+
+  // A trailing field that is not a micro size is corruption.
+  std::ofstream(path) << "P100-SXM2|Forward|x4,8,12,12|w8,8,3,3|p1,1|s1,1|"
+                         "d1,1|g1|m0|four\t1:0:2:0\n";
+  BenchmarkCache damaged;
+  EXPECT_EQ(damaged.load_file(path), CacheLoadResult::kQuarantined);
+  EXPECT_EQ(damaged.size(), 0u);
+  std::remove((path + ".corrupt").c_str());
 }
 
 TEST(BenchmarkCacheTest, MissingFileIgnoredMalformedQuarantined) {
@@ -554,15 +609,17 @@ TEST(BenchmarkCacheTest, MissingFileIgnoredMalformedQuarantined) {
   std::remove((path + ".corrupt").c_str());
 
   // A well-formed line whose value field carries trailing garbage is
-  // corruption too — it must quarantine, not load a truncated entry.
-  {
-    std::ofstream out(path);
-    out << "somekey\t0:0:1.5:64junk\n";
+  // corruption too — it must quarantine, not load a truncated entry. So is
+  // a success with a negative time, a status outside the enum, or a signed
+  // (wrapped) workspace size.
+  for (const char* perfs : {"0:0:1.5:64junk", "0:0:-1.5:64", "0:99:1.5:64",
+                            "0:0:1.5:-1"}) {
+    std::ofstream(path) << "somekey\t" << perfs << "\n";
+    EXPECT_EQ(cache.load_file(path), CacheLoadResult::kQuarantined) << perfs;
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
+    std::remove((path + ".corrupt").c_str());
   }
-  EXPECT_EQ(cache.load_file(path), CacheLoadResult::kQuarantined);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
-  std::remove((path + ".corrupt").c_str());
 }
 
 TEST(BenchmarkCacheTest, EncodeDecodeEmpty) {
@@ -581,6 +638,17 @@ TEST(BenchmarkCacheTest, DecodeRejectsTrailingGarbage) {
   EXPECT_THROW(BenchmarkCache::decode_perfs("0:0:1.5:64junk"), Error);
   EXPECT_THROW(BenchmarkCache::decode_perfs("0:0:1.5:64 "), Error);
   EXPECT_THROW(BenchmarkCache::decode_perfs("0:0:1.5junk:64"), Error);
+  // Values outside the entry's domain: a successful negative or infinite
+  // time, a status the enum does not have, a signed workspace size.
+  EXPECT_THROW(BenchmarkCache::decode_perfs("0:0:-1.5:64"), Error);
+  EXPECT_THROW(BenchmarkCache::decode_perfs("0:0:1e999:64"), Error);
+  EXPECT_THROW(BenchmarkCache::decode_perfs("0:99:1.5:64"), Error);
+  EXPECT_THROW(BenchmarkCache::decode_perfs("0:-1:1.5:64"), Error);
+  EXPECT_THROW(BenchmarkCache::decode_perfs("0:0:1.5:-1"), Error);
+  EXPECT_THROW(BenchmarkCache::decode_perfs("0:0:1.5:+1"), Error);
+  // A failure keeps AlgoPerf's -1 time.
+  EXPECT_EQ(BenchmarkCache::decode_perfs("5:8:-1:0")[0].status,
+            Status::kExecutionFailed);
 }
 
 // ------------------------------------------------------------------ options

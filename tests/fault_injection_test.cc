@@ -299,7 +299,7 @@ TEST_F(FaultInjectionTest, AtomicSaveSurvivesAnInjectedCrash) {
   core::BenchmarkCache cache;
   std::vector<mcudnn::AlgoPerf> perfs(1);
   perfs[0] = {2, Status::kSuccess, 1.5, 4096};
-  cache.store("P100-SXM2", ConvKernelType::kForward, p, 8, perfs);
+  cache.store("P100-SXM2", ConvKernelType::kForward, p, perfs);
   cache.save_file(path);
 
   std::ifstream before_in(path);
@@ -310,7 +310,7 @@ TEST_F(FaultInjectionTest, AtomicSaveSurvivesAnInjectedCrash) {
 
   // A crash between write and publish must leave the old database intact
   // and no temp file behind.
-  cache.store("P100-SXM2", ConvKernelType::kBackwardData, p, 8, perfs);
+  cache.store("P100-SXM2", ConvKernelType::kBackwardData, p, perfs);
   FaultInjector::instance().configure("cache:fail-save");
   EXPECT_THROW(cache.save_file(path), Error);
   std::ifstream after_in(path);
@@ -338,7 +338,7 @@ TEST_F(FaultInjectionTest, BlacklistFiltersLookupsButNotTheDatabase) {
   std::vector<mcudnn::AlgoPerf> perfs(2);
   perfs[0] = {kGemm, Status::kSuccess, 1.0, 4096};
   perfs[1] = {kernels::fwd_algo::kDirect, Status::kSuccess, 2.0, 0};
-  cache->store("HostCpu", kFwd, p, 8, perfs);
+  cache->store("HostCpu", kFwd, p, perfs);
 
   cache->blacklist("HostCpu", kFwd, kGemm);
   EXPECT_TRUE(cache->is_blacklisted("HostCpu", kFwd, kGemm));
@@ -361,7 +361,7 @@ TEST_F(FaultInjectionTest, BlacklistFiltersLookupsButNotTheDatabase) {
   cache->save_file(path);
   core::BenchmarkCache reloaded;
   EXPECT_EQ(reloaded.load_file(path), core::CacheLoadResult::kLoaded);
-  const auto entry = reloaded.find("HostCpu", kFwd, p, 8);
+  const auto entry = reloaded.find("HostCpu", kFwd, p);
   ASSERT_TRUE(entry.has_value());
   ASSERT_GE(entry->size(), 2u);
   EXPECT_EQ((*entry)[0].algo, kGemm);
@@ -488,8 +488,7 @@ void prefill_cache(core::UcudnnHandle& handle) {
         perfs.push_back(perf);
         base *= 100.0;
       }
-      handle.cache()->store(device_name, layer.type, layer.problem, size,
-                            perfs);
+      handle.cache()->store(device_name, layer.type, sub, perfs);
     }
   }
 }

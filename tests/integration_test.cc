@@ -12,6 +12,7 @@
 #include "frameworks/caffepp/model_zoo.h"
 #include "frameworks/caffepp/net.h"
 #include "frameworks/tfmini/tfmini.h"
+#include "telemetry/metrics.h"
 
 namespace ucudnn {
 namespace {
@@ -191,6 +192,42 @@ TEST(CachePersistenceTest, SecondHandleReusesTheDatabase) {
     // All benchmark lookups were cache hits: nothing new got measured.
     EXPECT_LT(handle.total_benchmark_ms(), 50.0);
   }
+  std::remove(path.c_str());
+}
+
+TEST(CachePersistenceTest, DatabaseServesAnotherBatchSize) {
+  // Entries are keyed on the micro problem they timed, so a database written
+  // while planning a net at batch 16 holds every micro problem (sizes 1-8)
+  // of the same net at batch 8.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ucudnn_itest_batches.db")
+          .string();
+  std::remove(path.c_str());
+  auto dev = std::make_shared<device::Device>(device::p100_sxm2_spec());
+  const auto plan_net = [&](std::int64_t batch) {
+    core::Options opts = wr(std::size_t{1} << 20);
+    opts.cache_path = path;
+    core::UcudnnHandle handle(dev, opts);
+    caffepp::Net net(handle, "reuse", caffepp::NetOptions{1 << 20, true});
+    net.input("data", {batch, 3, 14, 14});
+    std::string top = net.conv("c1", "data", 8, 3, 1, 1);
+    top = net.conv("c2", top, 16, 3, 2, 1);
+    top = net.fc("f1", top, 10);
+    net.softmax_loss("loss", top);
+    net.init(5);
+    net.forward();
+    net.backward();
+    return handle.cache()->size();
+  };  // the handle's destructor saves the database
+
+  const std::size_t entries = plan_net(16);
+  EXPECT_GT(entries, 0u);
+  const telemetry::Counter find_calls =
+      telemetry::MetricsRegistry::instance().counter(
+          "ucudnn.mcudnn.find_algorithms");
+  const std::uint64_t before = find_calls.value();
+  EXPECT_EQ(plan_net(8), entries);
+  EXPECT_EQ(find_calls.value(), before);
   std::remove(path.c_str());
 }
 

@@ -243,8 +243,8 @@ std::vector<Configuration> run_handle(const Options& options,
     EXPECT_NE(config, nullptr);
     if (config == nullptr) continue;
     for (const MicroConfig& micro : config->micro) {
-      const auto entry = handle.cache()->find(cpu->spec().name, type, p,
-                                              micro.batch);
+      const auto entry = handle.cache()->find(cpu->spec().name, type,
+                                              p.with_batch(micro.batch));
       EXPECT_TRUE(entry.has_value()) << to_string(type) << " " << micro.batch;
       if (!entry) continue;
       const bool timed = std::any_of(
@@ -278,7 +278,7 @@ std::size_t cached_pairs(const std::string& path, const ConvProblem& p) {
     for (const std::int64_t size :
          candidate_micro_sizes(BatchSizePolicy::kPowerOfTwo, p.batch())) {
       const std::string& device = device::host_cpu_spec().name;
-      if (auto entry = cache.find(device, type, p, size)) {
+      if (auto entry = cache.find(device, type, p.with_batch(size))) {
         n += entry->size();
       }
     }
@@ -332,7 +332,7 @@ TEST(LazyBenchmarkHandleTest, PlansOnTimingsAndSharesThemThroughTheCache) {
 TEST(LazyBenchmarkCacheTest, PartialEntriesRoundTripAndComplete) {
   const ConvProblem p({8, 4, 10, 10}, {4, 4, 3, 3}, {.pad_h = 1, .pad_w = 1});
   BenchmarkCache cache;
-  cache.merge("HostCpu", ConvKernelType::kForward, p, 4,
+  cache.merge("HostCpu", ConvKernelType::kForward, p,
               {{2, Status::kSuccess, 1.5, 4096},
                {5, Status::kExecutionFailed, -1.0, 0}});
 
@@ -342,7 +342,7 @@ TEST(LazyBenchmarkCacheTest, PartialEntriesRoundTripAndComplete) {
   cache.save_file(path);
   BenchmarkCache loaded;
   ASSERT_EQ(loaded.load_file(path), CacheLoadResult::kLoaded);
-  auto entry = loaded.find("HostCpu", ConvKernelType::kForward, p, 4);
+  auto entry = loaded.find("HostCpu", ConvKernelType::kForward, p);
   ASSERT_TRUE(entry.has_value());
   ASSERT_EQ(entry->size(), 2u);
   EXPECT_EQ((*entry)[0].algo, 2);
@@ -351,9 +351,9 @@ TEST(LazyBenchmarkCacheTest, PartialEntriesRoundTripAndComplete) {
 
   // Later results join the entry, successes sorted by time; the failure
   // stays listed, so it is never evaluated again.
-  loaded.merge("HostCpu", ConvKernelType::kForward, p, 4,
+  loaded.merge("HostCpu", ConvKernelType::kForward, p,
                {{0, Status::kSuccess, 0.5, 0}});
-  entry = loaded.find("HostCpu", ConvKernelType::kForward, p, 4);
+  entry = loaded.find("HostCpu", ConvKernelType::kForward, p);
   ASSERT_TRUE(entry.has_value());
   ASSERT_EQ(entry->size(), 3u);
   EXPECT_EQ((*entry)[0].algo, 0);
@@ -374,7 +374,7 @@ TEST(LazyBenchmarkCacheTest, PartialEntriesRoundTripAndComplete) {
   BenchmarkCache legacy;
   ASSERT_EQ(legacy.load_file(path), CacheLoadResult::kLoaded);
   const auto legacy_entry =
-      legacy.find("HostCpu", ConvKernelType::kForward, p, 4);
+      legacy.find("HostCpu", ConvKernelType::kForward, p);
   ASSERT_TRUE(legacy_entry.has_value());
   ASSERT_EQ(legacy_entry->size(), 3u);
   EXPECT_EQ((*legacy_entry)[2].status, Status::kExecutionFailed);
@@ -389,11 +389,11 @@ TEST(LazyBenchmarkCacheTest, KeysEncodeDilationAndModeAndOldFilesMiss) {
   ConvProblem convolution = p;
   convolution.geom.mode = ConvMode::kConvolution;
   BenchmarkCache cache;
-  cache.store("HostCpu", ConvKernelType::kForward, p, 4,
+  cache.store("HostCpu", ConvKernelType::kForward, p,
               {{1, Status::kSuccess, 1.0, 0}});
-  EXPECT_TRUE(cache.find("HostCpu", ConvKernelType::kForward, p, 4));
-  EXPECT_FALSE(cache.find("HostCpu", ConvKernelType::kForward, dilated, 4));
-  EXPECT_FALSE(cache.find("HostCpu", ConvKernelType::kForward, convolution, 4));
+  EXPECT_TRUE(cache.find("HostCpu", ConvKernelType::kForward, p));
+  EXPECT_FALSE(cache.find("HostCpu", ConvKernelType::kForward, dilated));
+  EXPECT_FALSE(cache.find("HostCpu", ConvKernelType::kForward, convolution));
 
   // A database keyed by the problem hash alone, as files were written
   // before, loads cleanly; its entries just never match.
@@ -409,7 +409,7 @@ TEST(LazyBenchmarkCacheTest, KeysEncodeDilationAndModeAndOldFilesMiss) {
   BenchmarkCache loaded;
   EXPECT_EQ(loaded.load_file(path), CacheLoadResult::kLoaded);
   EXPECT_EQ(loaded.size(), 1u);
-  EXPECT_FALSE(loaded.find("HostCpu", ConvKernelType::kForward, p, 4));
+  EXPECT_FALSE(loaded.find("HostCpu", ConvKernelType::kForward, p));
   std::remove(path.c_str());
 }
 

@@ -83,7 +83,7 @@ void prefill_plans(core::UcudnnHandle& handle, ConvKernelType type,
     perfs[1].status = Status::kSuccess;
     perfs[1].time_ms = 100.0 + 0.01 * static_cast<double>(size);
     perfs[1].memory = 0;
-    handle.cache()->store(device_name, type, problem, size, perfs);
+    handle.cache()->store(device_name, type, problem.with_batch(size), perfs);
   }
 }
 

@@ -65,8 +65,8 @@ void prefill_plans(core::UcudnnHandle& handle,
     perfs[1].status = Status::kSuccess;
     perfs[1].time_ms = 100.0 + 0.01 * static_cast<double>(size);
     perfs[1].memory = 0;
-    handle.cache()->store(device_name, ConvKernelType::kForward, problem, size,
-                          perfs);
+    handle.cache()->store(device_name, ConvKernelType::kForward,
+                          problem.with_batch(size), perfs);
   }
 }
 
