@@ -1,8 +1,8 @@
 #include "common/fault_injection.h"
 
 #include <cctype>
+#include <optional>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -50,23 +50,17 @@ double parse_probability(const std::string& site, const std::string& value) {
   return p;
 }
 
-/// A dotted name like "serve.exec": registrable by a subsystem at runtime,
-/// so a clause naming one may precede its registration.
-bool is_dynamic_site_name(const std::string& name) {
-  return name.find('.') != std::string::npos;
+/// The site a clause names; nullopt when it is not in kFaultSites.
+std::optional<FaultSite> site_named(const std::string& name) {
+  for (std::size_t i = 0; i < kFaultSites.size(); ++i) {
+    if (name == kFaultSites[i].name) return static_cast<FaultSite>(i);
+  }
+  return std::nullopt;
 }
 
 }  // namespace
 
 FaultInjector::FaultInjector() {
-  {
-    MutexLock lock(mutex_);
-    // Built-ins first, in enum order, so FaultSite casts straight to the id.
-    register_site_locked("alloc", Status::kAllocFailed);
-    register_site_locked("kernel", Status::kExecutionFailed);
-    register_site_locked("cache-load", Status::kInternalError);
-    register_site_locked("cache-save", Status::kInternalError);
-  }
   const std::optional<std::string> env = env_raw("UCUDNN_FAULTS");
   if (!env || trim(*env).empty()) return;
   try {
@@ -83,227 +77,142 @@ FaultInjector& FaultInjector::instance() {
   return injector;
 }
 
-FaultSiteId FaultInjector::register_site_locked(const std::string& name,
-                                                Status status) {
-  const auto it = ids_.find(name);
-  if (it != ids_.end()) return it->second;
-  const FaultSiteId id = sites_.size();
-  Site site;
-  site.name = name;
-  site.status = status;
-  const auto parked = parked_.find(name);
-  if (parked != parked_.end()) {
-    site.spec = parked->second;
-    site.rng.seed(site.spec.seed);
-    parked_.erase(parked);
-  }
-  sites_.push_back(std::move(site));
-  ids_.emplace(name, id);
-  return id;
-}
-
-FaultSiteId FaultInjector::register_site(const std::string& name,
-                                         Status status) {
-  check(is_dynamic_site_name(name), Status::kInvalidValue,
-        "fault site '" + name +
-            "' must be namespaced (contain a '.') to be registrable");
-  bool armed_now = false;
-  FaultSiteId id = 0;
-  {
-    MutexLock lock(mutex_);
-    id = register_site_locked(name, status);
-    refresh_armed_locked();
-    armed_now = sites_[id].spec.enabled;
-  }
-  if (armed_now) {
-    UCUDNN_LOG_INFO << "fault site " << name << " armed at registration";
-  }
-  return id;
-}
-
-std::optional<FaultSiteId> FaultInjector::find_site(
-    const std::string& name) const {
-  MutexLock lock(mutex_);
-  const auto it = ids_.find(name);
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
-}
-
-void FaultInjector::refresh_armed_locked() {
-  bool any_enabled = !parked_.empty();
-  for (const Site& site : sites_) {
-    any_enabled = any_enabled || site.spec.enabled;
-  }
-  armed_.store(any_enabled, std::memory_order_relaxed);
-}
-
 void FaultInjector::configure(const std::string& spec) {
-  // Parse into name -> spec first; nothing is applied until the whole spec
+  // Parse every clause first; nothing is applied until the whole spec
   // validates, so a failed configure never leaves the injector half-armed.
-  std::map<std::string, FaultSpec> parsed_by_name;
-  std::map<std::string, FaultSpec> parked;
-  {
-    MutexLock lock(mutex_);
-    for (const std::string& clause : split(spec, ';')) {
-      if (clause.empty()) continue;
-      const std::size_t colon = clause.find(':');
-      const std::string site = trim(clause.substr(0, colon));
-      std::vector<std::string> targets;
-      const bool is_cache_group = site == "cache";
-      const bool known = ids_.count(site) != 0;
-      if (known) {
-        targets.push_back(site);
-      } else {
-        check(is_cache_group || is_dynamic_site_name(site),
-              Status::kInvalidValue,
-              "UCUDNN_FAULTS: unknown site '" + site + "' in clause '" +
-                  clause +
-                  "' (expected alloc, kernel, cache, cache-load, cache-save, "
-                  "or a registered dotted site like serve.exec)");
-        if (!is_cache_group) targets.push_back(site);  // parked until
-                                                       // registration
+  std::array<FaultSpec, kFaultSites.size()> parsed_by_site{};
+  for (const std::string& clause : split(spec, ';')) {
+    if (clause.empty()) continue;
+    const std::size_t colon = clause.find(':');
+    const std::string site = trim(clause.substr(0, colon));
+    const bool is_cache_group = site == "cache";
+    const std::optional<FaultSite> named = site_named(site);
+    if (!named && !is_cache_group) {
+      std::string expected = "cache";
+      for (const FaultSiteRow& known : kFaultSites) {
+        expected += std::string(", ") + known.name;
       }
+      throw Error(Status::kInvalidValue,
+                  "UCUDNN_FAULTS: unknown site '" + site + "' in clause '" +
+                      clause + "' (expected one of " + expected + ")");
+    }
+    std::vector<FaultSite> targets;
+    if (named) targets.push_back(*named);
 
-      FaultSpec parsed;
-      parsed.enabled = true;
-      if (colon != std::string::npos) {
-        for (const std::string& param : split(clause.substr(colon + 1), ',')) {
-          if (param.empty()) continue;
-          const std::size_t eq = param.find('=');
-          if (eq == std::string::npos) {
-            // Bare flags select the cache sub-sites.
-            check(is_cache_group &&
-                      (param == "corrupt-load" || param == "fail-save"),
-                  Status::kInvalidValue,
-                  "UCUDNN_FAULTS: unknown flag '" + param + "' in clause '" +
-                      clause + "'");
-            targets.push_back(param == "corrupt-load" ? "cache-load"
-                                                      : "cache-save");
-            continue;
-          }
-          const std::string key = trim(param.substr(0, eq));
-          const std::string value = trim(param.substr(eq + 1));
-          if (key == "every") {
-            parsed.every = parse_u64(site, key, value);
-            check(parsed.every >= 1, Status::kInvalidValue,
-                  "UCUDNN_FAULTS: " + site + ":every must be >= 1");
-          } else if (key == "p") {
-            parsed.probability = parse_probability(site, value);
-          } else if (key == "seed") {
-            parsed.seed = parse_u64(site, key, value);
-          } else if (key == "after") {
-            parsed.after = parse_u64(site, key, value);
-          } else if (key == "count") {
-            parsed.count = parse_u64(site, key, value);
-          } else {
-            throw Error(Status::kInvalidValue,
-                        "UCUDNN_FAULTS: unknown parameter '" + key +
-                            "' in clause '" + clause + "'");
-          }
+    FaultSpec parsed;
+    parsed.enabled = true;
+    if (colon != std::string::npos) {
+      for (const std::string& param : split(clause.substr(colon + 1), ',')) {
+        if (param.empty()) continue;
+        const std::size_t eq = param.find('=');
+        if (eq == std::string::npos) {
+          // Bare flags select the cache sub-sites.
+          check(is_cache_group &&
+                    (param == "corrupt-load" || param == "fail-save"),
+                Status::kInvalidValue,
+                "UCUDNN_FAULTS: unknown flag '" + param + "' in clause '" +
+                    clause + "'");
+          targets.push_back(param == "corrupt-load" ? FaultSite::kCacheLoad
+                                                    : FaultSite::kCacheSave);
+          continue;
         }
-      }
-      check(!targets.empty(), Status::kInvalidValue,
-            "UCUDNN_FAULTS: site 'cache' needs a corrupt-load or fail-save "
-            "flag in clause '" +
-                clause + "'");
-      if (parsed.every == 0 && parsed.probability == 0.0) parsed.every = 1;
-      for (const std::string& target : targets) {
-        if (ids_.count(target) != 0) {
-          parsed_by_name[target] = parsed;
+        const std::string key = trim(param.substr(0, eq));
+        const std::string value = trim(param.substr(eq + 1));
+        if (key == "every") {
+          parsed.every = parse_u64(site, key, value);
+          check(parsed.every >= 1, Status::kInvalidValue,
+                "UCUDNN_FAULTS: " + site + ":every must be >= 1");
+        } else if (key == "p") {
+          parsed.probability = parse_probability(site, value);
+        } else if (key == "seed") {
+          parsed.seed = parse_u64(site, key, value);
+        } else if (key == "after") {
+          parsed.after = parse_u64(site, key, value);
+        } else if (key == "count") {
+          parsed.count = parse_u64(site, key, value);
         } else {
-          parked[target] = parsed;
+          throw Error(Status::kInvalidValue,
+                      "UCUDNN_FAULTS: unknown parameter '" + key +
+                          "' in clause '" + clause + "'");
         }
       }
     }
+    check(!targets.empty(), Status::kInvalidValue,
+          "UCUDNN_FAULTS: site 'cache' needs a corrupt-load or fail-save "
+          "flag in clause '" +
+              clause + "'");
+    if (parsed.every == 0 && parsed.probability == 0.0) parsed.every = 1;
+    for (const FaultSite target : targets) {
+      parsed_by_site[static_cast<std::size_t>(target)] = parsed;
+    }
+  }
 
-    // Validation done; apply. Sites without a clause are disarmed, all
-    // counters reset, and the parked set is replaced wholesale.
-    for (Site& site : sites_) {
-      const auto it = parsed_by_name.find(site.name);
-      site.spec = it == parsed_by_name.end() ? FaultSpec{} : it->second;
+  // Validation done; apply. Sites without a clause are disarmed, and all
+  // counters reset.
+  bool any_enabled = false;
+  {
+    MutexLock lock(mutex_);
+    for (std::size_t i = 0; i < sites_.size(); ++i) {
+      Site& site = sites_[i];
+      site.spec = parsed_by_site[i];
       site.stats = FaultSiteStats{};
       site.rng.seed(site.spec.seed);
+      any_enabled = any_enabled || site.spec.enabled;
     }
-    parked_ = std::move(parked);
-    refresh_armed_locked();
+    armed_.store(any_enabled, std::memory_order_relaxed);
   }
-  if (armed()) {
+  if (any_enabled) {
     UCUDNN_LOG_INFO << "fault injection armed: " << trim(spec);
   }
 }
 
-bool FaultInjector::should_fail(FaultSiteId id) {
+bool FaultInjector::should_fail(FaultSite site) {
   if (!armed()) return false;
   bool fire = false;
-  const char* flight_name = nullptr;
   std::uint64_t triggered = 0;
   {
     MutexLock lock(mutex_);
-    check(id < sites_.size(), Status::kInvalidValue,
-          "fault site id " + std::to_string(id) + " out of range");
-    Site& site = sites_[id];
-    if (!site.spec.enabled) return false;
-    const FaultSpec& spec = site.spec;
-    FaultSiteStats& stats = site.stats;
+    Site& state = sites_[static_cast<std::size_t>(site)];
+    if (!state.spec.enabled) return false;
+    const FaultSpec& spec = state.spec;
+    FaultSiteStats& stats = state.stats;
     ++stats.checks;
     if (stats.triggered >= spec.count) return false;
     if (stats.checks <= spec.after) return false;
     fire = spec.every > 0 && (stats.checks - spec.after) % spec.every == 0;
     if (!fire && spec.probability > 0.0) {
-      fire = std::uniform_real_distribution<double>(0.0, 1.0)(site.rng) <
+      fire = std::uniform_real_distribution<double>(0.0, 1.0)(state.rng) <
              spec.probability;
     }
-    if (fire) {
-      triggered = ++stats.triggered;
-      if (telemetry::FlightRecorder::armed()) {
-        // Interned outside the slot protocol: the ring stores name pointers,
-        // and site names are dynamic strings.
-        flight_name = telemetry::FlightRecorder::instance().intern(site.name);
-      }
-    }
+    if (fire) triggered = ++stats.triggered;
   }
-  if (flight_name != nullptr) {
+  if (fire && telemetry::FlightRecorder::armed()) {
     // Outside the injector lock: the recorder takes its own mutex for
     // auto_dump, and a fault trigger is exactly the moment the black box
     // must be preserved.
     telemetry::FlightRecorder& recorder = telemetry::FlightRecorder::instance();
-    recorder.record(telemetry::FlightEventKind::kFault, flight_name,
+    recorder.record(telemetry::FlightEventKind::kFault, row(site).name,
                     telemetry::current_trace_id(),
                     static_cast<std::int64_t>(triggered), 0);
-    recorder.auto_dump(flight_name);
+    recorder.auto_dump(row(site).name);
   }
   return fire;
 }
 
-void FaultInjector::fail_point(FaultSiteId id) {
-  if (!armed() || !should_fail(id)) return;
-  Status status = Status::kInternalError;
-  std::string name;
-  {
-    MutexLock lock(mutex_);
-    status = sites_[id].status;
-    name = sites_[id].name;
-  }
-  throw Error(status, "injected fault at site " + name);
+void FaultInjector::fail_point(FaultSite site) {
+  if (!should_fail(site)) return;
+  throw Error(row(site).status,
+              std::string("injected fault at site ") + row(site).name);
 }
 
-FaultSpec FaultInjector::spec(FaultSiteId id) const {
+FaultSpec FaultInjector::spec(FaultSite site) const {
   MutexLock lock(mutex_);
-  check(id < sites_.size(), Status::kInvalidValue,
-        "fault site id " + std::to_string(id) + " out of range");
-  return sites_[id].spec;
+  return sites_[static_cast<std::size_t>(site)].spec;
 }
 
-FaultSiteStats FaultInjector::stats(FaultSiteId id) const {
+FaultSiteStats FaultInjector::stats(FaultSite site) const {
   MutexLock lock(mutex_);
-  check(id < sites_.size(), Status::kInvalidValue,
-        "fault site id " + std::to_string(id) + " out of range");
-  return sites_[id].stats;
-}
-
-std::size_t FaultInjector::site_count() const {
-  MutexLock lock(mutex_);
-  return sites_.size();
+  return sites_[static_cast<std::size_t>(site)].stats;
 }
 
 void FaultInjector::reset_counters() {

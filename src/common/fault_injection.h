@@ -14,18 +14,12 @@
 //
 //   UCUDNN_FAULTS="alloc:every=7;kernel:p=0.02,seed=42;cache:corrupt-load"
 //
-// Built-in sites: alloc (Device::allocate), kernel (mcudnn::convolution and
-// find_algorithms), cache-load / cache-save (BenchmarkCache file I/O).
-// The site "cache" requires one or both of the flags `corrupt-load` /
-// `fail-save` and applies its parameters to the flagged sub-sites.
-//
-// The site table is ADDITIVE: subsystems register further sites at runtime
-// with register_site() (the serving layer registers serve.enqueue /
-// serve.batch / serve.exec this way). Registration order and configure
-// order are independent — a clause naming a not-yet-registered dotted site
-// (every registered site name is namespaced like "serve.exec") is parsed,
-// validated, and parked; it arms the moment the site registers. Non-dotted
-// unknown names are still rejected as typos.
+// The sites are the fixed set in kFaultSites: alloc (Device::allocate),
+// kernel (mcudnn::convolution and find_algorithms), cache-load / cache-save
+// (BenchmarkCache file I/O), and serve.enqueue / serve.batch / serve.exec
+// (serve::Server). The site "cache" requires one or both of the flags
+// `corrupt-load` / `fail-save` and applies its parameters to the flagged
+// sub-sites. Any other name is a spec error.
 //
 // Parameters per clause:
 //   every=N   trigger on every Nth check (deterministic)
@@ -43,42 +37,55 @@
 // hot paths.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace ucudnn {
 
-/// The built-in sites, pre-registered by the FaultInjector constructor. The
-/// enumerator value doubles as the site's FaultSiteId.
-enum class FaultSite : int {
-  kAlloc = 0,
-  kKernel = 1,
-  kCacheLoad = 2,
-  kCacheSave = 3,
+/// Every injection site; the value indexes kFaultSites.
+enum class FaultSite : std::uint8_t {
+  kAlloc,
+  kKernel,
+  kCacheLoad,
+  kCacheSave,
+  kServeEnqueue,
+  kServeBatch,
+  kServeExec,
 };
-inline constexpr std::size_t kBuiltinFaultSiteCount = 4;
 
-/// Stable handle for a registered site (index into the site table).
-using FaultSiteId = std::size_t;
+struct FaultSiteRow {
+  const char* name;  // the UCUDNN_FAULTS clause name and flight-event name
+  Status status;     // thrown by fail_point() when the site fires
+};
+
+/// One row per FaultSite, in enum order.
+inline constexpr std::array<FaultSiteRow, 7> kFaultSites{{
+    {"alloc", Status::kAllocFailed},
+    {"kernel", Status::kExecutionFailed},
+    {"cache-load", Status::kInternalError},
+    {"cache-save", Status::kInternalError},
+    {"serve.enqueue", Status::kRejected},
+    {"serve.batch", Status::kExecutionFailed},
+    {"serve.exec", Status::kExecutionFailed},
+}};
+static_assert(static_cast<std::size_t>(FaultSite::kServeExec) + 1 ==
+              kFaultSites.size());
+
+constexpr const FaultSiteRow& row(FaultSite site) noexcept {
+  return kFaultSites[static_cast<std::size_t>(site)];
+}
 
 constexpr std::string_view to_string(FaultSite site) noexcept {
-  switch (site) {
-    case FaultSite::kAlloc: return "alloc";
-    case FaultSite::kKernel: return "kernel";
-    case FaultSite::kCacheLoad: return "cache-load";
-    case FaultSite::kCacheSave: return "cache-save";
-  }
-  return "unknown";
+  return row(site).name;
 }
 
 /// Per-site schedule parsed from one spec clause.
@@ -105,21 +112,9 @@ class FaultInjector {
   /// inside an allocation path); programmatic configure() throws instead.
   static FaultInjector& instance();
 
-  /// Adds `name` to the site table (idempotent: re-registering returns the
-  /// existing id without touching its schedule or counters). `status` is the
-  /// Status thrown by fail_point() when the site fires. New sites must use a
-  /// namespaced, dotted name ("serve.exec") so UCUDNN_FAULTS clauses for
-  /// them can be distinguished from typos before registration; a parked
-  /// clause from an earlier configure()/env parse arms immediately.
-  /// Throws Error(kInvalidValue) for an un-dotted name.
-  FaultSiteId register_site(const std::string& name, Status status);
-
-  /// The id of a registered site, or nullopt.
-  std::optional<FaultSiteId> find_site(const std::string& name) const;
-
   /// Replaces the whole configuration, resets all counters, and reseeds the
-  /// per-site PRNGs. An empty spec disarms everything (including parked
-  /// clauses). Throws Error(kInvalidValue) on a malformed spec.
+  /// per-site PRNGs. An empty spec disarms everything. Throws
+  /// Error(kInvalidValue) on a malformed spec, leaving the old one in place.
   void configure(const std::string& spec);
 
   /// True when any site is enabled; the single hot-path cost when idle.
@@ -128,38 +123,19 @@ class FaultInjector {
   }
 
   /// Consults the site's schedule; counts the check and (maybe) the trigger.
-  bool should_fail(FaultSiteId id);
-  bool should_fail(FaultSite site) {
-    return should_fail(static_cast<FaultSiteId>(site));
-  }
+  bool should_fail(FaultSite site);
 
-  /// Throws the site's registered Error when should_fail(): kAllocFailed for
-  /// alloc, kExecutionFailed for kernel, kInternalError for the cache sites,
-  /// whatever register_site declared for dynamic sites.
-  void fail_point(FaultSiteId id);
-  void fail_point(FaultSite site) {
-    fail_point(static_cast<FaultSiteId>(site));
-  }
+  /// Throws Error(row(site).status) when should_fail().
+  void fail_point(FaultSite site);
 
-  FaultSpec spec(FaultSiteId id) const;
-  FaultSpec spec(FaultSite site) const {
-    return spec(static_cast<FaultSiteId>(site));
-  }
-  FaultSiteStats stats(FaultSiteId id) const;
-  FaultSiteStats stats(FaultSite site) const {
-    return stats(static_cast<FaultSiteId>(site));
-  }
-
-  /// Number of registered sites (built-ins + dynamic).
-  std::size_t site_count() const;
+  FaultSpec spec(FaultSite site) const;
+  FaultSiteStats stats(FaultSite site) const;
 
   /// Zeroes counters and reseeds PRNGs without touching the schedules.
   void reset_counters();
 
  private:
   struct Site {
-    std::string name;
-    Status status = Status::kInternalError;
     FaultSpec spec;
     FaultSiteStats stats;
     std::mt19937_64 rng;
@@ -167,16 +143,8 @@ class FaultInjector {
 
   FaultInjector();
 
-  FaultSiteId register_site_locked(const std::string& name, Status status)
-      REQUIRES(mutex_);
-  void refresh_armed_locked() REQUIRES(mutex_);
-
   mutable Mutex mutex_{"FaultInjector"};
-  std::vector<Site> sites_ GUARDED_BY(mutex_);
-  std::map<std::string, FaultSiteId> ids_ GUARDED_BY(mutex_);
-  // Clauses parsed for dotted sites that have not registered yet; applied
-  // (and removed) by register_site. configure() replaces this wholesale.
-  std::map<std::string, FaultSpec> parked_ GUARDED_BY(mutex_);
+  std::array<Site, kFaultSites.size()> sites_ GUARDED_BY(mutex_);
   std::atomic<bool> armed_{false};
 };
 

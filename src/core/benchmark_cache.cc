@@ -215,8 +215,17 @@ CacheLoadResult BenchmarkCache::load_file(const std::string& path) {
                   line.compare(marker + 1, std::string::npos, "partial") == 0,
               Status::kInternalError,
               "malformed benchmark cache line: " + line);
-        merge_perfs(parsed[micro_problem_key(line.substr(0, tab))],
-                    decode_perfs(line.substr(tab + 1, marker - tab - 1)));
+        const std::vector<mcudnn::AlgoPerf> perfs =
+            decode_perfs(line.substr(tab + 1, marker - tab - 1));
+        const std::string key = line.substr(0, tab);
+        // Early databases keyed lines by a problem hash
+        // ("HostCpu|Forward|<hex>|4"); no lookup can match one, so a
+        // well-formed one is dropped rather than carried along by every save.
+        if (key.find("|x") == std::string::npos ||
+            key.find("|m") == std::string::npos) {
+          continue;
+        }
+        merge_perfs(parsed[micro_problem_key(key)], perfs);
       }
       // status-discipline: allow (recorded in `why`; quarantined + logged below)
     } catch (const Error& e) {

@@ -65,8 +65,7 @@ struct ServeOptions {
   bool pad_to_pow2 = true;
   /// Anomaly-watchdog sampling period (telemetry::Watchdog over queue depth,
   /// overload rung, est-vs-measured drift, and worker liveness); 0 = off.
-  /// Shares UCUDNN_WATCHDOG_MS with telemetry::WatchdogOptions::from_env so
-  /// one variable arms both the serve-attached and standalone watchdogs.
+  /// Set from UCUDNN_WATCHDOG_MS by from_env().
   std::int64_t watchdog_ms = 0;
 
   /// Reads every field from the environment.

@@ -44,12 +44,6 @@ Server::Server(core::UcudnnHandle& handle, ServeOptions opts)
       opts_(opts),
       batcher_(opts.pad_to_pow2),
       queue_(opts),
-      enqueue_site_(FaultInjector::instance().register_site(
-          "serve.enqueue", Status::kRejected)),
-      batch_site_(FaultInjector::instance().register_site(
-          "serve.batch", Status::kExecutionFailed)),
-      exec_site_(FaultInjector::instance().register_site(
-          "serve.exec", Status::kExecutionFailed)),
       worker_state_(static_cast<std::size_t>(std::max(opts.workers, 0))) {
   opts_.validate();
   auto& metrics = telemetry::MetricsRegistry::instance();
@@ -139,7 +133,7 @@ TicketPtr Server::submit(ServeRequest request) {
   }
 
   FaultInjector& injector = FaultInjector::instance();
-  if (injector.armed() && injector.should_fail(enqueue_site_)) {
+  if (injector.armed() && injector.should_fail(FaultSite::kServeEnqueue)) {
     UCUDNN_LOG_DEBUG << "serve: injected admission rejection";
     finish(ticket, Status::kRejected);
     return ticket;
@@ -229,7 +223,7 @@ void Server::worker_loop(std::size_t worker_index) {
 
 void Server::execute_once(const std::vector<TicketPtr>& batch) {
   FaultInjector& injector = FaultInjector::instance();
-  if (injector.armed()) injector.fail_point(batch_site_);
+  if (injector.armed()) injector.fail_point(FaultSite::kServeBatch);
   MergedBatch merged = batcher_.build(batch);
   {
     telemetry::ScopedSpan span("serve_exec", [&merged] {
@@ -242,7 +236,7 @@ void Server::execute_once(const std::vector<TicketPtr>& batch) {
     // After the convolution so an injected failure models the worst case: a
     // transient fault whose attempt already wrote into the output buffer —
     // exactly what the retry ladder's beta-snapshot must survive.
-    if (injector.armed()) injector.fail_point(exec_site_);
+    if (injector.armed()) injector.fail_point(FaultSite::kServeExec);
   }
   batcher_.scatter(merged, batch);
 }

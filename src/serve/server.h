@@ -141,10 +141,6 @@ class Server {
   Batcher batcher_;
   RequestQueue queue_;
 
-  FaultSiteId enqueue_site_;
-  FaultSiteId batch_site_;
-  FaultSiteId exec_site_;
-
   /// UcudnnHandle::convolution (planner state, exec records) is not
   /// thread-safe; workers share the handle under this lock. PlanCache /
   /// BenchmarkCache hits still amortize across all workers.

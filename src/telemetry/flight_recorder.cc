@@ -172,11 +172,6 @@ void FlightRecorder::record(FlightEventKind kind, const char* name,
   slot.seq.store(claim * 2 + 2, std::memory_order_release);
 }
 
-const char* FlightRecorder::intern(const std::string& name) {
-  MutexLock lock(mutex_);
-  return interned_.insert(name).first->c_str();
-}
-
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::vector<FlightEvent> events;
   if (!kCompiledIn) return events;

@@ -13,8 +13,8 @@
 // writers never contend; readers (dump/snapshot) use a per-slot seqlock to
 // discard events they raced with.
 //
-// Event names must be string literals (or pointers obtained from intern()):
-// the ring stores the pointer, not the bytes.
+// Event names must be string literals: the ring stores the pointer, not the
+// bytes.
 //
 // Layering contract (tools/check_layering.py): telemetry is a leaf — it may
 // include only other telemetry headers and common/thread_annotations.h.
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -53,7 +52,7 @@ const char* to_string(FlightEventKind kind) noexcept;
 struct FlightEvent {
   double ts_us = 0.0;
   std::uint64_t trace_id = 0;  // ambient request trace id (0 = none)
-  const char* name = "";       // interned; stable for the recorder's lifetime
+  const char* name = "";       // a string literal
   std::int64_t arg0 = 0;
   std::int64_t arg1 = 0;
   std::uint32_t tid = 0;  // TraceRecorder::thread_ordinal of the writer
@@ -93,13 +92,9 @@ class FlightRecorder {
                    std::int64_t arg1 = 0) noexcept;
 
   /// Appends one event to the calling thread's ring (drop-oldest on wrap).
-  /// `name` must outlive the recorder: a literal or an intern() result.
+  /// `name` must be a string literal.
   void record(FlightEventKind kind, const char* name, std::uint64_t trace_id = 0,
               std::int64_t arg0 = 0, std::int64_t arg1 = 0) noexcept;
-
-  /// Copies a dynamic name into recorder-lifetime storage (slow path: takes
-  /// the recorder mutex; idempotent per string).
-  const char* intern(const std::string& name);
 
   bool is_armed() const noexcept {
     return kCompiledIn && armed_.load(std::memory_order_relaxed);
@@ -171,7 +166,6 @@ class FlightRecorder {
 
   mutable Mutex mutex_{"FlightRecorder"};
   std::vector<std::unique_ptr<Ring>> rings_ GUARDED_BY(mutex_);
-  std::set<std::string> interned_ GUARDED_BY(mutex_);
   std::string dump_path_ GUARDED_BY(mutex_);
 };
 

@@ -2,23 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "telemetry/trace.h"
 
 namespace ucudnn::telemetry {
-
-WatchdogOptions WatchdogOptions::from_env() {
-  WatchdogOptions opts;
-  // std::getenv, not common/env.h: telemetry is a leaf.
-  const char* raw = std::getenv("UCUDNN_WATCHDOG_MS");
-  if (raw == nullptr || raw[0] == '\0') return opts;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(raw, &end, 10);
-  if (end != raw && *end == '\0' && parsed > 0) opts.period_ms = parsed;
-  return opts;
-}
 
 Watchdog::Watchdog(WatchdogOptions opts, SampleFn sample_fn,
                    FlightRecorder* recorder)
@@ -139,7 +127,7 @@ void Watchdog::evaluate(const WatchdogSample& sample) {
   }
 }
 
-void Watchdog::emit(const std::string& kind, std::string detail, double value,
+void Watchdog::emit(const char* kind, std::string detail, double value,
                     double threshold) {
   WatchdogIncident incident;
   incident.ts_us = TraceRecorder::instance().now_us();
@@ -147,21 +135,21 @@ void Watchdog::emit(const std::string& kind, std::string detail, double value,
   incident.detail = std::move(detail);
   incident.value = value;
   incident.threshold = threshold;
-  std::fprintf(stderr, "ucudnn: watchdog incident [%s] %s\n", kind.c_str(),
+  std::fprintf(stderr, "ucudnn: watchdog incident [%s] %s\n", kind,
                incident.detail.c_str());
   {
     MutexLock lock(mutex_);
     incidents_.push_back(incident);
   }
   m_incidents_.add();
-  MetricsRegistry::instance().counter("ucudnn.watchdog.incident." + kind)
+  MetricsRegistry::instance()
+      .counter(std::string("ucudnn.watchdog.incident.") + kind)
       .add();
   if (FlightRecorder* recorder = recorder_.load(std::memory_order_relaxed)) {
-    recorder->record(FlightEventKind::kWatchdog, recorder->intern(kind),
-                     current_trace_id(),
+    recorder->record(FlightEventKind::kWatchdog, kind, current_trace_id(),
                      static_cast<std::int64_t>(value),
                      static_cast<std::int64_t>(threshold));
-    if (opts_.dump_on_incident) recorder->auto_dump(kind.c_str());
+    if (opts_.dump_on_incident) recorder->auto_dump(kind);
   }
 }
 

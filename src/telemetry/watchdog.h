@@ -11,7 +11,7 @@
 //
 // Layering contract (tools/check_layering.py): telemetry is a leaf — it may
 // include only other telemetry headers and common/thread_annotations.h.
-// UCUDNN_WATCHDOG_MS is therefore read with std::getenv directly.
+// The owner supplies the options (serve::Server reads UCUDNN_WATCHDOG_MS).
 #pragma once
 
 #include <atomic>
@@ -43,10 +43,6 @@ struct WatchdogOptions {
   int overload_level_threshold = 3;
   /// Incidents also trigger FlightRecorder::auto_dump.
   bool dump_on_incident = true;
-
-  /// period_ms from UCUDNN_WATCHDOG_MS (unset/invalid = 0 = off), the rest
-  /// defaulted.
-  static WatchdogOptions from_env();
 };
 
 /// One vital-sign snapshot produced by the owner's sampling callback.
@@ -96,7 +92,8 @@ class Watchdog {
  private:
   void loop();
   void evaluate(const WatchdogSample& sample);
-  void emit(const std::string& kind, std::string detail, double value,
+  /// `kind` is a string literal: the flight recorder keeps the pointer.
+  void emit(const char* kind, std::string detail, double value,
             double threshold);
 
   const WatchdogOptions opts_;

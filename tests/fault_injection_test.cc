@@ -22,6 +22,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -68,7 +69,7 @@ TEST_F(FaultInjectionTest, RejectsMalformedSpecs) {
   for (const char* bad :
        {"bogus:every=1", "alloc:frequency=2", "alloc:every=x", "alloc:every=0",
         "kernel:p=1.5", "kernel:p=oops", "cache:every=1", "cache:flagless",
-        "alloc:corrupt-load"}) {
+        "alloc:corrupt-load", "serve.exce:every=1", "acme.later:every=1"}) {
     try {
       fi.configure(bad);
       FAIL() << "expected kInvalidValue for spec: " << bad;
@@ -78,52 +79,6 @@ TEST_F(FaultInjectionTest, RejectsMalformedSpecs) {
   }
   // A failed configure never leaves the injector half-armed.
   EXPECT_FALSE(fi.armed());
-}
-
-TEST_F(FaultInjectionTest, DottedSiteClausesParkUntilRegistration) {
-  FaultInjector& fi = FaultInjector::instance();
-  // A clause naming a dotted (namespaced) site parses before the site
-  // exists: it parks, arms the injector, and applies the moment the site
-  // registers — so UCUDNN_FAULTS works no matter whether the subsystem that
-  // owns the site initializes before or after the spec is read.
-  fi.configure("acme.later:every=2,count=3");
-  EXPECT_TRUE(fi.armed());
-  EXPECT_FALSE(fi.find_site("acme.later").has_value());
-
-  const FaultSiteId id =
-      fi.register_site("acme.later", Status::kInternalError);
-  ASSERT_TRUE(fi.find_site("acme.later").has_value());
-  EXPECT_EQ(*fi.find_site("acme.later"), id);
-  EXPECT_TRUE(fi.spec(id).enabled);
-  EXPECT_EQ(fi.spec(id).every, 2u);
-  EXPECT_EQ(fi.spec(id).count, 3u);
-  EXPECT_FALSE(fi.should_fail(id));
-  EXPECT_TRUE(fi.should_fail(id));
-
-  // Re-registration is idempotent: same id, schedule and counters intact.
-  EXPECT_EQ(fi.register_site("acme.later", Status::kAllocFailed), id);
-  EXPECT_EQ(fi.stats(id).checks, 2u);
-  EXPECT_TRUE(fi.spec(id).enabled);
-
-  // The reverse order works identically: configuring an already-registered
-  // dynamic site applies directly, and fail_point throws the status the
-  // site was first registered with.
-  fi.configure("acme.later:every=1");
-  try {
-    fi.fail_point(id);
-    FAIL() << "expected the registered status";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.status(), Status::kInternalError);
-  }
-
-  // An empty spec disarms parked clauses too, and a non-dotted unknown name
-  // is still rejected as a typo.
-  fi.configure("zzz.unseen:every=1");
-  EXPECT_TRUE(fi.armed());
-  fi.configure("");
-  EXPECT_FALSE(fi.armed());
-  EXPECT_THROW(fi.configure("acmelater:every=1"), Error);
-  EXPECT_THROW(fi.register_site("undotted", Status::kInternalError), Error);
 }
 
 TEST_F(FaultInjectionTest, EveryNScheduleIsDeterministic) {
@@ -177,6 +132,19 @@ TEST_F(FaultInjectionTest, FailPointThrowsTheMappedStatus) {
     FAIL() << "expected kExecutionFailed";
   } catch (const Error& e) {
     EXPECT_EQ(e.status(), Status::kExecutionFailed);
+  }
+  // The serve.* sites are part of the table: no Server needs to exist.
+  fi.configure("serve.enqueue;serve.batch;serve.exec");
+  for (const auto& [site, status] :
+       {std::pair{FaultSite::kServeEnqueue, Status::kRejected},
+        std::pair{FaultSite::kServeBatch, Status::kExecutionFailed},
+        std::pair{FaultSite::kServeExec, Status::kExecutionFailed}}) {
+    try {
+      fi.fail_point(site);
+      FAIL() << "expected " << to_string(status) << " at " << to_string(site);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), status) << to_string(site);
+    }
   }
   // Disabled site: fail_point is a no-op even while armed.
   EXPECT_NO_THROW(fi.fail_point(FaultSite::kCacheSave));
@@ -690,6 +658,14 @@ TEST(FaultSoakEnvTest, CompletesUnderEnvSchedule) {
                   FaultInjector::instance().stats(FaultSite::kKernel).triggered,
               0u);
   }
+}
+
+// Run by the fault_soak_env_malformed ctest with UCUDNN_FAULTS naming a site
+// that does not exist ("serve.exce"): the constructor logs and ignores the
+// spec, so nothing is armed. Without the variable the injector is disarmed
+// too.
+TEST(FaultSoakEnvTest, MalformedEnvSpecLeavesInjectorDisarmed) {
+  EXPECT_FALSE(FaultInjector::instance().armed());
 }
 
 }  // namespace

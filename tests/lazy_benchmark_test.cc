@@ -395,8 +395,9 @@ TEST(LazyBenchmarkCacheTest, KeysEncodeDilationAndModeAndOldFilesMiss) {
   EXPECT_FALSE(cache.find("HostCpu", ConvKernelType::kForward, dilated));
   EXPECT_FALSE(cache.find("HostCpu", ConvKernelType::kForward, convolution));
 
-  // A database keyed by the problem hash alone, as files were written
-  // before, loads cleanly; its entries just never match.
+  // A line keyed by the problem hash alone, as files were written before,
+  // loads cleanly but is dropped: no lookup could match it, and a save must
+  // not carry it along.
   const std::string path =
       (std::filesystem::temp_directory_path() / "ucudnn_lazy_hash_keys.db")
           .string();
@@ -408,8 +409,14 @@ TEST(LazyBenchmarkCacheTest, KeysEncodeDilationAndModeAndOldFilesMiss) {
   }
   BenchmarkCache loaded;
   EXPECT_EQ(loaded.load_file(path), CacheLoadResult::kLoaded);
-  EXPECT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.size(), 0u);
   EXPECT_FALSE(loaded.find("HostCpu", ConvKernelType::kForward, p));
+  loaded.save_file(path);
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    EXPECT_TRUE(line.empty() || line[0] == '#') << line;
+  }
   std::remove(path.c_str());
 }
 

@@ -125,20 +125,6 @@ TEST(FlightRecorderTest, PerThreadRingsMergeIntoOneTimeline) {
   }
 }
 
-TEST(FlightRecorderTest, InternReturnsStablePointerPerString) {
-  FlightRecorder recorder(16, "");
-  const char* a = recorder.intern("dynamic.name");
-  const char* b = recorder.intern("dynamic.name");
-  const char* c = recorder.intern("other.name");
-  EXPECT_EQ(a, b);  // idempotent: same storage
-  EXPECT_NE(a, c);
-  EXPECT_STREQ(a, "dynamic.name");
-  recorder.record(FlightEventKind::kFault, a, 0, 1, 0);
-  const std::vector<FlightEvent> events = recorder.snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, a);
-}
-
 TEST(FlightRecorderTest, ToJsonIsValidAndCarriesSchema) {
   FlightRecorder recorder(16, "");
   recorder.record(FlightEventKind::kStatus, "kSuccess", 42, 0, 0);
