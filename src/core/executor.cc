@@ -52,10 +52,11 @@ void Executor::run(const ExecutionPlan& plan, float alpha, const float* a,
   const analysis::ScopedAuditContext audit_context(
       plan.binding.kind == WorkspaceKind::kWdArena ? "WD" : "WR");
 
-  // The segment list is mutable: when an algorithm keeps failing past the
-  // retry budget, the not-yet-executed tail is spliced out for replacement
-  // segments from the ReplanFn.
-  std::vector<PlanSegment> segments = plan.segments;
+  // The plan's own segments, until an algorithm keeps failing past the
+  // retry budget: then the executed head is copied into `spliced` and the
+  // not-yet-executed tail replaced by segments from the ReplanFn.
+  const std::vector<PlanSegment>* segments = &plan.segments;
+  std::vector<PlanSegment> spliced;
   // On a simulated device the wall-clock Timer reads ~0 (virtual execution
   // only advances the modeled stream clock), so measured segment times are
   // taken as device-clock deltas there — the quantity the planner's
@@ -65,8 +66,8 @@ void Executor::run(const ExecutionPlan& plan, float alpha, const float* a,
   std::int64_t done = 0;
   int replans = 0;
   std::size_t idx = 0;
-  while (idx < segments.size()) {
-    const PlanSegment segment = segments[idx];
+  while (idx < segments->size()) {
+    const PlanSegment segment = (*segments)[idx];
     const telemetry::ScopedSpan span("segment_exec", [&] {
       return "batch=" + std::to_string(segment.batch) +
              " algo=" + std::to_string(segment.algo);
@@ -130,8 +131,13 @@ void Executor::run(const ExecutionPlan& plan, float alpha, const float* a,
           telemetry::FlightRecorder::instance().auto_dump("executor.blacklist");
         }
         std::vector<PlanSegment> tail = replan(segment.algo, done, replans);
-        segments.resize(idx);
-        segments.insert(segments.end(), tail.begin(), tail.end());
+        if (segments == &spliced) {
+          spliced.resize(idx);
+        } else {
+          spliced.assign(segments->begin(), segments->begin() + idx);
+          segments = &spliced;
+        }
+        spliced.insert(spliced.end(), tail.begin(), tail.end());
         replanned = true;
         break;
       }

@@ -165,17 +165,18 @@ Planner::WrEntry& Planner::wr_entry(KernelId id) {
 
   // Tag workspace memory with the layer label.
   const std::string tag = kernel.label + ":ws";
-  DeviceBuffer ws;
+  std::shared_ptr<DeviceBuffer> ws;
   for (;;) {
     try {
       if (options_.share_wr_workspace) {
-        // Sequential execution: one shared buffer, grown to the largest need.
-        if (config.workspace > shared_ws_.size()) {
-          shared_ws_ = DeviceBuffer(handle_.device_ptr(), config.workspace,
-                                    "shared:ws");
+        // One buffer for every kernel, grown to the largest need.
+        if (config.workspace > shared_ws_->size()) {
+          shared_ws_ = std::make_shared<DeviceBuffer>(
+              handle_.device_ptr(), config.workspace, "shared:ws");
         }
       } else {
-        ws = DeviceBuffer(handle_.device_ptr(), config.workspace, tag);
+        ws = std::make_shared<DeviceBuffer>(handle_.device_ptr(),
+                                            config.workspace, tag);
       }
       break;
     } catch (const Error& e) {
@@ -251,8 +252,8 @@ void Planner::finalize_wd() {
       return;
     }
     try {
-      wd_arena_ = DeviceBuffer(handle_.device_ptr(), plan.total_workspace,
-                               "wd_arena");
+      wd_arena_ = std::make_shared<DeviceBuffer>(
+          handle_.device_ptr(), plan.total_workspace, "wd_arena");
       break;
     } catch (const Error& e) {
       if (e.status() != Status::kAllocFailed || options_.fail_fast ||
@@ -305,32 +306,28 @@ std::string Planner::provenance_for(KernelId id) const {
   return prefix + (wr && wr->degraded ? "wr_dp(degraded)" : "wr_dp");
 }
 
-void Planner::apply_pending_invalidations() {
-  if (pending_invalidations_.empty()) return;
-  for (const auto& [type, algo] : pending_invalidations_) {
-    const auto uses = [algo = algo](const Configuration& config) {
-      return std::any_of(config.micro.begin(), config.micro.end(),
-                         [&](const MicroConfig& m) { return m.algo == algo; });
-    };
-    for (KernelId id = 0; id < kernels_.size(); ++id) {
-      std::optional<WrEntry>& wr = slots_[id].wr;
-      if (wr && kernels_[id].type == type && uses(wr->config)) wr.reset();
-    }
-    if (wd_plan_) {
-      const std::vector<WdAssignment>& assignments = wd_plan_->assignments;
-      for (KernelId id = 0; id < assignments.size(); ++id) {
-        if (kernels_[id].type == type && uses(assignments[id].config)) {
-          // The whole arena layout depends on every assignment; re-plan from
-          // scratch at the next finalize (the blacklist filter makes the new
-          // plan avoid the algorithm).
-          wd_plan_.reset();
-          wd_arena_ = DeviceBuffer();
-          break;
-        }
+void Planner::invalidate(ConvKernelType type, int algo) {
+  const auto uses = [algo](const Configuration& config) {
+    return std::any_of(config.micro.begin(), config.micro.end(),
+                       [&](const MicroConfig& m) { return m.algo == algo; });
+  };
+  for (KernelId id = 0; id < kernels_.size(); ++id) {
+    std::optional<WrEntry>& wr = slots_[id].wr;
+    if (wr && kernels_[id].type == type && uses(wr->config)) wr.reset();
+  }
+  if (wd_plan_) {
+    const std::vector<WdAssignment>& assignments = wd_plan_->assignments;
+    for (KernelId id = 0; id < assignments.size(); ++id) {
+      if (kernels_[id].type == type && uses(assignments[id].config)) {
+        // The whole arena layout depends on every assignment; re-plan from
+        // scratch at the next finalize (the blacklist filter makes the new
+        // plan avoid the algorithm).
+        wd_plan_.reset();
+        wd_arena_ = std::make_shared<DeviceBuffer>();
+        break;
       }
     }
   }
-  pending_invalidations_.clear();
 }
 
 void Planner::note_wd_fallback(KernelId id) {
@@ -343,9 +340,11 @@ void Planner::note_wd_fallback(KernelId id) {
   }
 }
 
-PlannedConvolution Planner::resolve(std::shared_ptr<const ExecutionPlan> plan,
-                                    KernelId id) {
-  PlannedConvolution planned;
+std::optional<PlannedConvolution> Planner::resolve(
+    std::shared_ptr<const ExecutionPlan> plan, KernelId id) {
+  std::shared_ptr<DeviceBuffer> home;
+  std::size_t offset = 0;
+  std::size_t bytes = 0;
   switch (plan->binding.kind) {
     case WorkspaceKind::kNone:
       break;
@@ -356,28 +355,71 @@ PlannedConvolution Planner::resolve(std::shared_ptr<const ExecutionPlan> plan,
       // so a cached plan can only be fetched while its entry is alive.
       check(wr.has_value(), Status::kInternalError,
             "cached plan without a live WR entry");
-      planned.workspace = wr->workspace.data();
-      planned.workspace_bytes = wr->workspace.size();
+      home = wr->workspace;
+      bytes = home->size();
       break;
     }
     case WorkspaceKind::kSharedWr:
       // The shared buffer only grows; resolve against its live extent.
-      planned.workspace = shared_ws_.data();
-      planned.workspace_bytes = shared_ws_.size();
+      home = shared_ws_;
+      bytes = home->size();
       break;
-    case WorkspaceKind::kWdArena: {
-      char* arena = static_cast<char*>(wd_arena_.data());
-      planned.workspace =
-          arena == nullptr ? nullptr : arena + plan->binding.offset;
-      planned.workspace_bytes = plan->binding.bytes;
+    case WorkspaceKind::kWdArena:
+      home = wd_arena_;
+      offset = plan->binding.offset;
+      bytes = plan->binding.bytes;
       break;
-    }
   }
-  planned.plan = std::move(plan);
+  PlannedConvolution planned{std::move(plan), {}};
+  if (bytes == 0) return planned;
+  const std::pair<const DeviceBuffer*, std::size_t> slice{home.get(), offset};
+  if (std::find(leased_.begin(), leased_.end(), slice) == leased_.end()) {
+    leased_.push_back(slice);
+    planned.lease = {std::move(home), offset, bytes, false};
+  } else if (std::shared_ptr<DeviceBuffer> spare = take_spare(bytes)) {
+    planned.lease = {std::move(spare), 0, bytes, true};
+  } else {
+    return std::nullopt;
+  }
   return planned;
 }
 
-PlannedConvolution Planner::plan(KernelId id) {
+std::shared_ptr<DeviceBuffer> Planner::take_spare(std::size_t bytes) {
+  const auto it = std::find_if(
+      spares_.begin(), spares_.end(),
+      [bytes](const std::shared_ptr<DeviceBuffer>& s) {
+        return s->size() == bytes;
+      });
+  if (it != spares_.end()) {
+    std::shared_ptr<DeviceBuffer> spare = std::move(*it);
+    spares_.erase(it);
+    return spare;
+  }
+  try {
+    return std::make_shared<DeviceBuffer>(handle_.device_ptr(), bytes,
+                                          "spare:ws");
+  } catch (const Error& e) {
+    if (e.status() != Status::kAllocFailed) throw;
+    UCUDNN_LOG_DEBUG << "spare workspace of " << bytes << " bytes failed ("
+                     << e.what() << "); waiting for the home buffer";
+    return nullptr;
+  }
+}
+
+void Planner::release(WorkspaceLease lease) {
+  if (lease.buffer == nullptr) return;
+  if (lease.spare) {
+    spares_.push_back(std::move(lease.buffer));
+    return;
+  }
+  const auto it =
+      std::find(leased_.begin(), leased_.end(),
+                std::pair<const DeviceBuffer*, std::size_t>{
+                    lease.buffer.get(), lease.offset});
+  if (it != leased_.end()) leased_.erase(it);
+}
+
+std::optional<PlannedConvolution> Planner::plan(KernelId id) {
   const KernelRequest& kernel = kernels_[id];
   const std::uint64_t epoch = plan_cache_.epoch();
   if (wd_active()) {
@@ -411,9 +453,9 @@ PlannedConvolution Planner::plan(KernelId id) {
   WrEntry& entry = wr_entry(id);
   const WorkspaceBinding binding =
       options_.share_wr_workspace
-          ? WorkspaceBinding{WorkspaceKind::kSharedWr, 0, shared_ws_.size()}
+          ? WorkspaceBinding{WorkspaceKind::kSharedWr, 0, shared_ws_->size()}
           : WorkspaceBinding{WorkspaceKind::kPerKernel, 0,
-                             entry.workspace.size()};
+                             entry.workspace->size()};
   std::shared_ptr<const ExecutionPlan> built;
   {
     const telemetry::ScopedSpan span("plan_build",
@@ -435,12 +477,11 @@ std::vector<PlanSegment> Planner::replan_tail(
   const std::string& device_name = handle_.device().spec().name;
   benchmarker_.cache()->blacklist(device_name, type, algo);
   stats_.blacklisted_algorithms.add();
-  // Cached WR/WD plans referencing the algorithm are stale now, but their
-  // workspace is live in the current call chain — the epoch bump makes them
-  // unreachable immediately; the buffers themselves are reclaimed at the
-  // next plan() entry via apply_pending_invalidations().
+  // Cached WR/WD plans referencing the algorithm are stale now: the epoch
+  // bump makes them unreachable, and their buffers go at once — calls still
+  // running on them (this one included) hold leases that keep them alive.
   plan_cache_.bump_epoch();
-  pending_invalidations_.emplace_back(type, algo);
+  invalidate(type, algo);
   // Each re-plan retires one algorithm, so the algorithm count bounds the
   // recursion; past that the failure is systemic, not algorithmic.
   check(replans <= kernels::algo_count(type), Status::kExecutionFailed,

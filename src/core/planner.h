@@ -11,6 +11,10 @@
 // problem) is interned once into a dense KernelId, and every per-kernel
 // table here and in the facade is a slot indexed by it.
 //
+// Not synchronized itself: every call runs under the facade's handle lock
+// (core/ucudnn.h). Kernels run outside that lock, so each call leases the
+// workspace its plan binds for as long as it runs (see WorkspaceLease).
+//
 // Layering contract (tools/check_layering.py): the planner may include the
 // plan IR but never the executor; execution-time policy reaches back into
 // the planner only through the callback the facade wires up.
@@ -81,8 +85,8 @@ class PlanCache {
 
   /// Returns the kernel's cached plan when its stamp equals `{wd, limit}`
   /// under the current epoch, else nullptr; counts a hit or a miss.
-  /// Thread-safe: worker handles of the serving layer (ROADMAP item 1)
-  /// share one PlanCache across threads.
+  /// Thread-safe on its own, so its counters can be read without the
+  /// handle lock.
   std::shared_ptr<const ExecutionPlan> lookup(KernelId id, bool wd,
                                               std::size_t limit);
   /// Stores `plan` as the kernel's entry, replacing any previous one.
@@ -120,13 +124,28 @@ class PlanCache {
   telemetry::InstanceCounter misses_{"ucudnn.plan_cache.misses"};
 };
 
-/// A plan plus its workspace binding resolved to the live buffer. The
-/// pointer is only valid for the duration of the convolution call it was
-/// fetched for (buffers may be reallocated by later degradation events).
+/// One call's hold on the workspace its plan binds: the plan's home buffer
+/// (a WR buffer, the shared WR buffer, or the kernel's WD arena slice), or a
+/// same-size spare when another call holds the home. The buffer is shared,
+/// so invalidating the home while the call runs cannot free it under the
+/// kernel. Handed back with Planner::release().
+struct WorkspaceLease {
+  std::shared_ptr<DeviceBuffer> buffer;  ///< null when nothing is leased
+  std::size_t offset = 0;                ///< byte offset of the slice
+  std::size_t bytes = 0;                 ///< bytes the call may use
+  bool spare = false;                    ///< a spare, not the home buffer
+
+  void* data() const noexcept {
+    return buffer == nullptr
+               ? nullptr
+               : static_cast<char*>(buffer->data()) + offset;
+  }
+};
+
+/// A plan plus the workspace lease the call executes it with.
 struct PlannedConvolution {
   std::shared_ptr<const ExecutionPlan> plan;
-  void* workspace = nullptr;
-  std::size_t workspace_bytes = 0;
+  WorkspaceLease lease;
 };
 
 class Planner {
@@ -155,26 +174,30 @@ class Planner {
 
   /// Returns a ready-to-run plan for the full mini-batch — from the
   /// PlanCache in steady state, otherwise by running WR/WD optimization
-  /// (with the full degradation ladder) and lowering the result.
-  PlannedConvolution plan(KernelId id);
+  /// (with the full degradation ladder) and lowering the result — with its
+  /// workspace leased. A call that finds the home buffer leased takes a
+  /// same-size spare from the free list, allocating one only when the list
+  /// has none. nullopt means that allocation failed: the caller waits for a
+  /// release() and asks again.
+  std::optional<PlannedConvolution> plan(KernelId id);
+
+  /// Hands back a lease plan() took: the home buffer becomes free again
+  /// (unless invalidation replaced it meanwhile, in which case the old
+  /// buffer dies with the lease), and a spare returns to the free list.
+  void release(WorkspaceLease lease);
 
   /// Retry-budget exhaustion policy, called back from the Executor via the
   /// facade: blacklists `algo` on this device, bumps the PlanCache epoch,
-  /// queues the stale WR/WD state for deferred invalidation, re-benchmarks
-  /// the unexecuted tail (counted in total_replan_benchmark_ms), re-runs the
-  /// WR DP within the workspace already held, and returns splice-ready
-  /// segments. `replans` is the per-execution re-plan ordinal; past the
-  /// algorithm count the failure is systemic and kExecutionFailed is thrown.
+  /// drops the WR entries and the WD plan that use the algorithm (calls in
+  /// flight keep their leased buffers), re-benchmarks the unexecuted tail
+  /// (counted in total_replan_benchmark_ms), re-runs the WR DP within the
+  /// workspace already held, and returns splice-ready segments. `replans` is
+  /// the per-execution re-plan ordinal; past the algorithm count the failure
+  /// is systemic and kExecutionFailed is thrown.
   std::vector<PlanSegment> replan_tail(ConvKernelType type,
                                        const kernels::ConvProblem& problem,
                                        int algo, std::int64_t done,
                                        std::size_t ws_bytes, int replans);
-
-  /// Drops WR entries / WD plans that reference blacklisted algorithms.
-  /// Deferred to the next plan() entry (the facade calls this first) because
-  /// the invalidating event happens mid-execution, while the stale plan's
-  /// workspace pointer is still in use.
-  void apply_pending_invalidations();
 
   // --- WD control (§III-E) ---------------------------------------------
 
@@ -226,7 +249,7 @@ class Planner {
   struct WrEntry {
     std::size_t limit = 0;  // the effective limit the entry was built under
     Configuration config;
-    DeviceBuffer workspace;
+    std::shared_ptr<DeviceBuffer> workspace;
     bool degraded = false;  // re-optimized under a halved limit after OOM
   };
   /// Per-kernel planner state, indexed by KernelId.
@@ -249,8 +272,14 @@ class Planner {
                          const kernels::ConvProblem& problem,
                          MicroBenchmark& bench, std::size_t limit);
   const WdAssignment* wd_assignment(KernelId id) const;
-  PlannedConvolution resolve(std::shared_ptr<const ExecutionPlan> plan,
-                             KernelId id);
+  /// Leases the workspace `plan` binds (see plan()).
+  std::optional<PlannedConvolution> resolve(
+      std::shared_ptr<const ExecutionPlan> plan, KernelId id);
+  /// A free spare of exactly `bytes`, allocated when the free list has none;
+  /// null when that allocation fails.
+  std::shared_ptr<DeviceBuffer> take_spare(std::size_t bytes);
+  /// Drops the WR entries and the WD plan whose divisions use `algo`.
+  void invalidate(ConvKernelType type, int algo);
   void note_wd_fallback(KernelId id);
 
   mcudnn::Handle& handle_;
@@ -261,12 +290,17 @@ class Planner {
   std::vector<KernelSlot> slots_;       // parallel to kernels_
   // Interning index: problem hash -> ids in that bucket (compared by value).
   std::unordered_multimap<std::size_t, KernelId> index_;
-  DeviceBuffer shared_ws_;  // used when options_.share_wr_workspace
+  // used when options_.share_wr_workspace
+  std::shared_ptr<DeviceBuffer> shared_ws_ = std::make_shared<DeviceBuffer>();
   std::optional<WdPlan> wd_plan_;
-  DeviceBuffer wd_arena_;
+  std::shared_ptr<DeviceBuffer> wd_arena_ = std::make_shared<DeviceBuffer>();
   bool wd_degraded_to_wr_ = false;  // infeasible WD plan -> per-kernel WR
   PlanCache plan_cache_;
-  std::vector<std::pair<ConvKernelType, int>> pending_invalidations_;
+  // Home slices leased to running calls, as (buffer, offset): a WR buffer
+  // or the shared WR buffer at offset 0, or a WD arena slice.
+  std::vector<std::pair<const DeviceBuffer*, std::size_t>> leased_;
+  // Free spares; a spare is allocated only when two calls collide.
+  std::vector<std::shared_ptr<DeviceBuffer>> spares_;
   telemetry::InstanceDoubleCounter total_optimize_ms_{
       "ucudnn.planner.optimize_ms"};
   telemetry::InstanceDoubleCounter total_replan_benchmark_ms_{

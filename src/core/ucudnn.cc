@@ -90,6 +90,7 @@ UcudnnHandle::~UcudnnHandle() {
 }
 
 void UcudnnHandle::set_next_kernel_label(std::string label) {
+  MutexLock lock(mutex_);
   next_label_ = std::move(label);
 }
 
@@ -121,6 +122,7 @@ int UcudnnHandle::get_algorithm(ConvKernelType type,
                                 const kernels::ConvProblem& problem,
                                 mcudnn::AlgoPreference preference,
                                 std::size_t ws_limit) {
+  MutexLock lock(mutex_);
   // After WD finalization further queries are ignored (§III-E).
   if (wd_finalized()) return kVirtualAlgo;
 
@@ -133,13 +135,18 @@ int UcudnnHandle::get_algorithm(ConvKernelType type,
 MicroBenchmark UcudnnHandle::benchmark(ConvKernelType type,
                                        const kernels::ConvProblem& problem,
                                        BatchSizePolicy policy) {
+  MutexLock lock(mutex_);
   return planner_.benchmarker().run(type, problem, policy);
 }
 
-void UcudnnHandle::finalize_wd() { planner_.finalize_wd(); }
+void UcudnnHandle::finalize_wd() {
+  MutexLock lock(mutex_);
+  planner_.finalize_wd();
+}
 
 const Configuration* UcudnnHandle::configuration_for(
     ConvKernelType type, const kernels::ConvProblem& problem) {
+  MutexLock lock(mutex_);
   const std::optional<KernelId> id = planner_.find_kernel(type, problem);
   return id ? planner_.configuration_for(*id) : nullptr;
 }
@@ -158,58 +165,98 @@ void UcudnnHandle::convolution(ConvKernelType type,
                                const kernels::ConvProblem& problem, float alpha,
                                const float* a, const float* b, float beta,
                                float* out) {
-  planner_.apply_pending_invalidations();
-  const KernelId id = record_kernel(type, problem);
-  const PlannedConvolution planned = planner_.plan(id);
+  KernelId id = 0;
+  std::optional<PlannedConvolution> planned;
+  {
+    MutexLock lock(mutex_);
+    id = record_kernel(type, problem);
+    // nullopt: the home workspace is leased and no spare could be
+    // allocated, so wait for a call to hand its lease back.
+    while (!(planned = planner_.plan(id))) lease_returned_.wait(mutex_);
 
-  // Execution-report bookkeeping: refresh the record when the plan changed
-  // (first call, re-optimization, or epoch bump), which resets segment stats.
-  KernelExecRecord& record = exec_record(id);
-  if (record.plan != planned.plan) {
-    record.plan = planned.plan;
-    record.provenance = planner_.provenance_for(id);
-    record.ws_limit = planned.plan->binding.kind == WorkspaceKind::kWdArena
-                          ? options_.total_workspace_size
-                          : planner_.effective_limit(id);
-    record.segments.clear();
-    record.segments.reserve(planned.plan->segments.size());
-    for (const PlanSegment& seg : planned.plan->segments) {
-      record.segments.push_back(segment_report(type, seg));
+    // Execution-report bookkeeping: refresh the record when the plan changed
+    // (first call, re-optimization, or epoch bump), which resets segment
+    // stats.
+    KernelExecRecord& record = exec_record(id);
+    if (record.plan != planned->plan) {
+      record.plan = planned->plan;
+      record.provenance = planner_.provenance_for(id);
+      record.ws_limit = planned->plan->binding.kind == WorkspaceKind::kWdArena
+                            ? options_.total_workspace_size
+                            : planner_.effective_limit(id);
+      record.segments.clear();
+      record.segments.reserve(planned->plan->segments.size());
+      for (const PlanSegment& seg : planned->plan->segments) {
+        record.segments.push_back(segment_report(type, seg));
+      }
     }
+    ++record.executions;
   }
-  ++record.executions;
-  const std::uint64_t replans_before = record.replans;
-  std::size_t executed = 0;
 
-  executor_.run(
-      *planned.plan, alpha, a, b, beta, out, planned.workspace,
-      planned.workspace_bytes,
-      [&](int algo, std::int64_t done, int replans) {
-        ++record.replans;
-        return planner_.replan_tail(type, problem, algo, done,
-                                    planned.workspace_bytes, replans);
-      },
-      [&](std::size_t idx, const PlanSegment& seg, double measured_ms) {
-        if (idx >= record.segments.size()) record.segments.resize(idx + 1);
-        telemetry::SegmentReport& s = record.segments[idx];
-        if (s.batch != seg.batch || s.algo != seg.algo) {
+  // Filled while the kernel runs, without the lock. Reused per thread, so a
+  // steady call allocates nothing for it.
+  thread_local std::vector<MeasuredSegment> measured;
+  measured.clear();
+  int replans = 0;
+  const WorkspaceLease& lease = planned->lease;
+  try {
+    executor_.run(
+        *planned->plan, alpha, a, b, beta, out, lease.data(), lease.bytes,
+        [&](int algo, std::int64_t done, int ordinal) {
+          ++replans;
+          MutexLock lock(mutex_);
+          return planner_.replan_tail(type, problem, algo, done, lease.bytes,
+                                      ordinal);
+        },
+        [](std::size_t idx, const PlanSegment& seg, double measured_ms) {
+          measured.push_back({idx, seg, measured_ms});
+        });
+  } catch (...) {
+    finish_call(id, *planned, replans, measured, false);
+    throw;
+  }
+  finish_call(id, *planned, replans, measured, true);
+}
+
+void UcudnnHandle::finish_call(KernelId id, PlannedConvolution& planned,
+                               int replans,
+                               const std::vector<MeasuredSegment>& measured,
+                               bool completed) {
+  {
+    MutexLock lock(mutex_);
+    planner_.release(std::move(planned.lease));
+    KernelExecRecord& record = *exec_records_[id];
+    record.replans += static_cast<std::uint64_t>(replans);
+    // A plan replaced since this call began has reset the stats; times of
+    // the old plan are dropped.
+    if (record.plan == planned.plan) {
+      std::size_t executed = 0;
+      for (const MeasuredSegment& m : measured) {
+        if (m.index >= record.segments.size()) {
+          record.segments.resize(m.index + 1);
+        }
+        telemetry::SegmentReport& s = record.segments[m.index];
+        if (s.batch != m.segment.batch || s.algo != m.segment.algo) {
           // A tail re-plan replaced the schedule at this index; restart its
           // stats from the replacement segment's estimate.
-          s = segment_report(type, seg);
+          s = segment_report(planned.plan->type, m.segment);
         }
-        s.measured_ms_total += measured_ms;
+        s.measured_ms_total += m.ms;
         ++s.runs;
-        executed = std::max(executed, idx + 1);
-      });
-
-  if (record.replans != replans_before && record.segments.size() > executed) {
-    // The re-planned schedule is shorter than the recorded one; the stale
-    // tail slots were never run under the new plan.
-    record.segments.resize(executed);
+        executed = std::max(executed, m.index + 1);
+      }
+      if (completed && replans > 0 && record.segments.size() > executed) {
+        // The re-planned schedule is shorter than the recorded one; the
+        // stale tail slots were never run under the new plan.
+        record.segments.resize(executed);
+      }
+    }
   }
+  lease_returned_.notify_all();
 }
 
 telemetry::ExecutionReport UcudnnHandle::execution_report() const {
+  MutexLock lock(mutex_);
   telemetry::ExecutionReport report;
   report.device = handle_.device().spec().name;
   report.policy = std::string(to_string(options_.workspace_policy));
@@ -256,6 +303,7 @@ telemetry::ExecutionReport UcudnnHandle::execution_report() const {
 }
 
 double UcudnnHandle::estimation_error_pct() const noexcept {
+  MutexLock lock(mutex_);
   telemetry::SegmentErrorMean mean;
   for (const KernelId id : exec_order_) mean.add(exec_records_[id]->segments);
   return mean.pct();

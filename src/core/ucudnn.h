@@ -17,6 +17,15 @@
 //
 // The handle itself is a thin facade; policy lives in core/planner.h and
 // mechanics in core/executor.h, with core/plan.h as the IR between them.
+//
+// Threads: convolution() may be called from several threads on one handle.
+// One handle lock guards the planner and the execution records; a steady
+// call holds it only to fetch its plan and lease its workspace, and again
+// to record the segment times, never while the kernel runs. Planning, a
+// tail re-plan and the first call of a new kernel run under the lock, so
+// they serialize. set_next_kernel_label() followed by get_algorithm() (or
+// the call that records the kernel) remains a single-threaded framework
+// protocol: the label goes to whichever kernel any thread records next.
 #pragma once
 
 #include <limits>
@@ -31,6 +40,7 @@
 #include "core/plan.h"
 #include "core/planner.h"
 #include "core/types.h"
+#include "common/thread_annotations.h"
 #include "core/wd_optimizer.h"
 #include "mcudnn/mcudnn.h"
 #include "telemetry/report.h"
@@ -82,7 +92,8 @@ class UcudnnHandle {
 
   /// Runs the optimized micro-batched convolution: plan (or PlanCache hit),
   /// then execute — with the planner's tail-re-plan policy wired into the
-  /// executor's failure handling.
+  /// executor's failure handling. Safe to call from several threads; the
+  /// kernel runs without the handle lock.
   void convolution(ConvKernelType type, const kernels::ConvProblem& problem,
                    float alpha, const float* a, const float* b, float beta,
                    float* out);
@@ -100,7 +111,7 @@ class UcudnnHandle {
   // --- introspection (benches, tests) ----------------------------------
 
   /// The configuration that will run / ran for this kernel (null before
-  /// optimization).
+  /// optimization). Valid until the next re-plan of the kernel.
   const Configuration* configuration_for(ConvKernelType type,
                                          const kernels::ConvProblem& problem);
 
@@ -163,26 +174,48 @@ class UcudnnHandle {
     std::vector<telemetry::SegmentReport> segments;
   };
 
+  /// One executed segment, collected without the lock while the kernel
+  /// runs and merged into the record afterwards.
+  struct MeasuredSegment {
+    std::size_t index = 0;
+    PlanSegment segment;
+    double ms = 0.0;
+  };
+
   /// The execution record for this kernel, created on first execution.
-  KernelExecRecord& exec_record(KernelId id);
+  KernelExecRecord& exec_record(KernelId id) REQUIRES(mutex_);
   /// Interns the kernel with the planner, appending it to the recorded list
   /// if unseen (frameworks that never call GetConvolution*Algorithm — the
   /// TensorFlow integration style, §IV-B2 — are recorded on first
   /// execution), and consumes the pending label either way.
   KernelId record_kernel(ConvKernelType type,
-                         const kernels::ConvProblem& problem);
+                         const kernels::ConvProblem& problem)
+      REQUIRES(mutex_);
+  /// Merges one call's segment times into the kernel's record and hands
+  /// back its workspace lease.
+  /// `completed` is false when the call threw.
+  void finish_call(KernelId id, PlannedConvolution& planned, int replans,
+                   const std::vector<MeasuredSegment>& measured,
+                   bool completed) EXCLUDES(mutex_);
   void init_cache_from_file();
 
   mcudnn::Handle handle_;
   Options options_;
   DegradationStats stats_;  // shared by reference with planner_/executor_
+  // The handle lock. It also guards planner_, which is not annotated so
+  // its lock-free counters and the framework-protocol accessors above stay
+  // readable without it.
+  mutable Mutex mutex_{"ucudnn.Handle"};
+  // Signalled when a call hands back a workspace lease.
+  CondVar lease_returned_;
   Planner planner_;
   Executor executor_;
-  std::string next_label_;
+  std::string next_label_ GUARDED_BY(mutex_);
   // Execution records indexed by KernelId (empty until first execution);
   // exec_order_ lists the executed ids in first-execution order.
-  std::vector<std::optional<KernelExecRecord>> exec_records_;
-  std::vector<KernelId> exec_order_;
+  std::vector<std::optional<KernelExecRecord>> exec_records_
+      GUARDED_BY(mutex_);
+  std::vector<KernelId> exec_order_ GUARDED_BY(mutex_);
 };
 
 // --- free-function overloads mirroring the mcudnn problem-level API -------

@@ -230,7 +230,6 @@ void Server::execute_once(const std::vector<TicketPtr>& batch) {
       return merged.problem.to_string() + " total=" +
              std::to_string(merged.total);
     });
-    MutexLock lock(exec_mutex_);
     handle_.convolution(merged.type, merged.problem, merged.alpha, merged.a,
                         merged.b, merged.beta, merged.out);
     // After the convolution so an injected failure models the worst case: a
@@ -350,10 +349,9 @@ void Server::process_batch(std::vector<TicketPtr>& batch) {
     }
   }
   if (opts_.watchdog_ms > 0) {
-    // Refresh the est-vs-measured drift vital sign (the handle's exec
-    // records share its exec lock). Decided from the options, not from
-    // watchdog_, so workers never touch the watchdog drain() stops.
-    MutexLock lock(exec_mutex_);
+    // Refresh the est-vs-measured drift vital sign (the handle locks its own
+    // exec records). Decided from the options, not from watchdog_, so
+    // workers never touch the watchdog drain() stops.
     last_drift_.store(handle_.estimation_error_pct() / 100.0,
                       std::memory_order_relaxed);
   }

@@ -58,8 +58,8 @@ namespace ucudnn::serve {
 class Server {
  public:
   /// The handle must outlive the server. One PlanCache / BenchmarkCache —
-  /// the handle's — is shared by every worker; execution on it is
-  /// serialized internally (UcudnnHandle is not thread-safe).
+  /// the handle's — is shared by every worker, and workers execute their
+  /// batches on it concurrently (UcudnnHandle::convolution is thread-safe).
   Server(core::UcudnnHandle& handle, ServeOptions opts);
   /// Options from the UCUDNN_SERVE_* environment.
   explicit Server(core::UcudnnHandle& handle)
@@ -140,11 +140,6 @@ class Server {
   const ServeOptions opts_;
   Batcher batcher_;
   RequestQueue queue_;
-
-  /// UcudnnHandle::convolution (planner state, exec records) is not
-  /// thread-safe; workers share the handle under this lock. PlanCache /
-  /// BenchmarkCache hits still amortize across all workers.
-  Mutex exec_mutex_{"serve.Server.exec"};
 
   std::atomic<double> ewma_ms_{0.0};
   /// steady_us() of the last EWMA update (the last executed batch).
