@@ -123,10 +123,10 @@ std::size_t BenchmarkCache::size() const {
   return entries_.size();
 }
 
-void BenchmarkCache::blacklist(const std::string& device, ConvKernelType type,
+bool BenchmarkCache::blacklist(const std::string& device, ConvKernelType type,
                                int algo) {
   MutexLock lock(mutex_);
-  blacklist_.emplace(device, type, algo);
+  return blacklist_.emplace(device, type, algo).second;
 }
 
 bool BenchmarkCache::is_blacklisted(const std::string& device,

@@ -54,8 +54,8 @@ class BenchmarkCache {
   /// benchmarker leaves it out of every table until the process exits.
   /// Blacklisting is kept in memory only — entries and the on-disk database
   /// stay untouched so one bad run does not poison the shared cluster cache
-  /// (§III-D).
-  void blacklist(const std::string& device, ConvKernelType type, int algo);
+  /// (§III-D). Returns whether the algorithm was newly blacklisted.
+  bool blacklist(const std::string& device, ConvKernelType type, int algo);
   bool is_blacklisted(const std::string& device, ConvKernelType type,
                       int algo) const;
   std::size_t blacklisted_count() const;

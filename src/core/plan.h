@@ -83,7 +83,7 @@ struct PlanSegment {
 };
 
 /// A fully-resolved micro-batched convolution: the unit handed from the
-/// planner to the executor, and the value type of the PlanCache.
+/// planner to the executor, stored in the planner's per-kernel slot.
 struct ExecutionPlan {
   ConvKernelType type = ConvKernelType::kForward;
   kernels::ConvProblem problem;       ///< the full mini-batch problem

@@ -1,7 +1,6 @@
 #include "core/planner.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -15,12 +14,6 @@
 namespace ucudnn::core {
 
 namespace {
-
-telemetry::Gauge& plan_cache_epoch_metric() {
-  static telemetry::Gauge g = telemetry::MetricsRegistry::instance().gauge(
-      "ucudnn.plan_cache.epoch");
-  return g;
-}
 
 telemetry::Counter& replans_metric() {
   static telemetry::Counter c = telemetry::MetricsRegistry::instance().counter(
@@ -38,70 +31,6 @@ DeviceBuffer::DeviceBuffer(std::shared_ptr<device::Device> dev,
 
 DeviceBuffer::~DeviceBuffer() {
   if (dev_ && ptr_ != nullptr) dev_->deallocate(ptr_);
-}
-
-DeviceBuffer::DeviceBuffer(DeviceBuffer&& other) noexcept
-    : dev_(std::move(other.dev_)),
-      ptr_(std::exchange(other.ptr_, nullptr)),
-      bytes_(std::exchange(other.bytes_, 0)) {}
-
-DeviceBuffer& DeviceBuffer::operator=(DeviceBuffer&& other) noexcept {
-  if (this != &other) {
-    if (dev_ && ptr_ != nullptr) dev_->deallocate(ptr_);
-    dev_ = std::move(other.dev_);
-    ptr_ = std::exchange(other.ptr_, nullptr);
-    bytes_ = std::exchange(other.bytes_, 0);
-  }
-  return *this;
-}
-
-std::shared_ptr<const ExecutionPlan> PlanCache::lookup(KernelId id, bool wd,
-                                                      std::size_t limit) {
-  std::shared_ptr<const ExecutionPlan> found;
-  {
-    MutexLock lock(mutex_);
-    const Stamp want{wd, limit, epoch_.load(std::memory_order_relaxed)};
-    if (id < entries_.size() && entries_[id].stamp == want) {
-      found = entries_[id].plan;
-    }
-  }
-  if (found == nullptr) {
-    misses_.add();
-    return nullptr;
-  }
-  hits_.add();
-  return found;
-}
-
-void PlanCache::insert(KernelId id, const Stamp& stamp,
-                       std::shared_ptr<const ExecutionPlan> plan) {
-  MutexLock lock(mutex_);
-  if (id >= entries_.size()) entries_.resize(id + 1);
-  entries_[id] = Entry{stamp, std::move(plan)};
-}
-
-void PlanCache::erase(KernelId id) {
-  MutexLock lock(mutex_);
-  if (id < entries_.size()) entries_[id] = Entry{};
-}
-
-void PlanCache::bump_epoch() {
-  {
-    // Entries under the old epoch can no longer match a lookup; dropping
-    // them just releases the memory eagerly.
-    MutexLock lock(mutex_);
-    entries_.clear();
-    epoch_.fetch_add(1, std::memory_order_release);
-  }
-  // Process-wide mirror: total epoch bumps across every handle.
-  plan_cache_epoch_metric().add(1);
-}
-
-std::size_t PlanCache::size() const {
-  MutexLock lock(mutex_);
-  return static_cast<std::size_t>(
-      std::count_if(entries_.begin(), entries_.end(),
-                    [](const Entry& e) { return e.plan != nullptr; }));
 }
 
 Planner::Planner(mcudnn::Handle& handle, const Options& options,
@@ -141,14 +70,14 @@ std::size_t Planner::effective_limit(KernelId id) const {
 Planner::WrEntry& Planner::wr_entry(KernelId id) {
   const std::size_t limit = effective_limit(id);
   std::optional<WrEntry>& slot = slots_[id].wr;
-  if (slot && slot->limit == limit) return *slot;
-  if (slot) {
-    // Re-recorded under a new limit: the old entry, its workspace and the
-    // plan bound to it go first, so the device never holds both buffers and
-    // a failed re-plan cannot leave a plan without its workspace.
-    plan_cache_.erase(id);
-    slot.reset();
+  if (slot && slot->limit == limit) {
+    hits_.add();
+    return *slot;
   }
+  misses_.add();
+  // Re-recorded under a new limit: the old entry, its workspace and the plan
+  // bound to it go first, so the device never holds both buffers.
+  slot.reset();
 
   const KernelRequest& kernel = kernels_[id];
   const ConvKernelType type = kernel.type;
@@ -197,8 +126,23 @@ Planner::WrEntry& Planner::wr_entry(KernelId id) {
     }
   }
   benchmarker_.note_unmeasured(bench);
-  slot = WrEntry{limit, std::move(config), std::move(ws), degraded};
+  const WorkspaceBinding binding =
+      options_.share_wr_workspace
+          ? WorkspaceBinding{WorkspaceKind::kSharedWr, 0, shared_ws_->size()}
+          : WorkspaceBinding{WorkspaceKind::kPerKernel, 0, ws->size()};
+  std::shared_ptr<const ExecutionPlan> plan = lower(id, config, binding);
+  slot = WrEntry{limit, std::move(config), std::move(ws), std::move(plan),
+                 degraded};
   return *slot;
+}
+
+std::shared_ptr<const ExecutionPlan> Planner::lower(
+    KernelId id, const Configuration& config,
+    const WorkspaceBinding& binding) const {
+  const KernelRequest& kernel = kernels_[id];
+  const telemetry::ScopedSpan span("plan_build", [&] { return kernel.label; });
+  return std::make_shared<const ExecutionPlan>(
+      build_plan(kernel.type, kernel.problem, config, binding));
 }
 
 Configuration Planner::solve_wr(ConvKernelType type,
@@ -324,6 +268,7 @@ void Planner::invalidate(ConvKernelType type, int algo) {
         // plan avoid the algorithm).
         wd_plan_.reset();
         wd_arena_ = std::make_shared<DeviceBuffer>();
+        for (KernelSlot& slot : slots_) slot.wd = nullptr;
         break;
       }
     }
@@ -341,35 +286,14 @@ void Planner::note_wd_fallback(KernelId id) {
 }
 
 std::optional<PlannedConvolution> Planner::resolve(
-    std::shared_ptr<const ExecutionPlan> plan, KernelId id) {
-  std::shared_ptr<DeviceBuffer> home;
-  std::size_t offset = 0;
-  std::size_t bytes = 0;
-  switch (plan->binding.kind) {
-    case WorkspaceKind::kNone:
-      break;
-    case WorkspaceKind::kPerKernel: {
-      const std::optional<WrEntry>& wr = slots_[id].wr;
-      // Epoch bumps always precede WR-entry erasure, and an entry is only
-      // replaced under a new limit (which misses the cached plan's stamp),
-      // so a cached plan can only be fetched while its entry is alive.
-      check(wr.has_value(), Status::kInternalError,
-            "cached plan without a live WR entry");
-      home = wr->workspace;
-      bytes = home->size();
-      break;
-    }
-    case WorkspaceKind::kSharedWr:
-      // The shared buffer only grows; resolve against its live extent.
-      home = shared_ws_;
-      bytes = home->size();
-      break;
-    case WorkspaceKind::kWdArena:
-      home = wd_arena_;
-      offset = plan->binding.offset;
-      bytes = plan->binding.bytes;
-      break;
-  }
+    std::shared_ptr<const ExecutionPlan> plan,
+    std::shared_ptr<DeviceBuffer> home) {
+  // A WD plan leases its arena slice; a WR plan the whole buffer, the shared
+  // one at its live extent (it only grows).
+  const WorkspaceBinding& binding = plan->binding;
+  const bool arena = binding.kind == WorkspaceKind::kWdArena;
+  const std::size_t offset = arena ? binding.offset : 0;
+  const std::size_t bytes = arena ? binding.bytes : home->size();
   PlannedConvolution planned{std::move(plan), {}};
   if (bytes == 0) return planned;
   const std::pair<const DeviceBuffer*, std::size_t> slice{home.get(), offset};
@@ -420,51 +344,28 @@ void Planner::release(WorkspaceLease lease) {
 }
 
 std::optional<PlannedConvolution> Planner::plan(KernelId id) {
-  const KernelRequest& kernel = kernels_[id];
-  const std::uint64_t epoch = plan_cache_.epoch();
   if (wd_active()) {
     if (!wd_finalized()) finalize_wd();
     if (!wd_degraded_to_wr_) {
       if (const WdAssignment* assignment = wd_assignment(id)) {
-        const std::size_t arena = options_.total_workspace_size;
-        if (auto cached = plan_cache_.lookup(id, true, arena)) {
-          return resolve(std::move(cached), id);
+        std::shared_ptr<const ExecutionPlan>& wd = slots_[id].wd;
+        if (wd != nullptr) {
+          hits_.add();
+        } else {
+          misses_.add();
+          wd = lower(id, assignment->config,
+                     WorkspaceBinding{WorkspaceKind::kWdArena,
+                                      assignment->offset,
+                                      assignment->config.workspace});
         }
-        std::shared_ptr<const ExecutionPlan> built;
-        {
-          const telemetry::ScopedSpan span("plan_build",
-                                           [&] { return kernel.label; });
-          built = std::make_shared<const ExecutionPlan>(build_plan(
-              kernel.type, kernel.problem, assignment->config,
-              WorkspaceBinding{WorkspaceKind::kWdArena, assignment->offset,
-                               assignment->config.workspace}));
-        }
-        plan_cache_.insert(id, {true, arena, epoch}, built);
-        return resolve(std::move(built), id);
+        return resolve(wd, wd_arena_);
       }
       if (wd_finalized()) note_wd_fallback(id);
     }
   }
-
-  const std::size_t limit = effective_limit(id);
-  if (auto cached = plan_cache_.lookup(id, false, limit)) {
-    return resolve(std::move(cached), id);
-  }
-  WrEntry& entry = wr_entry(id);
-  const WorkspaceBinding binding =
-      options_.share_wr_workspace
-          ? WorkspaceBinding{WorkspaceKind::kSharedWr, 0, shared_ws_->size()}
-          : WorkspaceBinding{WorkspaceKind::kPerKernel, 0,
-                             entry.workspace->size()};
-  std::shared_ptr<const ExecutionPlan> built;
-  {
-    const telemetry::ScopedSpan span("plan_build",
-                                     [&] { return kernel.label; });
-    built = std::make_shared<const ExecutionPlan>(
-        build_plan(kernel.type, kernel.problem, entry.config, binding));
-  }
-  plan_cache_.insert(id, {false, limit, epoch}, built);
-  return resolve(std::move(built), id);
+  const WrEntry& entry = wr_entry(id);
+  return resolve(entry.plan, options_.share_wr_workspace ? shared_ws_
+                                                         : entry.workspace);
 }
 
 std::vector<PlanSegment> Planner::replan_tail(
@@ -475,12 +376,14 @@ std::vector<PlanSegment> Planner::replan_tail(
   });
   replans_metric().add(1);
   const std::string& device_name = handle_.device().spec().name;
-  benchmarker_.cache()->blacklist(device_name, type, algo);
-  stats_.blacklisted_algorithms.add();
-  // Cached WR/WD plans referencing the algorithm are stale now: the epoch
-  // bump makes them unreachable, and their buffers go at once — calls still
-  // running on them (this one included) hold leases that keep them alive.
-  plan_cache_.bump_epoch();
+  // Several calls running the same plan can fail on one algorithm; only the
+  // first retires it (and counts and logs that).
+  const bool retired = benchmarker_.cache()->blacklist(device_name, type, algo);
+  if (retired) stats_.blacklisted_algorithms.add();
+  // The entries and plans using the algorithm are stale now; their buffers
+  // go at once — calls still running on them (this one included) hold
+  // leases that keep them alive. A no-op when another call retired the
+  // algorithm first, but not when it was blacklisted through cache().
   invalidate(type, algo);
   // Each re-plan retires one algorithm, so the algorithm count bounds the
   // recursion; past that the failure is systemic, not algorithmic.
@@ -488,10 +391,12 @@ std::vector<PlanSegment> Planner::replan_tail(
         "kernel keeps failing after blacklisting " +
             std::to_string(replans - 1) + " algorithms for " +
             problem.to_string());
-  UCUDNN_LOG_WARN << "blacklisting " << kernels::algo_name(type, algo)
-                  << " on " << device_name << " after repeated failures; "
-                  << "re-planning the remaining "
-                  << (problem.batch() - done) << " samples";
+  if (retired) {
+    UCUDNN_LOG_WARN << "blacklisting " << kernels::algo_name(type, algo)
+                    << " on " << device_name << " after repeated failures; "
+                    << "re-planning the remaining "
+                    << (problem.batch() - done) << " samples";
+  }
   // Re-plan only the unexecuted tail: outputs already written (and, for
   // BackwardFilter, partial accumulations) stay untouched. The existing
   // workspace bounds the new plan, so no reallocation is needed.

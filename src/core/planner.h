@@ -4,9 +4,12 @@
 // The Planner owns everything decision-shaped that used to live inline in
 // UcudnnHandle: WR optimization (per-kernel DP, §III-B), WD optimization
 // (Pareto fronts + ILP over the recorded kernel set, §III-C/E), the whole
-// graceful-degradation ladder (workspace-limit halving on OOM, WD->WR), the
-// workspace buffers the plans bind to, and a PlanCache so steady-state
-// convolution() calls fetch a finished plan instead of re-deriving strides.
+// graceful-degradation ladder (workspace-limit halving on OOM, WD->WR), and
+// the workspace buffers the plans bind to. Each kernel's lowered plan lives
+// in its slot beside the state it was lowered from (the WR entry and its
+// buffer, or the WD assignment), so steady-state convolution() calls fetch
+// a finished plan instead of re-deriving strides, and whatever drops that
+// state drops the plan with it.
 // It is also the only owner of kernel identity: each distinct (type,
 // problem) is interned once into a dense KernelId, and every per-kernel
 // table here and in the facade is a slot indexed by it.
@@ -20,7 +23,6 @@
 // the planner only through the callback the facade wires up.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -29,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "core/benchmarker.h"
 #include "core/options.h"
 #include "core/plan.h"
@@ -50,8 +51,6 @@ class DeviceBuffer {
   DeviceBuffer(std::shared_ptr<device::Device> dev, std::size_t bytes,
                const std::string& tag);
   ~DeviceBuffer();
-  DeviceBuffer(DeviceBuffer&& other) noexcept;
-  DeviceBuffer& operator=(DeviceBuffer&& other) noexcept;
   DeviceBuffer(const DeviceBuffer&) = delete;
   DeviceBuffer& operator=(const DeviceBuffer&) = delete;
 
@@ -62,66 +61,6 @@ class DeviceBuffer {
   std::shared_ptr<device::Device> dev_;
   void* ptr_ = nullptr;
   std::size_t bytes_ = 0;
-};
-
-/// Cache of finished ExecutionPlans, one slot per KernelId. Each entry
-/// carries what it was built under — WR vs WD, the per-kernel limit (WR) or
-/// the arena size (WD), and the blacklist epoch — and a lookup returns the
-/// plan only when all three match the caller's, so a plan built for another
-/// limit, policy or epoch is never fetched. Blacklisting an algorithm bumps
-/// the epoch, which drops every stored plan and makes any plan stamped with
-/// an older epoch a miss — while shared_ptr ownership keeps the plan a
-/// mid-flight execution still holds alive until it finishes.
-class PlanCache {
- public:
-  /// What a plan was built under, compared field by field on lookup.
-  struct Stamp {
-    bool wd = false;
-    std::size_t limit = 0;  // WR per-kernel limit, or the WD arena size
-    std::uint64_t epoch = 0;
-
-    bool operator==(const Stamp&) const = default;
-  };
-
-  /// Returns the kernel's cached plan when its stamp equals `{wd, limit}`
-  /// under the current epoch, else nullptr; counts a hit or a miss.
-  /// Thread-safe on its own, so its counters can be read without the
-  /// handle lock.
-  std::shared_ptr<const ExecutionPlan> lookup(KernelId id, bool wd,
-                                              std::size_t limit);
-  /// Stores `plan` as the kernel's entry, replacing any previous one.
-  /// `stamp.epoch` is the epoch read before the plan was built: after an
-  /// intervening bump_epoch() the entry is stale and never returned.
-  void insert(KernelId id, const Stamp& stamp,
-              std::shared_ptr<const ExecutionPlan> plan);
-  /// Drops the kernel's entry (the workspace its plan binds is going away).
-  void erase(KernelId id);
-
-  /// Invalidates every cached plan and starts a new blacklist epoch.
-  void bump_epoch();
-  std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
-  std::uint64_t hits() const noexcept { return hits_.value(); }
-  std::uint64_t misses() const noexcept { return misses_.value(); }
-  /// Number of kernels with a stored plan.
-  std::size_t size() const;
-
- private:
-  struct Entry {
-    Stamp stamp;
-    std::shared_ptr<const ExecutionPlan> plan;
-  };
-
-  mutable Mutex mutex_{"PlanCache"};
-  std::vector<Entry> entries_ GUARDED_BY(mutex_);  // indexed by KernelId
-  // Atomic, not guarded: epoch() is read before every plan build, and thin
-  // reads must not take the lock. The epoch only changes under the lock, so
-  // a lookup compares entries against a consistent epoch.
-  std::atomic<std::uint64_t> epoch_{0};
-  telemetry::InstanceCounter hits_{"ucudnn.plan_cache.hits"};
-  telemetry::InstanceCounter misses_{"ucudnn.plan_cache.misses"};
 };
 
 /// One call's hold on the workspace its plan binds: the plan's home buffer
@@ -172,9 +111,10 @@ class Planner {
   /// (GetConvolution*Algorithm recording, done by the facade).
   void record_limit(KernelId id, std::size_t limit);
 
-  /// Returns a ready-to-run plan for the full mini-batch — from the
-  /// PlanCache in steady state, otherwise by running WR/WD optimization
-  /// (with the full degradation ladder) and lowering the result — with its
+  /// Returns a ready-to-run plan for the full mini-batch — the one the
+  /// kernel's slot holds in steady state (a hit), otherwise by running WR/WD
+  /// optimization (with the full degradation ladder) and lowering the
+  /// result (a miss) — with its
   /// workspace leased. A call that finds the home buffer leased takes a
   /// same-size spare from the free list, allocating one only when the list
   /// has none. nullopt means that allocation failed: the caller waits for a
@@ -187,9 +127,10 @@ class Planner {
   void release(WorkspaceLease lease);
 
   /// Retry-budget exhaustion policy, called back from the Executor via the
-  /// facade: blacklists `algo` on this device, bumps the PlanCache epoch,
-  /// drops the WR entries and the WD plan that use the algorithm (calls in
-  /// flight keep their leased buffers), re-benchmarks the unexecuted tail
+  /// facade: blacklists `algo` on this device (counted once, however many
+  /// calls fail on it), drops the WR entries and the WD plan that use the
+  /// algorithm together with their lowered plans (calls in flight keep
+  /// their leased buffers), re-benchmarks the unexecuted tail
   /// (counted in total_replan_benchmark_ms), re-runs the WR DP within the
   /// workspace already held, and returns splice-ready segments. `replans` is
   /// the per-execution re-plan ordinal; past the algorithm count the failure
@@ -231,8 +172,10 @@ class Planner {
 
   Benchmarker& benchmarker() noexcept { return benchmarker_; }
   const Benchmarker& benchmarker() const noexcept { return benchmarker_; }
-  PlanCache& plan_cache() noexcept { return plan_cache_; }
-  const PlanCache& plan_cache() const noexcept { return plan_cache_; }
+  /// plan() calls that found the kernel's lowered plan in its slot, and
+  /// calls that had to lower one. Readable without the handle lock.
+  std::uint64_t plan_cache_hits() const noexcept { return hits_.value(); }
+  std::uint64_t plan_cache_misses() const noexcept { return misses_.value(); }
 
   /// Wall time spent in DP/ILP optimization (excludes benchmarking).
   double total_optimize_ms() const noexcept {
@@ -250,12 +193,16 @@ class Planner {
     std::size_t limit = 0;  // the effective limit the entry was built under
     Configuration config;
     std::shared_ptr<DeviceBuffer> workspace;
+    std::shared_ptr<const ExecutionPlan> plan;  // config lowered onto it
     bool degraded = false;  // re-optimized under a halved limit after OOM
   };
   /// Per-kernel planner state, indexed by KernelId.
   struct KernelSlot {
     std::optional<std::size_t> recorded_limit;  // from GetConvolution*Algorithm
     std::optional<WrEntry> wr;
+    // The WD assignment lowered onto its arena slice, on the kernel's first
+    // plan() after finalization; dropped with the arena.
+    std::shared_ptr<const ExecutionPlan> wd;
     // Warn-once ledger for WD "unrecorded kernel" fallbacks: the first
     // occurrence logs, repeats only count (stats_.wd_unrecorded_fallbacks).
     std::uint64_t wd_fallbacks = 0;
@@ -265,20 +212,29 @@ class Planner {
     return options_.workspace_policy == WorkspacePolicy::kWD &&
            !wd_degraded_to_wr_;
   }
+  /// The kernel's WR entry under its effective limit: a hit when the slot
+  /// holds one, else a miss that re-optimizes, allocates and lowers it.
   WrEntry& wr_entry(KernelId id);
+  /// `config` lowered for the kernel's full mini-batch onto `binding`.
+  std::shared_ptr<const ExecutionPlan> lower(
+      KernelId id, const Configuration& config,
+      const WorkspaceBinding& binding) const;
   /// plan_wr on `bench`, adding its solve time (not the timings it takes)
   /// to total_optimize_ms.
   Configuration solve_wr(ConvKernelType type,
                          const kernels::ConvProblem& problem,
                          MicroBenchmark& bench, std::size_t limit);
   const WdAssignment* wd_assignment(KernelId id) const;
-  /// Leases the workspace `plan` binds (see plan()).
+  /// Leases the workspace `plan` binds in `home`, the buffer of the slot
+  /// the plan came from (see plan()).
   std::optional<PlannedConvolution> resolve(
-      std::shared_ptr<const ExecutionPlan> plan, KernelId id);
+      std::shared_ptr<const ExecutionPlan> plan,
+      std::shared_ptr<DeviceBuffer> home);
   /// A free spare of exactly `bytes`, allocated when the free list has none;
   /// null when that allocation fails.
   std::shared_ptr<DeviceBuffer> take_spare(std::size_t bytes);
-  /// Drops the WR entries and the WD plan whose divisions use `algo`.
+  /// Drops the WR entries and the WD plan whose divisions use `algo`, and
+  /// the plans lowered from them.
   void invalidate(ConvKernelType type, int algo);
   void note_wd_fallback(KernelId id);
 
@@ -295,12 +251,13 @@ class Planner {
   std::optional<WdPlan> wd_plan_;
   std::shared_ptr<DeviceBuffer> wd_arena_ = std::make_shared<DeviceBuffer>();
   bool wd_degraded_to_wr_ = false;  // infeasible WD plan -> per-kernel WR
-  PlanCache plan_cache_;
   // Home slices leased to running calls, as (buffer, offset): a WR buffer
   // or the shared WR buffer at offset 0, or a WD arena slice.
   std::vector<std::pair<const DeviceBuffer*, std::size_t>> leased_;
   // Free spares; a spare is allocated only when two calls collide.
   std::vector<std::shared_ptr<DeviceBuffer>> spares_;
+  telemetry::InstanceCounter hits_{"ucudnn.plan_cache.hits"};
+  telemetry::InstanceCounter misses_{"ucudnn.plan_cache.misses"};
   telemetry::InstanceDoubleCounter total_optimize_ms_{
       "ucudnn.planner.optimize_ms"};
   telemetry::InstanceDoubleCounter total_replan_benchmark_ms_{

@@ -175,8 +175,8 @@ void UcudnnHandle::convolution(ConvKernelType type,
     while (!(planned = planner_.plan(id))) lease_returned_.wait(mutex_);
 
     // Execution-report bookkeeping: refresh the record when the plan changed
-    // (first call, re-optimization, or epoch bump), which resets segment
-    // stats.
+    // (first call, or re-optimization after a new limit or a blacklist that
+    // hit the kernel's division), which resets segment stats.
     KernelExecRecord& record = exec_record(id);
     if (record.plan != planned->plan) {
       record.plan = planned->plan;
@@ -262,10 +262,8 @@ telemetry::ExecutionReport UcudnnHandle::execution_report() const {
   report.policy = std::string(to_string(options_.workspace_policy));
   report.batch_size_policy =
       std::string(to_string(options_.batch_size_policy));
-  const PlanCache& cache = planner_.plan_cache();
-  report.plan_cache_hits = cache.hits();
-  report.plan_cache_misses = cache.misses();
-  report.plan_cache_epoch = cache.epoch();
+  report.plan_cache_hits = planner_.plan_cache_hits();
+  report.plan_cache_misses = planner_.plan_cache_misses();
   if (stats_.any()) report.degradation = stats_.to_string();
 
   report.kernels.reserve(exec_order_.size());

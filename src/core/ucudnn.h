@@ -8,7 +8,7 @@
 //  * records every kernel the framework asks about (the WD pipeline needs
 //    all layer parameters before the first real convolution, §III-E);
 //  * on Convolution* calls, fetches an ExecutionPlan from the Planner
-//    (optimizing lazily on the first call, from the PlanCache afterwards;
+//    (optimizing lazily on the first call, the stored plan afterwards;
 //    micro-benchmarks run on the wrapped device, in the calling thread)
 //    and hands it to the Executor — using beta-accumulation for
 //    BackwardFilter so semantics are unchanged;
@@ -90,7 +90,7 @@ class UcudnnHandle {
   int get_algorithm(ConvKernelType type, const kernels::ConvProblem& problem,
                     mcudnn::AlgoPreference preference, std::size_t ws_limit);
 
-  /// Runs the optimized micro-batched convolution: plan (or PlanCache hit),
+  /// Runs the optimized micro-batched convolution: plan (or stored-plan hit),
   /// then execute — with the planner's tail-re-plan policy wired into the
   /// executor's failure handling. Safe to call from several threads; the
   /// kernel runs without the handle lock.
@@ -143,8 +143,14 @@ class UcudnnHandle {
     return planner_.benchmarker().cache();
   }
 
-  /// The steady-state plan cache (hit/miss counters, blacklist epoch).
-  const PlanCache& plan_cache() const noexcept { return planner_.plan_cache(); }
+  /// convolution() calls that found the kernel's stored plan, and calls
+  /// that had to lower one (the first, or after re-optimization).
+  std::uint64_t plan_cache_hits() const noexcept {
+    return planner_.plan_cache_hits();
+  }
+  std::uint64_t plan_cache_misses() const noexcept {
+    return planner_.plan_cache_misses();
+  }
 
   /// Degradation events accumulated over the handle's lifetime.
   const DegradationStats& degradation_stats() const noexcept { return stats_; }
@@ -164,7 +170,7 @@ class UcudnnHandle {
   // Per-kernel execution bookkeeping backing execution_report(): the plan
   // actually run, the planner's provenance for it, and per-segment measured
   // times accumulated by the executor's MeasureFn callback. Stats reset
-  // whenever the kernel's plan changes (re-optimization, epoch bump).
+  // whenever the kernel's plan changes (re-optimization).
   struct KernelExecRecord {
     std::shared_ptr<const ExecutionPlan> plan;
     std::string provenance;

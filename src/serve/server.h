@@ -57,8 +57,8 @@ namespace ucudnn::serve {
 
 class Server {
  public:
-  /// The handle must outlive the server. One PlanCache / BenchmarkCache —
-  /// the handle's — is shared by every worker, and workers execute their
+  /// The handle must outlive the server. The handle's stored plans and
+  /// BenchmarkCache are shared by every worker, and workers execute their
   /// batches on it concurrently (UcudnnHandle::convolution is thread-safe).
   Server(core::UcudnnHandle& handle, ServeOptions opts);
   /// Options from the UCUDNN_SERVE_* environment.

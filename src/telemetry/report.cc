@@ -79,8 +79,7 @@ std::string ExecutionReport::to_text() const {
   out += "=== ucudnn execution report: device=" + device +
          " policy=" + policy + " batchPolicy=" + batch_size_policy + " ===\n";
   out += "plan cache: " + std::to_string(plan_cache_hits) + " hit(s), " +
-         std::to_string(plan_cache_misses) + " miss(es), epoch " +
-         std::to_string(plan_cache_epoch) + "\n";
+         std::to_string(plan_cache_misses) + " miss(es)\n";
   out += "degradation: " + (degradation.empty() ? "none" : degradation) + "\n";
 
   for (const KernelReport& k : kernels) {
@@ -138,7 +137,6 @@ std::string ExecutionReport::to_json() const {
   w.key("plan_cache").begin_object();
   w.key("hits").value(plan_cache_hits);
   w.key("misses").value(plan_cache_misses);
-  w.key("epoch").value(plan_cache_epoch);
   w.end_object();
   w.key("degradation").value(degradation);
   w.key("estimation_error_pct").value(estimation_error_pct());

@@ -100,7 +100,6 @@ struct ExecutionReport {
   std::string batch_size_policy;  ///< all | powerOfTwo | undivided
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
-  std::uint64_t plan_cache_epoch = 0;
   std::string degradation;  ///< DegradationStats::to_string(), "" = none
   std::vector<KernelReport> kernels;
   std::vector<WorkspaceAuditReport> audit;

@@ -372,7 +372,8 @@ TEST_F(PlanTest, MidPlanReplanSplicesTailPreservingAccumulation) {
   const core::DegradationStats& stats = handle.degradation_stats();
   EXPECT_EQ(stats.retries.value(), 3u);
   EXPECT_EQ(stats.blacklisted_algorithms.value(), 1u);
-  EXPECT_EQ(handle.plan_cache().epoch(), 1u);
+  // The WR entry using the winner went with the blacklist.
+  EXPECT_EQ(handle.configuration_for(type, p), nullptr);
   // The re-benchmark of the tail is charged to the replan counter, not lost.
   EXPECT_GT(handle.total_replan_benchmark_ms(), 0.0);
 
@@ -396,8 +397,8 @@ TEST_F(PlanTest, MidPlanReplanSplicesTailPreservingAccumulation) {
   }
   expect_bitwise(out, want);
 
-  // The next convolution drops the stale WR entry, re-plans without the
-  // blacklisted winner, and still matches the all-fallback single shot.
+  // The next convolution re-plans without the blacklisted winner and still
+  // matches the all-fallback single shot.
   const Operands ops2 = make_operands(type, p, 202);
   std::vector<float> out2 = ops2.out;
   handle.convolution(type, p, 1.0f, ops2.a.data(), ops2.b.data(), 0.0f,
@@ -410,9 +411,9 @@ TEST_F(PlanTest, MidPlanReplanSplicesTailPreservingAccumulation) {
   expect_bitwise(out2, single_shot(handle, type, p, fallback_algo(type), ops2));
 }
 
-// ------------------------------------------------------------ plan cache
+// ------------------------------------------------------------ stored plans
 
-TEST_F(PlanTest, SteadyStateConvolutionIsAPlanCacheHit) {
+TEST_F(PlanTest, SteadyStateConvolutionReusesTheStoredPlan) {
   const ConvKernelType type = ConvKernelType::kForward;
   const kernels::ConvProblem p = test_problem();
   core::Options opts;
@@ -426,19 +427,19 @@ TEST_F(PlanTest, SteadyStateConvolutionIsAPlanCacheHit) {
   std::vector<float> out = ops.out;
   handle.convolution(type, p, 1.0f, ops.a.data(), ops.b.data(), 0.0f,
                      out.data());
-  EXPECT_EQ(handle.plan_cache().misses(), 1u);
-  EXPECT_EQ(handle.plan_cache().hits(), 0u);
-  EXPECT_EQ(handle.plan_cache().size(), 1u);
+  EXPECT_EQ(handle.plan_cache_misses(), 1u);
+  EXPECT_EQ(handle.plan_cache_hits(), 0u);
+  EXPECT_NE(handle.configuration_for(type, p), nullptr);
 
   handle.convolution(type, p, 1.0f, ops.a.data(), ops.b.data(), 0.0f,
                      out.data());
-  EXPECT_EQ(handle.plan_cache().misses(), 1u);
-  EXPECT_EQ(handle.plan_cache().hits(), 1u);
-  EXPECT_EQ(handle.plan_cache().size(), 1u);
-  EXPECT_EQ(handle.plan_cache().epoch(), 0u);
+  EXPECT_EQ(handle.plan_cache_misses(), 1u);
+  EXPECT_EQ(handle.plan_cache_hits(), 1u);
+  EXPECT_NE(handle.configuration_for(type, p), nullptr);
+  EXPECT_EQ(handle.degradation_stats().blacklisted_algorithms.value(), 0u);
 }
 
-TEST_F(PlanTest, BlacklistEventBumpsTheEpochAndInvalidatesCachedPlans) {
+TEST_F(PlanTest, BlacklistEventDropsThePlansThatUseTheAlgorithm) {
   const ConvKernelType type = ConvKernelType::kForward;
   const kernels::ConvProblem p = test_problem();
   core::Options opts;
@@ -456,19 +457,71 @@ TEST_F(PlanTest, BlacklistEventBumpsTheEpochAndInvalidatesCachedPlans) {
   handle.convolution(type, p, 1.0f, ops.a.data(), ops.b.data(), 0.0f,
                      out.data());
   FaultInjector::instance().configure("");
-  EXPECT_EQ(handle.plan_cache().epoch(), 1u);
-  EXPECT_EQ(handle.plan_cache().size(), 0u);  // old epoch's plans dropped
-  EXPECT_EQ(handle.plan_cache().misses(), 1u);
+  EXPECT_EQ(handle.degradation_stats().blacklisted_algorithms.value(), 1u);
+  EXPECT_EQ(handle.configuration_for(type, p), nullptr);  // plan dropped
+  EXPECT_EQ(handle.plan_cache_misses(), 1u);
 
-  // Next call re-plans under the new epoch (miss), the one after hits.
+  // Next call re-plans without the winner (miss), the one after hits.
   handle.convolution(type, p, 1.0f, ops.a.data(), ops.b.data(), 0.0f,
                      out.data());
-  EXPECT_EQ(handle.plan_cache().misses(), 2u);
-  EXPECT_EQ(handle.plan_cache().hits(), 0u);
+  EXPECT_EQ(handle.plan_cache_misses(), 2u);
+  EXPECT_EQ(handle.plan_cache_hits(), 0u);
   handle.convolution(type, p, 1.0f, ops.a.data(), ops.b.data(), 0.0f,
                      out.data());
-  EXPECT_EQ(handle.plan_cache().misses(), 2u);
-  EXPECT_EQ(handle.plan_cache().hits(), 1u);
+  EXPECT_EQ(handle.plan_cache_misses(), 2u);
+  EXPECT_EQ(handle.plan_cache_hits(), 1u);
+}
+
+TEST_F(PlanTest, BlacklistKeepsPlansThatDoNotUseTheAlgorithm) {
+  const kernels::ConvProblem p = test_problem();
+  const ConvKernelType fwd = ConvKernelType::kForward;
+  // Blacklisting retires an algorithm of one kernel type, so a kernel of
+  // another type can never be affected.
+  const ConvKernelType other = ConvKernelType::kBackwardData;
+  core::Options opts;
+  opts.batch_size_policy = core::BatchSizePolicy::kPowerOfTwo;
+  opts.workspace_limit = forcing_limit(fwd, p);
+  core::UcudnnHandle handle(
+      std::make_shared<device::Device>(device::host_cpu_spec()), opts);
+  prefill_plans(handle, fwd, p);
+  prefill_plans(handle, fwd, p.with_batch(4));
+  prefill_plans(handle, other, p);
+
+  const Operands fwd_ops = make_operands(fwd, p, 551);
+  const Operands other_ops = make_operands(other, p, 552);
+  std::vector<float> fwd_out = fwd_ops.out;
+  std::vector<float> other_out = other_ops.out;
+  const auto run_other = [&] {
+    handle.convolution(other, p, 1.0f, other_ops.a.data(),
+                       other_ops.b.data(), 0.0f, other_out.data());
+  };
+  const auto other_segments = [&] {
+    for (const auto& kernel : handle.execution_report().kernels) {
+      if (kernel.kernel_type == to_string(other)) return kernel.segments;
+    }
+    return std::vector<telemetry::SegmentReport>{};
+  };
+  run_other();
+  run_other();
+
+  // The forward winner fails mid-plan and is blacklisted.
+  FaultInjector::instance().configure("kernel:after=1,every=1,count=4");
+  handle.convolution(fwd, p, 1.0f, fwd_ops.a.data(), fwd_ops.b.data(), 0.0f,
+                     fwd_out.data());
+  FaultInjector::instance().configure("");
+  ASSERT_EQ(handle.degradation_stats().blacklisted_algorithms.value(), 1u);
+  EXPECT_EQ(handle.configuration_for(fwd, p), nullptr);
+
+  // The other kernel's next call is a hit on the plan it already had, and
+  // its segment statistics keep accumulating.
+  const std::uint64_t hits = handle.plan_cache_hits();
+  const std::uint64_t misses = handle.plan_cache_misses();
+  run_other();
+  EXPECT_EQ(handle.plan_cache_hits(), hits + 1);
+  EXPECT_EQ(handle.plan_cache_misses(), misses);
+  const std::vector<telemetry::SegmentReport> segments = other_segments();
+  ASSERT_FALSE(segments.empty());
+  for (const telemetry::SegmentReport& s : segments) EXPECT_EQ(s.runs, 3u);
 }
 
 TEST_F(PlanTest, ReRecordedWrKernelReplansAndReplacesItsWorkspace) {
@@ -504,8 +557,7 @@ TEST_F(PlanTest, ReRecordedWrKernelReplansAndReplacesItsWorkspace) {
   expect_winner_division(handle.configuration_for(type, p), type);
   EXPECT_EQ(dev->bytes_in_use(), 4 * full_ws);
   EXPECT_EQ(dev->usage_by_tag().at("kernel0(Forward):ws"), 4 * full_ws);
-  EXPECT_EQ(handle.plan_cache().misses(), 2u);
-  EXPECT_EQ(handle.plan_cache().size(), 1u);
+  EXPECT_EQ(handle.plan_cache_misses(), 2u);
   expect_bitwise(out, single_shot(handle, type, p, winner_algo(type), ops));
 }
 

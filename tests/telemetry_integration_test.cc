@@ -140,9 +140,9 @@ TEST(TelemetryIntegrationTest, RegistryMirrorsLegacyAccessors) {
       handle.total_replan_benchmark_ms());
 
   EXPECT_EQ(counter_or_zero(snap, "ucudnn.plan_cache.hits"),
-            handle.plan_cache().hits());
+            handle.plan_cache_hits());
   EXPECT_EQ(counter_or_zero(snap, "ucudnn.plan_cache.misses"),
-            handle.plan_cache().misses());
+            handle.plan_cache_misses());
 
   const core::DegradationStats& stats = handle.degradation_stats();
   EXPECT_EQ(counter_or_zero(snap, "ucudnn.degradation.retries"),
@@ -281,15 +281,15 @@ TEST(TelemetryIntegrationTest, ProcessCountersSumLiveAndRetiredHandles) {
   run(*a);
   run(*b);
   run(*b);
-  EXPECT_GT(a->plan_cache().misses(), 0u);
-  EXPECT_GT(b->plan_cache().misses(), 0u);
+  EXPECT_GT(a->plan_cache_misses(), 0u);
+  EXPECT_GT(b->plan_cache_misses(), 0u);
   EXPECT_EQ(registry_count("ucudnn.plan_cache.misses") - base,
-            a->plan_cache().misses() + b->plan_cache().misses());
+            a->plan_cache_misses() + b->plan_cache_misses());
 
-  const std::uint64_t b_misses = b->plan_cache().misses();
+  const std::uint64_t b_misses = b->plan_cache_misses();
   b.reset();
   EXPECT_EQ(registry_count("ucudnn.plan_cache.misses") - base,
-            a->plan_cache().misses() + b_misses);
+            a->plan_cache_misses() + b_misses);
 }
 
 }  // namespace
