@@ -16,8 +16,13 @@
 //    their chunks with any idle workers instead of collapsing to a single
 //    inline chunk. The caller of a nested loop can always finish the whole
 //    range alone, so nesting never deadlocks even when every worker is busy.
+//
+// An idle worker watches the queue for a short while before it blocks, so
+// the next loop of a burst (a kernel's lowering, GEMM and scatter, one layer
+// after another) starts without a condition-variable wake.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -75,6 +80,9 @@ class ThreadPool {
   std::vector<std::thread> workers_;  // written only by the constructor
   Mutex mutex_{"ThreadPool"};
   std::queue<std::function<void()>> tasks_ GUARDED_BY(mutex_);
+  // tasks_.size(), written under mutex_ and read without it by idle workers
+  // deciding whether to block.
+  std::atomic<std::size_t> queued_{0};
   CondVar cv_;
   bool stop_ GUARDED_BY(mutex_) = false;
 };

@@ -23,6 +23,25 @@ void fill_normal(float* data, std::int64_t count, std::mt19937& rng,
   for (std::int64_t i = 0; i < count; ++i) data[i] = dist(rng);
 }
 
+// dbias[k + q] = the sum of dy[n][k + q][*] over n, then the plane, for the
+// Lanes channels from k, each a serial double sum. The lanes are summed side
+// by side, so their independent chains overlap instead of each add waiting
+// on the one before it.
+template <int Lanes>
+void sum_bias_channels(const TensorShape& y, const float* dy, std::int64_t k,
+                       float* dbias) {
+  const std::int64_t plane = y.h * y.w;
+  double acc[Lanes] = {};
+  for (std::int64_t n = 0; n < y.n; ++n) {
+    const float* dy_nk = dy + (n * y.c + k) * plane;
+    for (std::int64_t i = 0; i < plane; ++i) {
+#pragma GCC unroll 4
+      for (int q = 0; q < Lanes; ++q) acc[q] += dy_nk[q * plane + i];
+    }
+  }
+  for (int q = 0; q < Lanes; ++q) dbias[k + q] = static_cast<float>(acc[q]);
+}
+
 }  // namespace
 
 // ----------------------------------------------------------------- ConvLayer
@@ -106,20 +125,16 @@ void ConvLayer::backward(const LayerContext& ctx) {
       // Parallel over channels; each channel keeps its serial n-then-i
       // double sum, so the result does not depend on the thread count.
       // diff() allocates lazily, so it is resolved before the workers run.
-      const std::int64_t plane = problem_.y.h * problem_.y.w;
       const float* dy = top_->diff();
       float* dbias = bias_->diff();
       ThreadPool::global().parallel_for(
           problem_.y.c,
           [&](std::int64_t begin, std::int64_t end, std::size_t) {
-            for (std::int64_t k = begin; k < end; ++k) {
-              double acc = 0.0;
-              for (std::int64_t n = 0; n < problem_.y.n; ++n) {
-                const float* dy_nk = dy + (n * problem_.y.c + k) * plane;
-                for (std::int64_t i = 0; i < plane; ++i) acc += dy_nk[i];
-              }
-              dbias[k] = static_cast<float>(acc);
+            std::int64_t k = begin;
+            for (; k + 4 <= end; k += 4) {
+              sum_bias_channels<4>(problem_.y, dy, k, dbias);
             }
+            for (; k < end; ++k) sum_bias_channels<1>(problem_.y, dy, k, dbias);
           });
     }
   }

@@ -1,6 +1,7 @@
 #include "frameworks/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -15,6 +16,13 @@ constexpr std::int64_t kElementwiseGrain = 1 << 14;
 
 double bytes_of(std::int64_t count) {
   return static_cast<double>(static_cast<std::size_t>(count) * sizeof(float));
+}
+
+// max(0, v) as a mask on v's bits, so NaN and -0 give +0 as std::max(0, v)
+// does. GCC at -O2 compiles std::max here into a data-dependent branch.
+inline float relu(float v) {
+  const std::uint32_t keep = v > 0.0f ? ~0u : 0u;
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) & keep);
 }
 
 // The in-bounds part [h0, h1) x [w0, w1) of output (i, j)'s window.
@@ -34,6 +42,49 @@ std::int64_t avg_divisor(const Pool& pool, const Window& win) {
   return pool.mode == PoolMode::kAvgValid
              ? (win.h1 - win.h0) * (win.w1 - win.w0)
              : pool.window * pool.window;
+}
+
+// One step of a max window's scan: v at plane index idx replaces the running
+// maximum only if strictly greater, so ties keep the first visited and NaN
+// never wins. The outcome is data-dependent, so the index moves by a mask
+// (all ones when greater) rather than a select compilers may branch on.
+inline void take_if_greater(float v, std::int32_t idx, float& best,
+                            std::int32_t& best_idx) {
+  const bool greater = v > best;
+  best = greater ? v : best;
+  best_idx ^= (best_idx ^ idx) & -static_cast<std::int32_t>(greater);
+}
+
+// The 2x2, stride-2, unpadded max pool of most CNNs: every window lies inside
+// the plane, so its four reads need no bounds.
+bool is_max_2x2(const Pool& pool, const TensorShape& in,
+                const TensorShape& out) {
+  return pool.mode == PoolMode::kMax && pool.window == 2 && pool.stride == 2 &&
+         pool.pad == 0 && 2 * out.h <= in.h && 2 * out.w <= in.w;
+}
+
+// Max-pools one plane through 2x2 windows, in the general loop's visit order.
+// Reads go through row pointers with 64-bit offsets, which lets compilers
+// vectorize the loop over j; the 32-bit argmax is formed beside them.
+void max_pool_2x2_plane(const TensorShape& in, const TensorShape& out,
+                        const float* xp, float* yp, std::int32_t* am) {
+  const std::int64_t in_w = in.w, out_w = out.w;
+  const auto below = static_cast<std::int32_t>(in_w);
+  for (std::int64_t i = 0; i < out.h; ++i) {
+    const float* top = xp + 2 * i * in_w;
+    const float* bottom = top + in_w;
+    for (std::int64_t j = 0; j < out_w; ++j) {
+      const auto idx = static_cast<std::int32_t>(2 * i * in_w + 2 * j);
+      float best = -std::numeric_limits<float>::infinity();
+      std::int32_t best_idx = idx;
+      take_if_greater(top[2 * j], idx, best, best_idx);
+      take_if_greater(top[2 * j + 1], idx + 1, best, best_idx);
+      take_if_greater(bottom[2 * j], idx + below, best, best_idx);
+      take_if_greater(bottom[2 * j + 1], idx + below + 1, best, best_idx);
+      yp[i * out_w + j] = best;
+      am[i * out_w + j] = best_idx;
+    }
+  }
 }
 
 }  // namespace
@@ -60,7 +111,7 @@ void relu_forward(const Target& t, std::int64_t count, const float* x,
   ThreadPool::global().parallel_for(
       count,
       [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t i = begin; i < end; ++i) y[i] = std::max(0.0f, x[i]);
+        for (std::int64_t i = begin; i < end; ++i) y[i] = relu(x[i]);
       },
       kElementwiseGrain);
 }
@@ -68,17 +119,26 @@ void relu_forward(const Target& t, std::int64_t count, const float* x,
 void relu_backward(const Target& t, std::int64_t count, const float* y,
                    const float* dy, float* dx) {
   if (t.virtual_mode) return model_memory_op(t.dev, 3.0 * bytes_of(count));
+  // Both loops are selects on every element: a data-dependent branch on the
+  // sign of y mispredicts on about half of a trained layer's elements.
+  if (dx == dy) {
+    ThreadPool::global().parallel_for(
+        count,
+        [&](std::int64_t begin, std::int64_t end, std::size_t) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            const float g = dx[i];
+            dx[i] = y[i] <= 0.0f ? 0.0f : g;
+          }
+        },
+        kElementwiseGrain);
+    return;
+  }
   ThreadPool::global().parallel_for(
       count,
       [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        if (dx == dy) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            if (y[i] <= 0.0f) dx[i] = 0.0f;
-          }
-        } else {
-          for (std::int64_t i = begin; i < end; ++i) {
-            dx[i] += y[i] > 0.0f ? dy[i] : 0.0f;
-          }
+        for (std::int64_t i = begin; i < end; ++i) {
+          const float g = dy[i];
+          dx[i] += y[i] > 0.0f ? g : 0.0f;
         }
       },
       kElementwiseGrain);
@@ -97,6 +157,17 @@ void pool_forward(const Target& t, const Pool& pool, const TensorShape& in,
   if (t.virtual_mode) {
     return model_memory_op(t.dev, bytes_of(in.count()) + bytes_of(out.count()));
   }
+  const std::int64_t out_plane = out.h * out.w;
+  if (is_max_2x2(pool, in, out)) {
+    ThreadPool::global().parallel_for(
+        out.n * out.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
+          for (std::int64_t nc = begin; nc < end; ++nc) {
+            max_pool_2x2_plane(in, out, x + nc * in.h * in.w,
+                               y + nc * out_plane, argmax + nc * out_plane);
+          }
+        });
+    return;
+  }
   ThreadPool::global().parallel_for(
       out.n * out.c, [&](std::int64_t begin, std::int64_t end, std::size_t) {
         for (std::int64_t nc = begin; nc < end; ++nc) {
@@ -106,14 +177,16 @@ void pool_forward(const Target& t, const Pool& pool, const TensorShape& in,
               const Window win = window_at(pool, in, i, j);
               const std::int64_t o = (nc * out.h + i) * out.w + j;
               if (pool.mode == PoolMode::kMax) {
+                // A window where nothing beats -inf (all -inf or NaN) routes
+                // its gradient to its own first element.
                 float best = -std::numeric_limits<float>::infinity();
-                std::int32_t best_idx = 0;
+                auto best_idx =
+                    static_cast<std::int32_t>(win.h0 * in.w + win.w0);
                 for (std::int64_t h = win.h0; h < win.h1; ++h) {
                   for (std::int64_t w = win.w0; w < win.w1; ++w) {
-                    if (xp[h * in.w + w] > best) {
-                      best = xp[h * in.w + w];
-                      best_idx = static_cast<std::int32_t>(h * in.w + w);
-                    }
+                    take_if_greater(xp[h * in.w + w],
+                                    static_cast<std::int32_t>(h * in.w + w),
+                                    best, best_idx);
                   }
                 }
                 y[o] = best;

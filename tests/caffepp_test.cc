@@ -7,13 +7,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <random>
 
 #include "common/thread_pool.h"
 #include "frameworks/caffepp/model_zoo.h"
 #include "frameworks/caffepp/net.h"
+#include "frameworks/ops.h"
 
 namespace ucudnn::caffepp {
 namespace {
@@ -323,11 +326,12 @@ TEST(ConvLayerTest, BiasGradientEqualsSerialDoubleSumBitwise) {
   // dbias is reduced in parallel over channels on the global pool (one
   // worker per hardware thread). Each channel keeps its n-then-i double sum,
   // so the result equals the serial reduction bitwise whatever the thread
-  // count.
+  // count. 18 channels leave chunks that are not a multiple of the four
+  // channels summed side by side.
   core::UcudnnHandle handle(cpu(), wr_options());
   const LayerContext ctx{handle, handle.base().device_ptr(), false};
   const TensorShape in{3, 4, 9, 9};
-  const FilterDesc filter{16, 4, 3, 3};
+  const FilterDesc filter{18, 4, 3, 3};
   const ConvGeometry geom{.pad_h = 1, .pad_w = 1};
   const TensorShape out = geom.output_shape(in, filter);
   Blob bottom(ctx.dev, "data", in);
@@ -457,6 +461,202 @@ TEST(NetNumericTest, ForwardBackwardRunsOnCpu) {
     norm += std::abs(in->diff()[i]);
   }
   EXPECT_GT(norm, 0.0);
+}
+
+// --------------------------------- host ops ----------------------------------
+
+namespace ops = frameworks::ops;
+
+ops::Target host_target(device::Device& dev) { return {dev, false}; }
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+// Values that tell a select from a branch or an arithmetic mask: NaN, both
+// zeros, infinities, negatives and positives.
+const float kSpecials[] = {std::numeric_limits<float>::quiet_NaN(),
+                           0.0f,
+                           -0.0f,
+                           -1.5f,
+                           2.25f,
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::denorm_min(),
+                           3e-39f};
+
+// Spans several parallel chunks of the elementwise ops.
+constexpr std::int64_t kReluCount = 3 * (1 << 14) + 5;
+
+std::vector<float> special_pattern(std::int64_t count, std::size_t shift) {
+  std::vector<float> v(static_cast<std::size_t>(count));
+  constexpr std::size_t n = std::size(kSpecials);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = kSpecials[(i + shift + i / n) % n];
+  }
+  return v;
+}
+
+TEST(HostOpsTest, ReluForwardIsBitwiseStdMax) {
+  device::Device dev(device::host_cpu_spec());
+  const std::vector<float> x = special_pattern(kReluCount, 0);
+  std::vector<float> y(x.size());
+  ops::relu_forward(host_target(dev), kReluCount, x.data(), y.data());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(bits(y[i]), bits(std::max(0.0f, x[i]))) << "x=" << x[i];
+  }
+  std::vector<float> in_place = x;
+  ops::relu_forward(host_target(dev), kReluCount, in_place.data(),
+                    in_place.data());
+  EXPECT_EQ(std::memcmp(in_place.data(), y.data(), y.size() * sizeof(float)),
+            0);
+}
+
+TEST(HostOpsTest, ReluBackwardIsBitwiseTheBranchyReference) {
+  device::Device dev(device::host_cpu_spec());
+  // y, dy and the accumulated dx each walk the specials at a different
+  // phase, so every (y, dy, dx) combination occurs.
+  const std::vector<float> y = special_pattern(kReluCount, 0);
+  const std::vector<float> dy = special_pattern(kReluCount, 4);
+  const std::vector<float> dx0 = special_pattern(kReluCount, 7);
+
+  std::vector<float> masked = dy;
+  ops::relu_backward(host_target(dev), kReluCount, y.data(), masked.data(),
+                     masked.data());
+  std::vector<float> accumulated = dx0;
+  ops::relu_backward(host_target(dev), kReluCount, y.data(), dy.data(),
+                     accumulated.data());
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    float in_place = dy[i];
+    if (y[i] <= 0.0f) in_place = 0.0f;
+    ASSERT_EQ(bits(masked[i]), bits(in_place))
+        << "in place, y=" << y[i] << " dy=" << dy[i];
+    float out_of_place = dx0[i];
+    out_of_place += y[i] > 0.0f ? dy[i] : 0.0f;
+    ASSERT_EQ(bits(accumulated[i]), bits(out_of_place))
+        << "out of place, y=" << y[i] << " dy=" << dy[i] << " dx=" << dx0[i];
+  }
+}
+
+// The general max-pool scan, written out: windows clipped to the plane,
+// visited row by row, a value taken only when strictly greater than the
+// running maximum, and the argmax starting at the window's first in-bounds
+// element.
+void reference_max_pool(const ops::Pool& pool, const TensorShape& in,
+                        const TensorShape& out, const float* x, float* y,
+                        std::int32_t* argmax) {
+  for (std::int64_t nc = 0; nc < out.n * out.c; ++nc) {
+    const float* xp = x + nc * in.h * in.w;
+    for (std::int64_t i = 0; i < out.h; ++i) {
+      for (std::int64_t j = 0; j < out.w; ++j) {
+        const std::int64_t top = i * pool.stride - pool.pad;
+        const std::int64_t left = j * pool.stride - pool.pad;
+        const std::int64_t h0 = std::max<std::int64_t>(0, top);
+        const std::int64_t w0 = std::max<std::int64_t>(0, left);
+        const std::int64_t h1 = std::min(in.h, top + pool.window);
+        const std::int64_t w1 = std::min(in.w, left + pool.window);
+        float best = -std::numeric_limits<float>::infinity();
+        auto best_idx = static_cast<std::int32_t>(h0 * in.w + w0);
+        for (std::int64_t h = h0; h < h1; ++h) {
+          for (std::int64_t w = w0; w < w1; ++w) {
+            if (xp[h * in.w + w] > best) {
+              best = xp[h * in.w + w];
+              best_idx = static_cast<std::int32_t>(h * in.w + w);
+            }
+          }
+        }
+        const std::int64_t o = (nc * out.h + i) * out.w + j;
+        y[o] = best;
+        argmax[o] = best_idx;
+      }
+    }
+  }
+}
+
+// Inputs with ties (few distinct values), -inf and NaN on every plane.
+std::vector<float> tie_heavy_input(std::int64_t count) {
+  std::vector<float> x(static_cast<std::size_t>(count));
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<int> pick(0, 9);
+  for (float& v : x) {
+    const int k = pick(rng);
+    v = k == 0   ? -std::numeric_limits<float>::infinity()
+        : k == 1 ? std::numeric_limits<float>::quiet_NaN()
+                 : static_cast<float>(k % 4) - 1.0f;
+  }
+  return x;
+}
+
+TEST(HostOpsTest, MaxPoolMatchesTheReferenceScanBitwise) {
+  device::Device dev(device::host_cpu_spec());
+  struct Case {
+    ops::Pool pool;
+    TensorShape in;
+  };
+  const Case cases[] = {
+      // The 2x2/2 path, even and odd edges (odd ones floor).
+      {{ops::PoolMode::kMax, 2, 2, 0}, {2, 3, 8, 8}},
+      {{ops::PoolMode::kMax, 2, 2, 0}, {2, 3, 7, 9}},
+      {{ops::PoolMode::kMax, 2, 2, 0}, {1, 2, 5, 2}},
+      {{ops::PoolMode::kMax, 2, 2, 0}, {16, 16, 32, 32}},
+      // The general loop: padded, overlapping and stride-1 windows.
+      {{ops::PoolMode::kMax, 3, 2, 1}, {2, 3, 7, 9}},
+      {{ops::PoolMode::kMax, 2, 1, 0}, {2, 3, 5, 6}},
+      {{ops::PoolMode::kMax, 2, 2, 1}, {2, 3, 6, 7}},
+  };
+  for (const Case& c : cases) {
+    const TensorShape out{
+        c.in.n, c.in.c,
+        ops::pool_out_edge(c.in.h, c.pool.window, c.pool.stride, c.pool.pad),
+        ops::pool_out_edge(c.in.w, c.pool.window, c.pool.stride, c.pool.pad)};
+    SCOPED_TRACE(testing::Message()
+                 << "window " << c.pool.window << " stride " << c.pool.stride
+                 << " pad " << c.pool.pad << " in " << c.in.h << "x" << c.in.w);
+    const std::vector<float> x = tie_heavy_input(c.in.count());
+    std::vector<float> y(static_cast<std::size_t>(out.count()));
+    std::vector<float> y_ref(y.size());
+    std::vector<std::int32_t> am(y.size()), am_ref(y.size());
+    ops::pool_forward(host_target(dev), c.pool, c.in, out, x.data(), y.data(),
+                      am.data());
+    reference_max_pool(c.pool, c.in, out, x.data(), y_ref.data(),
+                       am_ref.data());
+    EXPECT_EQ(std::memcmp(y.data(), y_ref.data(), y.size() * sizeof(float)), 0);
+    EXPECT_EQ(am, am_ref);
+  }
+}
+
+TEST(HostOpsTest, MaxPoolGradientOfAnUnbeatenWindowStaysInIt) {
+  // A window where nothing beats -inf (all -inf, or NaN) must route its
+  // gradient to one of its own pixels, on the 2x2/2 path and the general one.
+  device::Device dev(device::host_cpu_spec());
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (const ops::Pool pool : {ops::Pool{ops::PoolMode::kMax, 2, 2, 0},
+                               ops::Pool{ops::PoolMode::kMax, 3, 3, 0}}) {
+    for (const float fill : {nan, ninf}) {
+      const std::int64_t edge = 2 * pool.window;
+      const TensorShape in{1, 1, edge, edge};
+      const TensorShape out{1, 1, 2, 2};
+      std::vector<float> x(static_cast<std::size_t>(in.count()), 1.0f);
+      // Output (1, 1)'s window holds only `fill`.
+      for (std::int64_t h = pool.window; h < edge; ++h) {
+        for (std::int64_t w = pool.window; w < edge; ++w) {
+          x[static_cast<std::size_t>(h * edge + w)] = fill;
+        }
+      }
+      std::vector<float> y(4);
+      std::vector<std::int32_t> am(4);
+      ops::pool_forward(host_target(dev), pool, in, out, x.data(), y.data(),
+                        am.data());
+      EXPECT_EQ(y[3], ninf);
+      const std::vector<float> dy = {0.0f, 0.0f, 0.0f, 1.0f};
+      std::vector<float> dx(x.size(), 0.0f);
+      ops::pool_backward(host_target(dev), pool, in, out, dy.data(), am.data(),
+                         dx.data());
+      const std::int64_t first = pool.window * edge + pool.window;
+      EXPECT_EQ(am[3], first) << "window " << pool.window << " fill " << fill;
+      EXPECT_EQ(dx[static_cast<std::size_t>(first)], 1.0f);
+      EXPECT_EQ(dx[0], 0.0f);
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 // micro-batched BackwardFilter accumulation relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -495,6 +498,86 @@ TEST(Im2colTest, BatchedLayoutMatchesPerImage) {
         EXPECT_EQ(batched[static_cast<std::size_t>(row * total + n * plane + q)],
                   single[static_cast<std::size_t>(row * plane + q)])
             << "n=" << n << " row=" << row << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(Im2colTest, BandCopyMatchesIndexedReference) {
+  // Stride 1 with x.w == OW lowers each (row, image) pair as one band copy;
+  // every other geometry lowers row by row. Both must equal the gather-table
+  // lowering bit for bit, padding zeros included, over a column buffer that
+  // starts out as NaN so an unwritten cell shows.
+  struct Case {
+    const char* name;
+    ConvProblem p;
+  };
+  const ConvGeometry conv_mode{
+      .pad_h = 1, .pad_w = 1, .mode = ConvMode::kConvolution};
+  const Case cases[] = {
+      {"same 3x3", ConvProblem({2, 3, 7, 9}, {4, 3, 3, 3},
+                               {.pad_h = 1, .pad_w = 1})},
+      {"same 5x5", ConvProblem({2, 2, 6, 5}, {3, 2, 5, 5},
+                               {.pad_h = 2, .pad_w = 2})},
+      {"pad 0 (x.w != OW)",
+       ConvProblem({2, 3, 7, 9}, {4, 3, 3, 3}, {})},
+      {"pad 2 on 3x3 (x.w != OW)",
+       ConvProblem({2, 3, 7, 9}, {4, 3, 3, 3}, {.pad_h = 2, .pad_w = 2})},
+      {"pad_h != pad_w, x.w == OW",
+       ConvProblem({2, 3, 7, 9}, {4, 3, 3, 3}, {.pad_h = 2, .pad_w = 1})},
+      {"pad_h != pad_w, x.w != OW",
+       ConvProblem({2, 3, 7, 9}, {4, 3, 3, 3}, {.pad_h = 1, .pad_w = 0})},
+      {"stride 2", ConvProblem({2, 3, 9, 8}, {4, 3, 3, 3},
+                               {.pad_h = 1, .pad_w = 1, .stride_h = 2,
+                                .stride_w = 2})},
+      {"stride_h 2 only", ConvProblem({2, 3, 9, 8}, {4, 3, 3, 3},
+                                      {.pad_h = 1, .pad_w = 1, .stride_h = 2})},
+      {"dilation 2", ConvProblem({2, 3, 8, 8}, {4, 3, 3, 3},
+                                 {.pad_h = 2, .pad_w = 2, .dilation_h = 2,
+                                  .dilation_w = 2})},
+      {"convolution mode", ConvProblem({2, 3, 7, 9}, {4, 3, 3, 3}, conv_mode)},
+      {"1x1", ConvProblem({2, 5, 6, 7}, {4, 5, 1, 1}, {})},
+      {"pad wider than the image",
+       ConvProblem({2, 2, 2, 2}, {3, 2, 3, 3},
+                   {.pad_h = 3, .pad_w = 3, .dilation_h = 3,
+                    .dilation_w = 3})},
+      {"train_host conv1 (32x32)",
+       ConvProblem({2, 3, 32, 32}, {16, 3, 5, 5}, {.pad_h = 2, .pad_w = 2})},
+      {"serve_host (14x14)",
+       ConvProblem({2, 4, 14, 14}, {4, 4, 3, 3}, {.pad_h = 1, .pad_w = 1})},
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ConvProblem& p = c.p;
+    const std::int64_t rows = col_rows(p);
+    const std::int64_t plane = p.y.h * p.y.w;
+    const std::int64_t image_x = p.x.c * p.x.h * p.x.w;
+    std::vector<float> x(static_cast<std::size_t>(p.x.count()));
+    fill_random(x.data(), p.x.count(), 12);
+    std::vector<std::int32_t> indices(static_cast<std::size_t>(rows * plane));
+    build_gather_indices(p, indices.data());
+
+    std::vector<float> batched(static_cast<std::size_t>(rows * p.x.n * plane),
+                               nan);
+    im2col_batched(p, x.data(), batched.data());
+    std::vector<float> plain(static_cast<std::size_t>(rows * plane));
+    std::vector<float> reference(plain.size());
+    for (std::int64_t n = 0; n < p.x.n; ++n) {
+      std::fill(plain.begin(), plain.end(), nan);
+      im2col(p, x.data() + n * image_x, plain.data());
+      im2col_indexed(p, indices.data(), x.data() + n * image_x,
+                     reference.data());
+      EXPECT_EQ(std::memcmp(plain.data(), reference.data(),
+                            plain.size() * sizeof(float)),
+                0)
+          << "im2col, image " << n;
+      for (std::int64_t row = 0; row < rows; ++row) {
+        EXPECT_EQ(std::memcmp(batched.data() + (row * p.x.n + n) * plane,
+                              reference.data() + row * plane,
+                              static_cast<std::size_t>(plane) * sizeof(float)),
+                  0)
+            << "im2col_batched, image " << n << " row " << row;
       }
     }
   }
