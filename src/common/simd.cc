@@ -203,6 +203,24 @@ __attribute__((target("avx2,fma"))) void fft_stages_avx2(
         const __m256 sub = _mm256_sub_ps(t, x);
         _mm256_storeu_ps(data + 2 * i, _mm256_blend_ps(add, sub, 0xCC));
       }
+    } else if (half == 2) {
+      // len == 4: one register holds a whole group (u0, u1, v0, v1). Both
+      // lanes compute w * (v0, v1); the low lane adds it to (u0, u1), the
+      // high lane subtracts it.
+      const __m256 vw = _mm256_broadcast_ps(
+          reinterpret_cast<const __m128*>(stage_w));
+      const __m256 wr = _mm256_moveldup_ps(vw);
+      const __m256 wi = _mm256_xor_ps(_mm256_movehdup_ps(vw), conj_mask);
+      for (std::int64_t i = 0; i < n; i += 4) {
+        const __m256 x = _mm256_loadu_ps(data + 2 * i);
+        const __m256 u = _mm256_permute2f128_ps(x, x, 0x00);
+        const __m256 vx = _mm256_permute2f128_ps(x, x, 0x11);
+        const __m256 xswap = _mm256_permute_ps(vx, 0xB1);
+        const __m256 v = _mm256_fmaddsub_ps(vx, wr, _mm256_mul_ps(xswap, wi));
+        _mm256_storeu_ps(data + 2 * i, _mm256_blend_ps(_mm256_add_ps(u, v),
+                                                       _mm256_sub_ps(u, v),
+                                                       0xF0));
+      }
     } else if (half < 4) {
       for (std::int64_t i = 0; i < n; i += len) {
         float* d0 = data + 2 * i;

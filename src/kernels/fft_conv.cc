@@ -71,6 +71,13 @@ struct FftPlan {
   std::int64_t full_cells() const noexcept { return fh * fw; }        // scratch
 };
 
+// Planes per parallel chunk. A loop over fewer planes runs inline: a
+// fork/join costs about as much as transforming 8192 cells, and at batch 1
+// most loops of a small plane are that short.
+std::int64_t plane_grain(const FftPlan& plan) {
+  return std::max<std::int64_t>(1, 8192 / plan.full_cells());
+}
+
 // Padded transform edges: the source is placed at offset u = max(0, pad);
 // correlation is evaluated at p = i + u - pad.
 std::int64_t plan_edge(std::int64_t src, std::int64_t dst, std::int64_t window,
@@ -85,37 +92,32 @@ FftPlan corr_plan(const CorrSpec& c) {
                  plan_edge(c.ws, c.wo, c.s, c.pad_w)};
 }
 
-// Forward transform of `scratch` (a zero-filled full plane the caller has
-// populated), packed into `half`.
-void r2c(const FftPlan& plan, Complex* scratch, Complex* half) {
-  fft::fft2d(scratch, static_cast<std::size_t>(plan.fh),
-             static_cast<std::size_t>(plan.fw), false);
-  const std::int64_t hw = plan.half_w();
-  for (std::int64_t u = 0; u < plan.fh; ++u) {
-    std::copy(scratch + u * plan.fw, scratch + u * plan.fw + hw,
-              half + u * hw);
-  }
+// Forward transform of a real plane whose first `rows` rows the caller has
+// written into `scratch` (rows past it are zero and never touched), packed
+// into `half` in rfft2d's column-major half-spectrum layout. Every spectrum
+// of a kernel shares that layout, so pointwise products need no unpacking.
+void r2c(const FftPlan& plan, std::int64_t rows, Complex* scratch,
+         Complex* half) {
+  fft::rfft2d(scratch, static_cast<std::size_t>(rows),
+              static_cast<std::size_t>(plan.fh),
+              static_cast<std::size_t>(plan.fw), half);
 }
 
-// Unpacks `half` into `scratch` using the 2-D Hermitian symmetry
-// X[(F-u)%F, F-v] = conj(X[u, v]) of a real signal's spectrum, then inverse
-// transforms. Valid whenever `half` is a pointwise product/sum of spectra of
-// real signals (products of Hermitian spectra stay Hermitian).
-void c2r(const FftPlan& plan, const Complex* half, Complex* scratch) {
-  const std::int64_t hw = plan.half_w();
-  for (std::int64_t u = 0; u < plan.fh; ++u) {
-    std::copy(half + u * hw, half + u * hw + hw, scratch + u * plan.fw);
-  }
-  for (std::int64_t u = 0; u < plan.fh; ++u) {
-    Complex* row = scratch + u * plan.fw;
-    const Complex* mirror =
-        scratch + ((plan.fh - u) % plan.fh) * plan.fw;
-    for (std::int64_t v = hw; v < plan.fw; ++v) {
-      row[v] = std::conj(mirror[plan.fw - v]);
-    }
-  }
-  fft::fft2d(scratch, static_cast<std::size_t>(plan.fh),
-             static_cast<std::size_t>(plan.fw), true);
+// Inverse transform of `half` (a pointwise product/sum of spectra of real
+// signals, so its full spectrum is Hermitian) for the first `rows` output
+// rows only: row i lands in the real parts of scratch[i * fw, (i + 1) * fw).
+// `half` is consumed.
+void c2r(const FftPlan& plan, Complex* half, std::int64_t rows,
+         Complex* scratch) {
+  fft::irfft2d(half, static_cast<std::size_t>(plan.fh),
+               static_cast<std::size_t>(plan.fw),
+               static_cast<std::size_t>(rows), scratch);
+}
+
+// Zeroes the first `rows` rows of a transform plane before the caller
+// scatters real data into them.
+void clear_rows(const FftPlan& plan, std::int64_t rows, Complex* scratch) {
+  std::fill(scratch, scratch + rows * plan.fw, Complex(0, 0));
 }
 
 std::size_t corr_workspace(const CorrSpec& c, const FftPlan& plan) {
@@ -140,22 +142,16 @@ void corr_fft_tile(const CorrSpec& c, const FftPlan& plan, const TileRect& t,
                    Complex* dst_freq, Complex* scratch_base) {
   const std::int64_t cells = plan.cells();
   const std::int64_t full = plan.full_cells();
-  const std::int64_t hw = plan.half_w();
+  const std::int64_t grain = plane_grain(plan);
   const std::int64_t cb_max = std::min(c.cs, kChannelChunk);
   // Source patch origin for this tile (may be negative).
   const std::int64_t si0 = t.i0 - c.pad_h;
   const std::int64_t sj0 = t.j0 - c.pad_w;
   const std::int64_t ph = t.th + c.r - 1;
   const std::int64_t pw = t.tw + c.s - 1;
-
-  // Zero the resident output spectra.
-  ThreadPool::global().parallel_for(
-      c.n * c.co, [&](std::int64_t begin, std::int64_t end, std::size_t) {
-        for (std::int64_t idx = begin; idx < end; ++idx) {
-          std::fill(dst_freq + idx * cells, dst_freq + (idx + 1) * cells,
-                    Complex(0, 0));
-        }
-      });
+  // Patch rows at and past the source's last row are zero: the forward
+  // transforms skip them.
+  const std::int64_t src_rows = std::clamp<std::int64_t>(c.hs - si0, 0, ph);
 
   for (std::int64_t c0 = 0; c0 < c.cs; c0 += cb_max) {
     const std::int64_t cb = std::min(cb_max, c.cs - c0);
@@ -167,16 +163,17 @@ void corr_fft_tile(const CorrSpec& c, const FftPlan& plan, const TileRect& t,
           for (std::int64_t idx = begin; idx < end; ++idx) {
             const std::int64_t co = idx / cb;
             const std::int64_t lc = idx % cb;
-            std::fill(scratch, scratch + full, Complex(0, 0));
+            clear_rows(plan, c.r, scratch);
             for (std::int64_t r = 0; r < c.r; ++r) {
               for (std::int64_t s = 0; s < c.s; ++s) {
                 scratch[r * plan.fw + s] =
                     Complex(load_filter(c, flt, co, c0 + lc, r, s), 0.0f);
               }
             }
-            r2c(plan, scratch, flt_freq + idx * cells);
+            r2c(plan, c.r, scratch, flt_freq + idx * cells);
           }
-        });
+        },
+        grain);
 
     // Source chunk transforms: src_freq[n][local c], patch at origin.
     ThreadPool::global().parallel_for(
@@ -185,12 +182,12 @@ void corr_fft_tile(const CorrSpec& c, const FftPlan& plan, const TileRect& t,
           for (std::int64_t idx = begin; idx < end; ++idx) {
             const std::int64_t n = idx / cb;
             const std::int64_t lc = idx % cb;
-            std::fill(scratch, scratch + full, Complex(0, 0));
+            clear_rows(plan, src_rows, scratch);
             const float* plane =
                 src + (n * c.cs + (c0 + lc)) * c.hs * c.ws;
-            for (std::int64_t a = 0; a < ph; ++a) {
+            for (std::int64_t a = 0; a < src_rows; ++a) {
               const std::int64_t ih = si0 + a;
-              if (ih < 0 || ih >= c.hs) continue;
+              if (ih < 0) continue;
               const float* src_row = plane + ih * c.ws;
               Complex* row = scratch + a * plan.fw;
               for (std::int64_t b = 0; b < pw; ++b) {
@@ -198,17 +195,21 @@ void corr_fft_tile(const CorrSpec& c, const FftPlan& plan, const TileRect& t,
                 if (iw >= 0 && iw < c.ws) row[b] = Complex(src_row[iw], 0.0f);
               }
             }
-            r2c(plan, scratch, src_freq + idx * cells);
+            r2c(plan, src_rows, scratch, src_freq + idx * cells);
           }
-        });
+        },
+        grain);
 
-    // Frequency-domain accumulation: dst += SRC .* conj(FLT).
+    // Frequency-domain accumulation: dst += SRC .* conj(FLT). The first
+    // chunk zeroes each resident output spectrum just before it
+    // accumulates into it, while the spectrum is in cache.
     ThreadPool::global().parallel_for(
         c.n * c.co, [&](std::int64_t begin, std::int64_t end, std::size_t) {
           for (std::int64_t idx = begin; idx < end; ++idx) {
             const std::int64_t n = idx / c.co;
             const std::int64_t co = idx % c.co;
             Complex* out = dst_freq + idx * cells;
+            if (c0 == 0) std::fill(out, out + cells, Complex(0, 0));
             for (std::int64_t lc = 0; lc < cb; ++lc) {
               fft::multiply_conj_accumulate(
                   src_freq + (n * cb + lc) * cells,
@@ -216,16 +217,16 @@ void corr_fft_tile(const CorrSpec& c, const FftPlan& plan, const TileRect& t,
                   static_cast<std::size_t>(cells));
             }
           }
-        });
+        },
+        grain);
   }
 
-  // Inverse transforms and scatter.
-  (void)hw;
+  // Inverse transforms of the tile's rows and scatter.
   ThreadPool::global().parallel_for(
       c.n * c.co, [&](std::int64_t begin, std::int64_t end, std::size_t w) {
         Complex* scratch = scratch_base + static_cast<std::int64_t>(w) * full;
         for (std::int64_t idx = begin; idx < end; ++idx) {
-          c2r(plan, dst_freq + idx * cells, scratch);
+          c2r(plan, dst_freq + idx * cells, t.th, scratch);
           float* out = dst + idx * c.ho * c.wo;
           // Correlation value for output (i, j) sits at scratch position
           // (i - t.i0, j - t.j0) within the tile (source placed at origin of
@@ -239,7 +240,8 @@ void corr_fft_tile(const CorrSpec& c, const FftPlan& plan, const TileRect& t,
             }
           }
         }
-      });
+      },
+      grain);
 }
 
 void corr_fft(const CorrSpec& c, const float* src, const float* flt,
@@ -417,6 +419,7 @@ void fft_backward_filter(const ConvProblem& p, const float* x, const float* dy,
   const FftPlan plan = bwd_filter_plan(p);
   const std::int64_t cells = plan.cells();
   const std::int64_t full = plan.full_cells();
+  const std::int64_t grain = plane_grain(plan);
   const std::size_t threads = ThreadPool::global().num_threads();
 
   auto* x_freq = static_cast<Complex*>(workspace);
@@ -424,12 +427,14 @@ void fft_backward_filter(const ConvProblem& p, const float* x, const float* dy,
   Complex* acc_base = dy_freq + p.x.n * p.y.c * cells;
   Complex* scratch_base = acc_base + static_cast<std::int64_t>(threads) * cells;
 
-  // X transforms, placed at offset (pad_h, pad_w).
+  // X transforms, placed at offset (pad_h, pad_w): rows past the last image
+  // row are zero and skipped.
+  const std::int64_t x_rows = p.geom.pad_h + p.x.h;
   ThreadPool::global().parallel_for(
       p.x.n * p.x.c, [&](std::int64_t begin, std::int64_t end, std::size_t w) {
         Complex* scratch = scratch_base + static_cast<std::int64_t>(w) * full;
         for (std::int64_t idx = begin; idx < end; ++idx) {
-          std::fill(scratch, scratch + full, Complex(0, 0));
+          clear_rows(plan, x_rows, scratch);
           const float* plane = x + idx * p.x.h * p.x.w;
           for (std::int64_t i = 0; i < p.x.h; ++i) {
             Complex* row =
@@ -439,16 +444,17 @@ void fft_backward_filter(const ConvProblem& p, const float* x, const float* dy,
               row[j] = Complex(src_row[j], 0.0f);
             }
           }
-          r2c(plan, scratch, x_freq + idx * cells);
+          r2c(plan, x_rows, scratch, x_freq + idx * cells);
         }
-      });
+      },
+      grain);
 
   // dy transforms at the origin.
   ThreadPool::global().parallel_for(
       p.x.n * p.y.c, [&](std::int64_t begin, std::int64_t end, std::size_t w) {
         Complex* scratch = scratch_base + static_cast<std::int64_t>(w) * full;
         for (std::int64_t idx = begin; idx < end; ++idx) {
-          std::fill(scratch, scratch + full, Complex(0, 0));
+          clear_rows(plan, p.y.h, scratch);
           const float* plane = dy + idx * p.y.h * p.y.w;
           for (std::int64_t i = 0; i < p.y.h; ++i) {
             Complex* row = scratch + i * plan.fw;
@@ -457,9 +463,10 @@ void fft_backward_filter(const ConvProblem& p, const float* x, const float* dy,
               row[j] = Complex(src_row[j], 0.0f);
             }
           }
-          r2c(plan, scratch, dy_freq + idx * cells);
+          r2c(plan, p.y.h, scratch, dy_freq + idx * cells);
         }
-      });
+      },
+      grain);
 
   // dw[k, c, r, s] = IFFT( sum_n X[n,c] .* conj(DY[n,k]) )[r, s].
   const bool flip = p.geom.mode == ConvMode::kConvolution;
@@ -477,7 +484,7 @@ void fft_backward_filter(const ConvProblem& p, const float* x, const float* dy,
                                           dy_freq + (n * p.y.c + k) * cells,
                                           acc, static_cast<std::size_t>(cells));
           }
-          c2r(plan, acc, scratch);
+          c2r(plan, acc, p.w.r, scratch);
           for (std::int64_t r = 0; r < p.w.r; ++r) {
             for (std::int64_t s = 0; s < p.w.s; ++s) {
               const std::int64_t rr = flip ? p.w.r - 1 - r : r;
@@ -488,7 +495,8 @@ void fft_backward_filter(const ConvProblem& p, const float* x, const float* dy,
             }
           }
         }
-      });
+      },
+      grain);
 }
 
 }  // namespace ucudnn::kernels

@@ -177,11 +177,10 @@ std::vector<int> gemm_family(ConvKernelType type) {
   return {};
 }
 
-class TrainHostGemmParityTest
-    : public ::testing::TestWithParam<TrainHostCase> {};
-
-TEST_P(TrainHostGemmParityTest, GemmFamilyMatchesDirectAtEveryBeta) {
-  const TrainHostCase& tc = GetParam();
+// Runs every algorithm in `algos` on tc's problem at beta 0, 1 and 0.5 and
+// checks it against the direct reference.
+void expect_family_matches_direct(const TrainHostCase& tc,
+                                  const std::vector<int>& algos) {
   const ConvProblem p(tc.conv.x.with_batch(tc.micro_batch), tc.conv.w,
                       tc.conv.geom);
   std::vector<float> x(static_cast<std::size_t>(p.x.count()));
@@ -210,7 +209,7 @@ TEST_P(TrainHostGemmParityTest, GemmFamilyMatchesDirectAtEveryBeta) {
     std::vector<float> reference = base;
     execute(tc.type, reference_algo, p, a, b, reference.data(), 1.0f, beta,
             nullptr, 0);
-    for (const int algo : gemm_family(tc.type)) {
+    for (const int algo : algos) {
       ASSERT_TRUE(algo_supported(tc.type, algo, p)) << algo_name(tc.type, algo);
       const std::size_t ws_bytes = algo_workspace(tc.type, algo, p);
       AlignedBuffer<char> ws(ws_bytes);
@@ -223,8 +222,66 @@ TEST_P(TrainHostGemmParityTest, GemmFamilyMatchesDirectAtEveryBeta) {
   }
 }
 
+class TrainHostGemmParityTest
+    : public ::testing::TestWithParam<TrainHostCase> {};
+
+TEST_P(TrainHostGemmParityTest, GemmFamilyMatchesDirectAtEveryBeta) {
+  const TrainHostCase& tc = GetParam();
+  expect_family_matches_direct(tc, gemm_family(tc.type));
+}
+
 INSTANTIATE_TEST_SUITE_P(TrainHostShapes, TrainHostGemmParityTest,
                          ::testing::ValuesIn(train_host_cases()),
+                         [](const auto& info) { return info.param.name; });
+
+// The FFT family (full-image FFT and FFT_TILING Forward and BackwardData,
+// FFT BackwardFilter) on the three train_host convolutions and the
+// serve_host kernel at micro-batches 1 and 16: the shapes whose set-up
+// times every algorithm. Their transforms skip zero rows and mirrored
+// columns and invert only the rows read.
+std::vector<TrainHostCase> fft_cases() {
+  const ProblemCase convs[] = {
+      {"conv1", {1, 3, 32, 32}, {16, 3, 5, 5}, {.pad_h = 2, .pad_w = 2}},
+      {"conv2", {1, 16, 16, 16}, {32, 16, 5, 5}, {.pad_h = 2, .pad_w = 2}},
+      {"conv3", {1, 32, 8, 8}, {32, 32, 3, 3}, {.pad_h = 1, .pad_w = 1}},
+      {"serve", {1, 32, 14, 14}, {32, 32, 3, 3}, {.pad_h = 1, .pad_w = 1}},
+  };
+  std::vector<TrainHostCase> cases;
+  for (const ProblemCase& conv : convs) {
+    for (const std::int64_t batch : {1, 16}) {
+      for (const ConvKernelType type :
+           {ConvKernelType::kForward, ConvKernelType::kBackwardData,
+            ConvKernelType::kBackwardFilter}) {
+        cases.push_back({conv.name + "b" + std::to_string(batch) +
+                             std::string(to_string(type)),
+                         conv, batch, type});
+      }
+    }
+  }
+  return cases;
+}
+
+std::vector<int> fft_family(ConvKernelType type) {
+  switch (type) {
+    case ConvKernelType::kForward:
+      return {fwd_algo::kFft, fwd_algo::kFftTiling};
+    case ConvKernelType::kBackwardData:
+      return {bwd_data_algo::kFft, bwd_data_algo::kFftTiling};
+    case ConvKernelType::kBackwardFilter:
+      return {bwd_filter_algo::kFft};
+  }
+  return {};
+}
+
+class FftFamilyParityTest : public ::testing::TestWithParam<TrainHostCase> {};
+
+TEST_P(FftFamilyParityTest, FftFamilyMatchesDirectAtEveryBeta) {
+  const TrainHostCase& tc = GetParam();
+  expect_family_matches_direct(tc, fft_family(tc.type));
+}
+
+INSTANTIATE_TEST_SUITE_P(HostShapes, FftFamilyParityTest,
+                         ::testing::ValuesIn(fft_cases()),
                          [](const auto& info) { return info.param.name; });
 
 TEST(RegistryTest, AlgoCountsMirrorCudnn) {
